@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 INF = math.inf
+P_NORMS = ((2, "2"), (INF, "inf"))  # (p, label) pairs reported by every diagnostic
 
 
 def _ball_volume(a: float) -> float:
@@ -132,11 +133,15 @@ class ConstantSet:
     def dist(self) -> float:
         return self.omega_radius - self.a
 
+    def mu_nu(self, p: float):
+        """(mu_p, nu_p) interpolated between the endpoint constants."""
+        return interpolate_constants(self.mu_2, self.mu_inf, self.nu_2, self.nu_inf, p)
+
     def mu(self, p: float) -> float:
-        return interpolate_constants(self.mu_2, self.mu_inf, self.nu_2, self.nu_inf, p)[0]
+        return self.mu_nu(p)[0]
 
     def nu(self, p: float) -> float:
-        return interpolate_constants(self.mu_2, self.mu_inf, self.nu_2, self.nu_inf, p)[1]
+        return self.mu_nu(p)[1]
 
 
 def closed_form_constants(mode: WaveMode, a: float, omega_radius: float) -> ConstantSet:
@@ -283,9 +288,7 @@ def interpolate_constants(mu2, mu_inf, nu2, nu_inf, p: float):
 
 def convergence_radii(constants: ConstantSet, p: float):
     """(forward_radius, inverse_radius) = (1/mu_p, 1/(mu_p + nu_p))."""
-    mu_p, nu_p = interpolate_constants(
-        constants.mu_2, constants.mu_inf, constants.nu_2, constants.nu_inf, p
-    )
+    mu_p, nu_p = constants.mu_nu(p)
     return 1.0 / mu_p, 1.0 / (mu_p + nu_p)
 
 
@@ -318,26 +321,18 @@ def compositions(total: int, parts: int):
             yield (head,) + tail
 
 
-def dilog(x: float, tol: float = 1e-13) -> float:
-    """Dilogarithm sum_{n>=1} x^n / n^2 for |x| <= 1 by direct summation."""
+def dilog(x: float) -> float:
+    """Dilogarithm Li2(x) = sum_{n>=1} x^n / n^2 for |x| <= 1, as spence(1 - x)."""
     if abs(x) > 1:
-        raise ValueError("dilog power series requires |x| <= 1")
+        raise ValueError(f"dilog requires |x| <= 1, got {x}")
     if x == 1.0:
         return math.pi**2 / 6.0
     if x == -1.0:
         return -(math.pi**2) / 12.0
-    total = 0.0
-    n0 = 1
-    chunk = 4096
-    while True:
-        n = np.arange(n0, n0 + chunk, dtype=float)
-        terms = x**n / n**2
-        total += terms.sum()
-        if abs(terms[-1]) < tol * max(1.0, abs(total)) * (1.0 - abs(x)):
-            return float(total)
-        n0 += chunk
-        if n0 > 50_000_000:
-            raise RuntimeError("dilog series did not converge")
+    # deferred: importing scipy.special costs ~0.1 s at CLI start-up
+    from scipy.special import spence
+
+    return float(spence(1.0 - x))
 
 
 def series_constant(mu_p: float, nu_p: float, pinv_norm: float):
@@ -381,10 +376,7 @@ class CertifiedBounds:
 
     @classmethod
     def from_constants(cls, constants: ConstantSet, p: float, pinv_norm: float):
-        mu_p, nu_p = interpolate_constants(
-            constants.mu_2, constants.mu_inf, constants.nu_2, constants.nu_inf, p
-        )
-        return cls(mu_p, nu_p, pinv_norm)
+        return cls(*constants.mu_nu(p), pinv_norm)
 
     @property
     def msum(self) -> float:

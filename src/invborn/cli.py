@@ -58,6 +58,13 @@ class ExperimentConfig:
     def validate(self):
         if self.mode not in ("diffuse", "scalar"):
             raise ValueError(f"mode must be diffuse or scalar, got {self.mode!r}")
+        # every comparison with NaN is False, so non-finite values must be caught first
+        for name in ("k", "a", "omega_radius", "h", "tau", "noise"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        if math.isnan(self.p):
+            raise ValueError("p must be in [2, inf], got nan")
         if self.k <= 0 or self.a <= 0:
             raise ValueError("k and a must be positive")
         if self.omega_radius <= self.a:
@@ -251,7 +258,7 @@ def _jsonable(obj):
 
 
 def dump_json(payload: dict) -> str:
-    return json.dumps(_jsonable(payload), indent=2) + "\n"
+    return json.dumps(_jsonable(payload), indent=2, allow_nan=False) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,11 @@ class WaveMode:
         """Sign s of the scattering term in (I + s k^2 G eta) u = u_i."""
         return 1.0 if self.kind == "diffuse" else -1.0
 
+    @property
+    def alpha(self) -> float:
+        """alpha = -s k^2; the order-m series coefficient is -alpha**m."""
+        return -self.sign * self.k**2
+
 
 def greens_kernel(mode: WaveMode, r):
     """Point value of the free-space kernel at distance r > 0 (complex)."""

@@ -9,9 +9,12 @@ drives the order-by-order recursion
     eta_j = -pinv( sum_{m=2..j} sum_{i_1+..+i_m=j} term(eta_{i_1}, .., eta_{i_m}) ),
 
 which reproduces the tensor-composition coefficients of the inverse series
-exactly whenever pinv K pinv = pinv (true for truncated SVD).  Only elementary
-tensor applications are ever formed; the number of compositions at order j is
-2^(j-1) - 1.
+exactly whenever pinv K pinv = pinv (true for truncated SVD).  Every series
+term carries the coefficient -alpha^m, so the 2^(j-1) - 1 compositions of
+order j need not be enumerated: they sum through a linear recurrence over
+(voxel x detector) chain matrices that costs one volume-kernel product per
+order (see ``inverse_series``).  No tensor is ever formed and the order is
+not capped.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bounds
-from .forward import born_term
+from .forward import born_term  # noqa: F401  bench/run.py traces invborn.inverse.born_term
 from .greens import OperatorSet
 from .grid import data_norm, field_norm
 
@@ -36,9 +39,6 @@ __all__ = [
     "diagnostics",
     "stability_probe",
 ]
-
-MAX_ORDER = 12
-_P_LABELS = ((2, "2"), (math.inf, "inf"))
 
 
 @dataclass(frozen=True)
@@ -73,9 +73,9 @@ def linearized_operator(ops: OperatorSet) -> LinearizedOperator:
     """Assemble the order-1 matrix and factor it in weighted inner products."""
     mode = ops.mode
     w = ops.grid.weights
-    # entry for pair (s, d) and voxel j: sign * k^2 * g_sv[s, j] * g_vd[j, d] * w_j
+    # entry for pair (s, d) and voxel j: -alpha * g_sv[s, j] * g_vd[j, d] * w_j
     k1 = ops.g_sv[:, None, :] * ops.g_vd.T[None, :, :]  # (S, D, V)
-    k1 = (mode.sign * mode.k**2) * k1.reshape(-1, ops.n_nodes) * w[None, :]
+    k1 = -mode.alpha * k1.reshape(-1, ops.n_nodes) * w[None, :]
     row_scale = math.sqrt(ops.boundary.pair_weight)
     col_scale = np.sqrt(w)
     u, s, vh = np.linalg.svd(k1 * (row_scale / col_scale[None, :]), full_matrices=False)
@@ -194,33 +194,35 @@ class InverseSeriesResult:
 
 
 def inverse_series(
-    kinv: RegularizedInverse,
-    ops: OperatorSet,
-    phi: np.ndarray,
-    order: int,
-    max_order: int = MAX_ORDER,
+    kinv: RegularizedInverse, ops: OperatorSet, phi: np.ndarray, order: int
 ) -> InverseSeriesResult:
-    """Evaluate the inverse series to the requested order by the recursion.
+    """Evaluate the inverse series to any order by the chain recurrence.
 
-    Composition terms within an order are accumulated in depth-first
-    lexicographic order (ascending part count), which fixes the floating-point
-    result bit for bit.
+    With alpha = -s k^2, let Y_j be the sum over all compositions of j of
+    alpha^m * eta_{i_1} G_vv eta_{i_2} ... G_vv eta_{i_m} G_vd (a V x D
+    matrix) and C_n = G_vv Y_n.  Splitting off the first part gives
+
+        Z_j   = alpha * sum_{i<j} eta_i * C_{j-i}     (compositions with m >= 2),
+        eta_j = pinv(G_sv W Z_j),
+        Y_j   = alpha * eta_j * G_vd + Z_j,
+
+    starting from Y_1 = alpha * eta_1 * G_vd; ``*`` scales rows by a volume
+    field.  Order N therefore costs N - 1 products with G_vv in total.  The
+    sum defining Z_j is accumulated in ascending i, a fixed order, so reruns
+    are bit-identical.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    if order > max_order:
-        raise ValueError(
-            f"order {order} exceeds the composition enumeration budget ({max_order}); "
-            f"the term count grows as 2^(order-1)"
-        )
-    phi = np.asarray(phi, dtype=complex)
-    terms = [kinv.apply(phi)]
+    alpha = ops.mode.alpha
+    w = ops.grid.weights
+    terms = [kinv.apply(np.asarray(phi, dtype=complex))]
+    y = alpha * terms[0][:, None] * ops.g_vd
+    chains = []  # chains[n - 1] = C_n
     for j in range(2, order + 1):
-        acc = np.zeros((ops.n_src, ops.n_det), dtype=complex)
-        for m in range(2, j + 1):
-            for comp in bounds.compositions(j, m):
-                acc += born_term(ops, [terms[i - 1] for i in comp])
-        terms.append(-kinv.apply(acc))
+        chains.append(ops.g_vv @ y)
+        z = alpha * sum(terms[i][:, None] * chains[j - 2 - i] for i in range(j - 1))
+        terms.append(kinv.apply(ops.g_sv @ (w[:, None] * z)))
+        y = alpha * terms[-1][:, None] * ops.g_vd + z
     partial = list(np.cumsum(np.array(terms), axis=0))
     return InverseSeriesResult(terms=terms, partial_sums=partial)
 
@@ -239,25 +241,22 @@ def diagnostics(
     whenever their inequality region is left.
     """
     record = {"order": result.order, "rank": kinv.rank, "p": {}}
-    for p, label in _P_LABELS:
+    for p, label in bounds.P_NORMS:
         record["p"][label] = _per_p(result, kinv, constants, ops, phi, p, eta_true)
     return record
 
 
 def _per_p(result, kinv, constants, ops, phi, p, eta_true):
     grid = ops.grid
-    mu_p, nu_p = bounds.interpolate_constants(
-        constants.mu_2, constants.mu_inf, constants.nu_2, constants.nu_inf, p
-    )
-    tb = bounds.CertifiedBounds(mu_p, nu_p, kinv.norm(p))
+    tb = bounds.CertifiedBounds.from_constants(constants, p, kinv.norm(p))
     radius = tb.inverse_radius
     phi_norm = data_norm(ops.boundary, phi, p)
     eta1_norm = field_norm(grid, result.terms[0], p)
     q = tb.q
     r = q * phi_norm
     rec = {
-        "mu_p": mu_p,
-        "nu_p": nu_p,
+        "mu_p": tb.mu_p,
+        "nu_p": tb.nu_p,
         "inverse_radius": radius,
         "pinv_norm": kinv.norm(p),
         "hyp_operator_ok": bool(kinv.norm(p) < radius),
@@ -274,7 +273,7 @@ def _per_p(result, kinv, constants, ops, phi, p, eta_true):
     if r >= 1:
         violations.append(f"(mu_p + nu_p) * pinv_norm * phi_norm = {r:.6g} >= 1")
     if not violations:
-        c_simple, c_refined = bounds.series_constant(mu_p, nu_p, kinv.norm(p))
+        c_simple, c_refined = bounds.series_constant(tb.mu_p, tb.nu_p, kinv.norm(p))
         rec["c_simple"] = c_simple
         rec["c_refined"] = c_refined
         rec["tail_bound"] = [tb.remainder_bound(n, phi_norm) for n in range(1, result.order + 1)]
@@ -325,11 +324,8 @@ def stability_probe(
     res1 = inverse_series(kinv, ops, phi1, order)
     res2 = inverse_series(kinv, ops, phi2, order)
     out = {"order": order, "p": {}}
-    for p, label in _P_LABELS:
-        mu_p, nu_p = bounds.interpolate_constants(
-            constants.mu_2, constants.mu_inf, constants.nu_2, constants.nu_inf, p
-        )
-        tb = bounds.CertifiedBounds(mu_p, nu_p, kinv.norm(p))
+    for p, label in bounds.P_NORMS:
+        tb = bounds.CertifiedBounds.from_constants(constants, p, kinv.norm(p))
         lhs = field_norm(ops.grid, res1.partial_sums[-1] - res2.partial_sums[-1], p)
         dphi = data_norm(ops.boundary, np.asarray(phi1) - np.asarray(phi2), p)
         m_bound = max(data_norm(ops.boundary, phi1, p), data_norm(ops.boundary, phi2, p))

@@ -232,6 +232,26 @@ def test_cli_rejects_unphysical_diffuse_phantom(tmp_path, capsys):
     assert ">= -1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [
+        ("--noise", "nan", "noise"),
+        ("--p", "nan", "p"),
+        ("--a", "nan", "a"),
+        ("--omega-radius", "nan", "omega_radius"),
+        ("--k", "inf", "k"),
+        ("--h", "nan", "h"),
+        ("--tau", "nan", "tau"),
+    ],
+)
+def test_cli_rejects_non_finite_values(tmp_path, capsys, flag, value, field):
+    out = tmp_path / "i.json"
+    code = main(["invert", *SMALL_ARGS, "--seed", "1", flag, value, "--output", str(out)])
+    assert code == 1
+    assert f"{field} must" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_rejects_tau_and_rank_together(capsys):
     assert main(["invert", "--tau", "0.01", "--rank", "5"]) == 1
     assert "exactly one" in capsys.readouterr().err
