@@ -83,6 +83,10 @@ class ExperimentConfig:
             raise ValueError("noise must be nonnegative")
         if self.noise > 0 and self.seed is None:
             raise ValueError("a seed is required when noise > 0")
+        if not isinstance(self.phantom, list):
+            raise ValueError("phantom must be a list of {center, radius, amplitude} balls")
+        for i, blob in enumerate(self.phantom):
+            _check_blob(f"phantom[{i}]", blob)
         return self
 
     @classmethod
@@ -113,17 +117,41 @@ class ExperimentConfig:
         return WaveMode(self.mode, self.k)
 
 
+def _finite_number(name: str, value, kind):
+    try:
+        number = kind(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if not np.isfinite(number):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return number
+
+
+def _check_blob(name: str, blob) -> None:
+    """Reject a phantom ball with a malformed or non-finite center, radius or amplitude."""
+    if not isinstance(blob, dict):
+        raise ValueError(f"{name} must be an object with center, radius and amplitude")
+    for key in ("center", "radius", "amplitude"):
+        if key not in blob:
+            raise ValueError(f"{name}.{key} is missing")
+    try:
+        center = np.asarray(blob["center"], dtype=float)
+    except (TypeError, ValueError):
+        center = np.empty(0)
+    if center.shape != (3,) or not np.isfinite(center).all():
+        raise ValueError(f"{name}.center must be 3 finite numbers, got {blob['center']!r}")
+    if not _finite_number(f"{name}.radius", blob["radius"], float) > 0:
+        raise ValueError(f"{name}.radius must be positive, got {blob['radius']!r}")
+    _finite_number(f"{name}.amplitude", blob["amplitude"], complex)
+
+
 def build_phantom(grid, blobs) -> np.ndarray:
     """Sum of constant-amplitude balls sampled on the grid nodes."""
     eta = np.zeros(grid.n_nodes, dtype=complex)
-    for blob in blobs:
+    for i, blob in enumerate(blobs):
+        _check_blob(f"phantom[{i}]", blob)
         center = np.asarray(blob["center"], dtype=float)
-        if center.shape != (3,):
-            raise ValueError("blob center must be a 3-vector")
-        radius = float(blob["radius"])
-        if radius <= 0:
-            raise ValueError("blob radius must be positive")
-        mask = np.linalg.norm(grid.centers - center[None, :], axis=1) <= radius
+        mask = np.linalg.norm(grid.centers - center[None, :], axis=1) <= float(blob["radius"])
         eta[mask] += complex(blob["amplitude"])
     return eta
 
@@ -233,6 +261,7 @@ def cmd_invert(config: ExperimentConfig) -> tuple[dict, int]:
         "config": config.to_dict(),
         "grid_nodes": grid.n_nodes,
         "retained_rank": kinv.rank,
+        "spectrum": kinv.spectrum(),
         "diagnostics": diag,
     }
     hyp_ok = all(

@@ -5,7 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from invborn import WaveMode, closed_form_constants, convergence_radii
+from invborn import (
+    WaveMode,
+    assemble,
+    build_ball_grid,
+    build_sphere_boundary,
+    closed_form_constants,
+    convergence_radii,
+    linearized_operator,
+    regularize,
+)
 from invborn.cli import (
     DEFAULT_PHANTOM,
     ExperimentConfig,
@@ -16,7 +25,6 @@ from invborn.cli import (
     main,
     radii_csv,
 )
-from invborn.grid import build_ball_grid
 
 INF = math.inf
 
@@ -160,6 +168,35 @@ def test_cli_invert_byte_identical_rerun(tmp_path):
     assert out.read_bytes() == first
 
 
+def test_cli_invert_reports_spectrum(tmp_path):
+    out = tmp_path / "i.json"
+    assert run_cli(tmp_path, "invert", *SMALL_ARGS, "--output", out) == 2
+    spectrum = json.loads(out.read_text())["spectrum"]
+    assert set(spectrum) == {"sigma_max", "sigma_min", "condition", "discarded_energy"}
+    assert all(math.isfinite(v) for v in spectrum.values())
+    assert 0 <= spectrum["discarded_energy"] < 1
+    ops = assemble(
+        WaveMode.diffuse(1.0), build_ball_grid(1.0, 0.45), build_sphere_boundary(2.0, 6, 6)
+    )
+    linop = linearized_operator(ops)
+    kinv = regularize(linop, tau=1e-3)
+    assert spectrum["sigma_min"] == kinv.sigma_min
+    assert spectrum["sigma_max"] == linop.svals[0]
+    assert spectrum["condition"] == linop.svals[0] / kinv.sigma_min
+    kept = np.sum(linop.svals[: kinv.rank] ** 2) / np.sum(linop.svals**2)
+    assert spectrum["discarded_energy"] == pytest.approx(1 - kept, abs=1e-15)
+
+
+@pytest.mark.parametrize("rule", [["--rank", "80"], ["--tau", "1e-7"]])
+def test_cli_refuses_truncation_below_sval_floor(tmp_path, capsys, rule):
+    # 88 voxels, 8 x 10 pairs: sigma_80 / sigma_1 is 9.6e-6, below the floor
+    out = tmp_path / "i.json"
+    args = ["invert", "--h", "0.35", "--n-src", "8", "--n-det", "10", "--order", "2"]
+    assert main([*args, *rule, "--output", str(out)]) == 1
+    assert "SVAL_FLOOR" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_config_file_and_flag_override(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(
@@ -249,6 +286,31 @@ def test_cli_rejects_non_finite_values(tmp_path, capsys, flag, value, field):
     code = main(["invert", *SMALL_ARGS, "--seed", "1", flag, value, "--output", str(out)])
     assert code == 1
     assert f"{field} must" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "blob, field",
+    [
+        ({"center": [0, 0, 0], "radius": math.nan, "amplitude": 0.1}, "radius"),
+        ({"center": [0, 0, 0], "radius": math.inf, "amplitude": 0.1}, "radius"),
+        ({"center": [0, 0, 0], "radius": 0.0, "amplitude": 0.1}, "radius"),
+        ({"center": [0, 0, 0], "radius": "wide", "amplitude": 0.1}, "radius"),
+        ({"center": [0, 0, 0], "amplitude": 0.1}, "radius"),
+        ({"center": [math.nan, 0, 0], "radius": 0.3, "amplitude": 0.1}, "center"),
+        ({"center": [0, 0, -math.inf], "radius": 0.3, "amplitude": 0.1}, "center"),
+        ({"center": [0, 0], "radius": 0.3, "amplitude": 0.1}, "center"),
+        ({"center": [0, 0, 0], "radius": 0.3, "amplitude": math.nan}, "amplitude"),
+        ({"center": [0, 0, 0], "radius": 0.3, "amplitude": -math.inf}, "amplitude"),
+    ],
+)
+def test_cli_rejects_malformed_phantom_entries(tmp_path, capsys, blob, field):
+    out = tmp_path / "i.json"
+    good = {"center": [0, 0, 0], "radius": 0.3, "amplitude": 0.1}
+    phantom = json.dumps([good, blob])  # NaN and Infinity as Python's json writes them
+    code = main(["invert", *SMALL_ARGS, "--phantom", phantom, "--output", str(out)])
+    assert code == 1
+    assert f"phantom[1].{field} " in capsys.readouterr().err
     assert not out.exists()
 
 

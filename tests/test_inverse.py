@@ -24,6 +24,7 @@ from invborn import (
 from invborn.bounds import compositions
 from invborn.cli import build_phantom
 from invborn.grid import Grid
+from invborn.inverse import SVAL_FLOOR
 
 INF = math.inf
 
@@ -103,6 +104,61 @@ class TestLinearizedOperator:
         assert np.all(np.diff(s) <= 0)
 
 
+def dense_weighted_svd(linop):
+    """Reference factorization: a dense SVD of the weight-scaled (S*D) x V matrix."""
+    scaled = linop.matrix * (linop.row_scale / linop.col_scale[None, :])
+    return np.linalg.svd(scaled, full_matrices=False)
+
+
+@pytest.mark.parametrize("kind", ["diffuse", "scalar"])
+class TestGramAgainstDenseSvd:
+    # 88 voxels, 8 x 10 distinct pairs: a spectrum reaching down to ~1e-6 sigma_max
+    @staticmethod
+    def problem(kind):
+        return make_problem(h=0.35, n_src=8, n_det=10, kind=kind)
+
+    def test_retained_singular_values(self, kind):
+        _, linop = self.problem(kind)
+        s_ref = dense_weighted_svd(linop)[1]
+        assert linop.svals.shape == s_ref.shape
+        # squaring the spectrum makes the relative error of sigma_i grow like
+        # eps * (sigma_max / sigma_i)^2: measured <= 4.6e-12 at tau=1e-3, 4.4e-10 at 1e-4
+        for tau, tol in ((1e-3, 1e-10), (1e-4, 1e-8)):
+            kinv = regularize(linop, tau=tau)
+            assert kinv.rank == np.count_nonzero(s_ref >= tau * s_ref[0])
+            s_r, ref = linop.svals[: kinv.rank], s_ref[: kinv.rank]
+            assert np.all(np.abs(s_r - ref) <= tol * ref)
+
+    def test_projector_matches_dense(self, kind):
+        _, linop = self.problem(kind)
+        vh = dense_weighted_svd(linop)[2]
+        kinv = regularize(linop, tau=1e-3)
+        v_r = vh[: kinv.rank].conj().T
+        ref = (v_r @ v_r.conj().T) * (linop.col_scale[None, :] / linop.col_scale[:, None])
+        assert np.abs(kinv.projector_matrix() - ref).max() <= 1e-8
+
+    def test_apply_matches_dense_pseudoinverse(self, kind):
+        ops, linop = self.problem(kind)
+        u, s, vh = dense_weighted_svd(linop)
+        kinv = regularize(linop, tau=1e-3)
+        r = kinv.rank
+        pinv = ((vh[:r].conj().T / linop.col_scale[:, None]) / s[:r]) @ u[:, :r].conj().T
+        pinv = pinv * linop.row_scale
+        eta = 0.05 * build_phantom(
+            ops.grid, [{"center": [0.1, 0.2, 0], "radius": 0.5, "amplitude": 1.0}]
+        )
+        phi = solve_direct(ops, eta)
+        for data in (phi, phi * (1 - 0.5j)):  # the real diffuse pinv on complex data too
+            ref = pinv @ data.ravel()
+            assert np.abs(kinv.apply(data) - ref).max() <= 1e-8 * np.abs(ref).max()
+
+    def test_real_arithmetic_for_diffuse_waves_only(self, kind):
+        _, linop = self.problem(kind)
+        kinv = regularize(linop, tau=1e-3)
+        assert np.isrealobj(kinv.matrix) == (kind == "diffuse")
+        assert np.iscomplexobj(kinv.apply(np.ones(linop.n_pairs)))
+
+
 class TestRegularize:
     def test_requires_exactly_one_rule(self, small_linop):
         with pytest.raises(ValueError):
@@ -157,6 +213,22 @@ class TestRegularize:
     def test_norm_inf_is_matrix_row_sum(self, small_linop):
         kinv = regularize(small_linop, rank=5)
         assert kinv.norm_inf == pytest.approx(np.abs(kinv.matrix).sum(axis=1).max(), rel=1e-15)
+
+    def test_sval_floor_refuses_tau_reaching_below_it(self):
+        _, linop = make_problem(h=0.35, n_src=8, n_det=10)
+        s = linop.svals
+        assert s[-1] < SVAL_FLOOR * s[0] <= s[-2]  # only the last triplet is below
+        with pytest.raises(ValueError, match=r"tau=1e-07 \(rank 80\).*SVAL_FLOOR"):
+            regularize(linop, tau=1e-7)
+        # tau >= SVAL_FLOOR can never retain a triplet below the floor
+        assert regularize(linop, tau=SVAL_FLOOR).rank == s.size - 1
+
+    def test_sval_floor_refuses_rank_reaching_below_it(self):
+        _, linop = make_problem(h=0.35, n_src=8, n_det=10)
+        size = linop.svals.size
+        with pytest.raises(ValueError, match=f"rank={size} .*SVAL_FLOOR"):
+            regularize(linop, rank=size)
+        assert regularize(linop, rank=size - 1).sigma_min >= SVAL_FLOOR * linop.svals[0]
 
     def test_rejects_empty_or_invalid_truncation(self, small_linop):
         with pytest.raises(ValueError):
