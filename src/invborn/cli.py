@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 
@@ -58,6 +59,20 @@ class ExperimentConfig:
     def validate(self):
         if self.mode not in ("diffuse", "scalar"):
             raise ValueError(f"mode must be diffuse or scalar, got {self.mode!r}")
+        # a --config file can hold any JSON value; bool is an int subclass but no count
+        for names, kind, what in (
+            (("n_src", "n_det", "order", "rank", "seed"), numbers.Integral, "an integer"),
+            (("k", "a", "omega_radius", "h", "p", "tau", "noise"), numbers.Real, "a number"),
+        ):
+            for name in names:
+                value = getattr(self, name)
+                if value is None and name in ("rank", "seed", "tau"):
+                    continue
+                if isinstance(value, bool) or not isinstance(value, kind):
+                    raise ValueError(f"{name} must be {what}, got {value!r}")
+        # open() takes an int as a file descriptor: {"output": true} would write to stdout
+        if self.output is not None and not isinstance(self.output, str):
+            raise ValueError(f"output must be a file path, got {self.output!r}")
         # every comparison with NaN is False, so non-finite values must be caught first
         for name in ("k", "a", "omega_radius", "h", "tau", "noise"):
             value = getattr(self, name)

@@ -40,9 +40,18 @@ def incident_field(ops: OperatorSet, source: int) -> np.ndarray:
 
 
 def _check_factor(ops: OperatorSet, f) -> np.ndarray:
+    """A volume field in the arithmetic it runs in against these kernels.
+
+    Real (float64) when the kernels are real (diffuse waves) and f has no
+    nonzero imaginary part, complex otherwise.  A complex field against real
+    kernels would make every kernel product upcast a complex copy of the kernel.
+    """
     f = np.asarray(f)
     if f.shape != (ops.n_nodes,):
         raise ValueError(f"factor shape {f.shape} does not match grid ({ops.n_nodes},)")
+    real_kernels = not any(np.iscomplexobj(g) for g in (ops.g_vv, ops.g_sv, ops.g_vd))
+    if real_kernels and not (np.iscomplexobj(f) and f.imag.any()):
+        return np.ascontiguousarray(f.real, dtype=float)
     return f.astype(complex, copy=False)
 
 
@@ -54,14 +63,16 @@ def solve_direct(ops: OperatorSet, eta: np.ndarray) -> np.ndarray:
     """
     eta = _check_factor(ops, eta)
     mode = ops.mode
-    n = ops.n_nodes
-    a_mat = np.eye(n, dtype=complex) - mode.alpha * (ops.g_vv * eta[None, :])
-    anorm = np.linalg.norm(a_mat, 1)
+    # A = I - alpha G_vv diag(eta), in Fortran order so that the LU overwrites it
+    a_mat = np.multiply(ops.g_vv, -mode.alpha * eta, order="F")
+    a_mat.flat[:: ops.n_nodes + 1] += 1.0
+    lange, gecon = lapack.get_lapack_funcs(("lange", "gecon"), (a_mat,))
+    anorm = lange("1", a_mat)
     with warnings.catch_warnings():
         # exact singularity surfaces through the condition check below
         warnings.simplefilter("ignore", LinAlgWarning)
-        lu, piv = lu_factor(a_mat)
-    rcond, info = lapack.zgecon(lu, anorm, norm="1")
+        lu, piv = lu_factor(a_mat, overwrite_a=True)
+    rcond, info = gecon(lu, anorm, norm="1")
     if info != 0:
         raise ValueError(f"condition estimation failed (info={info})")
     cond = np.inf if rcond == 0 else 1.0 / rcond

@@ -5,10 +5,11 @@ Two wave models share one code path:
 * diffuse:  G(r) = exp(-k r) / (4 pi r)   (real, positive)
 * scalar:   G(r) = exp(i k r) / (4 pi r)  (oscillatory)
 
-Kernels are stored complex in both modes.  The singular diagonal of the
-volume-volume kernel is replaced by the analytic integral of G over a ball of
-the same volume as the voxel, which removes the 1/r singularity at O(h)
-quadrature consistency.
+Kernels are real arrays (float64) in diffuse mode and complex in scalar mode,
+so diffuse problems run in real arithmetic downstream.  The singular diagonal
+of the volume-volume kernel is replaced by the analytic integral of G over a
+ball of the same volume as the voxel, which removes the 1/r singularity at
+O(h) quadrature consistency.
 """
 
 from __future__ import annotations
@@ -66,15 +67,16 @@ class WaveMode:
 
 
 def greens_kernel(mode: WaveMode, r):
-    """Point value of the free-space kernel at distance r > 0 (complex)."""
+    """Point value of the free-space kernel at distance r > 0.
+
+    Real in diffuse mode, complex in scalar mode.
+    """
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0):
         raise ValueError("greens_kernel requires r > 0; use self_cell_integral at coincident points")
-    if mode.kind == "diffuse":
-        vals = np.exp(-mode.k * r) / (4.0 * math.pi * r) + 0j
-    else:
-        vals = np.exp(1j * mode.k * r) / (4.0 * math.pi * r)
-    return vals if vals.ndim else complex(vals)
+    vals = np.exp(-mode.k * r) if mode.kind == "diffuse" else np.exp(1j * mode.k * r)
+    vals /= 4.0 * math.pi * r
+    return vals if vals.ndim else vals.item()
 
 
 def _cell_radius(w: float) -> float:
@@ -150,21 +152,44 @@ class OperatorSet:
 
 
 def _pairwise_dist(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(x[:, None, :] - y[None, :, :], axis=-1)
+    """Distances |x_i - y_j|, summing squared coordinate differences one axis at a time.
+
+    Adds the squares in the order np.linalg.norm(x[:, None] - y[None], axis=-1)
+    does, so the result is the same bit for bit (and exactly symmetric when
+    x is y), without the (n, m, 3) difference temporary.
+    """
+    d2 = np.zeros((x.shape[0], y.shape[0]))
+    for c in range(x.shape[1]):
+        d2 += np.subtract.outer(x[:, c], y[:, c]) ** 2
+    return np.sqrt(d2, out=d2)
+
+
+# Rows of g_vv evaluated per pass: the distance and kernel temporaries of a
+# block stay at a few MB instead of several V x V arrays, and the cache-sized
+# passes run faster than one pass over the whole matrix.
+_ROW_BLOCK = 128
 
 
 def assemble(mode: WaveMode, grid: Grid, boundary: BoundaryArray) -> OperatorSet:
-    """Assemble the volume-volume and boundary-volume kernels."""
+    """Assemble the volume-volume and boundary-volume kernels.
+
+    The kernels are float64 arrays in diffuse mode (the diagonal is the real
+    self-cell integral) and complex in scalar mode.
+    """
     r_src = np.linalg.norm(boundary.sources, axis=1)
     r_det = np.linalg.norm(boundary.detectors, axis=1)
     if np.any(r_src <= grid.radius_a) or np.any(r_det <= grid.radius_a):
         raise ValueError("boundary points must lie strictly outside the support ball")
 
-    r = _pairwise_dist(grid.centers, grid.centers)
-    np.fill_diagonal(r, 1.0)  # placeholder, diagonal overwritten below
-    g_vv = greens_kernel(mode, r) * grid.weights[None, :]
+    x, n = grid.centers, grid.n_nodes
+    g_vv = np.empty((n, n), dtype=float if mode.kind == "diffuse" else complex)
+    for start in range(0, n, _ROW_BLOCK):
+        r = _pairwise_dist(x[start : start + _ROW_BLOCK], x)
+        rows = np.arange(r.shape[0])
+        r[rows, start + rows] = 1.0  # placeholder, diagonal overwritten below
+        np.multiply(greens_kernel(mode, r), grid.weights, out=g_vv[start : start + len(rows)])
     diag = np.array([self_cell_integral(mode, w) for w in grid.weights])
-    np.fill_diagonal(g_vv, diag)
+    np.fill_diagonal(g_vv, diag.real if mode.kind == "diffuse" else diag)
 
     g_sv = greens_kernel(mode, _pairwise_dist(boundary.sources, grid.centers))
     g_vd = greens_kernel(mode, _pairwise_dist(grid.centers, boundary.detectors))

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bounds
+from .forward import _check_factor
 from .forward import born_term  # noqa: F401  bench/run.py traces invborn.inverse.born_term
 from .greens import OperatorSet
 from .grid import data_norm, field_norm
@@ -86,14 +87,12 @@ def linearized_operator(ops: OperatorSet) -> LinearizedOperator:
     (``o`` the entrywise product); one Hermitian eigendecomposition gives
     sigma = sqrt(lambda) and the right singular vectors.  Squaring the spectrum
     costs accuracy in singular values far below sigma_max, which ``regularize``
-    refuses to retain (``SVAL_FLOOR``).  Diffuse kernels are real by
-    construction, so diffuse mode runs in real arithmetic; scalar mode is complex.
+    refuses to retain (``SVAL_FLOOR``).  Diffuse kernels are real arrays, so
+    diffuse mode runs in real arithmetic; scalar mode is complex.
     """
     mode = ops.mode
     w = ops.grid.weights
     g_sv, g_vd = ops.g_sv, ops.g_vd
-    if mode.kind == "diffuse":  # real kernels stored complex (greens_kernel)
-        g_sv, g_vd = g_sv.real, g_vd.real
     # entry for pair (s, d) and voxel j: -alpha * g_sv[s, j] * g_vd[j, d] * w_j
     k1 = g_sv[:, None, :] * g_vd.T[None, :, :]  # (S, D, V)
     k1 = -mode.alpha * k1.reshape(-1, ops.n_nodes) * w[None, :]
@@ -137,14 +136,17 @@ class RegularizedInverse:
         raise ValueError("pseudoinverse norms are computed for p in {2, inf}")
 
     def apply(self, phi: np.ndarray) -> np.ndarray:
-        """Volume field from data (accepts (S, D) or flattened)."""
-        phi = np.asarray(phi, dtype=complex).ravel()
+        """Volume field from data (accepts (S, D) or flattened); always complex."""
+        phi = np.asarray(phi).ravel()
         if phi.shape[0] != self.linop.n_pairs:
             raise ValueError("data size does not match the operator")
         if np.iscomplexobj(self.matrix):
-            return self.matrix @ phi
+            return self.matrix @ phi.astype(complex, copy=False)
         # a real pinv times complex data would upcast a full copy of the pinv
-        return self.matrix @ phi.real + 1j * (self.matrix @ phi.imag)
+        eta = (self.matrix @ phi.real).astype(complex)
+        if np.iscomplexobj(phi) and phi.imag.any():
+            eta += 1j * (self.matrix @ phi.imag)
+        return eta
 
     def project(self, eta: np.ndarray) -> np.ndarray:
         """Orthogonal projection (weighted inner product) onto the retained subspace.
@@ -267,21 +269,22 @@ def inverse_series(
         Y_j   = alpha * eta_j * G_vd + Z_j,
 
     starting from Y_1 = alpha * eta_1 * G_vd; ``*`` scales rows by a volume
-    field.  Order N therefore costs N - 1 products with G_vv in total.  The
-    sum defining Z_j is accumulated in ascending i, a fixed order, so reruns
-    are bit-identical.
+    field.  Order N therefore costs N - 1 products with G_vv in total.  Each
+    eta_j passes through the forward module's dtype rule, so a diffuse run
+    on real data keeps every product real.  The sum defining Z_j is
+    accumulated in ascending i, a fixed order, so reruns are bit-identical.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
     alpha = ops.mode.alpha
     w = ops.grid.weights
-    terms = [kinv.apply(np.asarray(phi, dtype=complex))]
+    terms = [_check_factor(ops, kinv.apply(phi))]
     y = alpha * terms[0][:, None] * ops.g_vd
     chains = []  # chains[n - 1] = C_n
     for j in range(2, order + 1):
         chains.append(ops.g_vv @ y)
         z = alpha * sum(terms[i][:, None] * chains[j - 2 - i] for i in range(j - 1))
-        terms.append(kinv.apply(ops.g_sv @ (w[:, None] * z)))
+        terms.append(_check_factor(ops, kinv.apply(ops.g_sv @ (w[:, None] * z))))
         y = alpha * terms[-1][:, None] * ops.g_vd + z
     partial = list(np.cumsum(np.array(terms), axis=0))
     return InverseSeriesResult(terms=terms, partial_sums=partial)

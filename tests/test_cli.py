@@ -290,6 +290,36 @@ def test_cli_rejects_non_finite_values(tmp_path, capsys, flag, value, field):
 
 
 @pytest.mark.parametrize(
+    "config, field",
+    [
+        ({"order": "3"}, "order"),
+        ({"order": None}, "order"),
+        ({"n_src": 6.5}, "n_src"),
+        ({"n_det": True}, "n_det"),
+        ({"rank": 2.0}, "rank"),
+        ({"seed": "1", "noise": 0.01}, "seed"),
+        ({"k": "1"}, "k"),
+        ({"a": True}, "a"),
+        ({"p": "2"}, "p"),
+    ],
+)
+def test_cli_rejects_wrongly_typed_config_values(tmp_path, capsys, config, field):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "i.json"
+    code = main(["invert", "--config", str(path), "--h", "0.45", "--output", str(out)])
+    assert code == 1
+    assert f"{field} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("output", [True, 5, ["out.json"]])
+def test_config_rejects_non_path_output(output):
+    with pytest.raises(ValueError, match="output must be a file path"):
+        ExperimentConfig.from_dict({"output": output}).validate()
+
+
+@pytest.mark.parametrize(
     "blob, field",
     [
         ({"center": [0, 0, 0], "radius": math.nan, "amplitude": 0.1}, "radius"),

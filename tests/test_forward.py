@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -180,6 +181,38 @@ def test_diffuse_data_is_real(small_ops):
     eta = np.full(small_ops.n_nodes, 0.3, dtype=complex)
     phi = solve_direct(small_ops, eta)
     assert np.abs(phi.imag).max() == 0.0
+
+
+def complex_cast(ops):
+    """The same operator set with its kernels stored complex: the complex-arithmetic oracle."""
+    return dataclasses.replace(
+        ops,
+        g_vv=ops.g_vv.astype(complex),
+        g_sv=ops.g_sv.astype(complex),
+        g_vd=ops.g_vd.astype(complex),
+    )
+
+
+@pytest.mark.parametrize("form", ["float", "complex-zero-imag", "complex"])
+def test_real_kernels_match_complex_oracle(small_ops, form):
+    rng = np.random.default_rng(17)
+    eta = 0.2 * rng.uniform(-1.0, 1.0, small_ops.n_nodes)
+    if form == "complex-zero-imag":
+        eta = eta.astype(complex)
+    elif form == "complex":
+        eta = eta + 0.1j * rng.uniform(-1.0, 1.0, small_ops.n_nodes)
+    oracle = complex_cast(small_ops)
+    phi = solve_direct(small_ops, eta)
+    phi_ref = solve_direct(oracle, eta)
+    assert np.iscomplexobj(phi) == (form == "complex")
+    assert np.abs(phi - phi_ref).max() <= 1e-12 * np.abs(phi_ref).max()
+    series = born_series(small_ops, eta, 6)
+    ref = born_series(oracle, eta, 6)
+    for got, want in zip(series.terms, ref.terms):
+        assert np.iscomplexobj(got) == (form == "complex")
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert series.eta_norms == ref.eta_norms
+    assert series.remainder_bounds == ref.remainder_bounds
 
 
 def test_scalar_data_symmetric_for_identical_arrays():

@@ -13,7 +13,7 @@ from invborn import (
     mu_closed_form,
     self_cell_integral,
 )
-from invborn.greens import self_cell_l2
+from invborn.greens import _pairwise_dist, self_cell_l2
 from invborn.grid import BoundaryArray, Grid
 
 INF = math.inf
@@ -32,6 +32,14 @@ def test_kernel_diffuse_value():
     val = greens_kernel(WaveMode.diffuse(1.0), 1.0)
     assert val == pytest.approx(math.exp(-1) / (4 * math.pi), rel=1e-15)
     assert val.imag == 0.0
+
+
+def test_kernel_dtype_follows_mode():
+    r = np.array([0.3, 1.0, 2.7])
+    assert greens_kernel(WaveMode.diffuse(1.0), r).dtype == np.float64
+    assert isinstance(greens_kernel(WaveMode.diffuse(1.0), 1.0), float)
+    assert greens_kernel(WaveMode.scalar(1.0), r).dtype == np.complex128
+    assert isinstance(greens_kernel(WaveMode.scalar(1.0), 1.0), complex)
 
 
 def test_kernel_scalar_value():
@@ -121,6 +129,40 @@ def test_assemble_symmetry_exact(kind):
     grid = build_ball_grid(1.0, 0.4)
     boundary = build_sphere_boundary(2.0, 5, 5)
     ops = assemble(WaveMode(kind, 1.0), grid, boundary)
+    assert np.abs(ops.g_vv - ops.g_vv.T).max() == 0.0
+
+
+@pytest.mark.parametrize("kind, dtype", [("diffuse", np.float64), ("scalar", np.complex128)])
+def test_assemble_kernel_dtype_follows_mode(kind, dtype):
+    ops = assemble(WaveMode(kind, 1.0), build_ball_grid(1.0, 0.45), build_sphere_boundary(2.0, 4, 5))
+    assert ops.g_vv.dtype == ops.g_sv.dtype == ops.g_vd.dtype == dtype
+
+
+@pytest.mark.parametrize("h", [0.35, 1 / 6])
+def test_pairwise_dist_matches_stacked_norm(h):
+    grid = build_ball_grid(1.0, h)
+    boundary = build_sphere_boundary(2.0, 7, 5)
+    for x, y in (
+        (grid.centers, grid.centers),
+        (boundary.sources, grid.centers),
+        (grid.centers, boundary.detectors),
+    ):
+        ref = np.linalg.norm(x[:, None, :] - y[None, :, :], axis=-1)
+        assert np.array_equal(_pairwise_dist(x, y), ref)
+
+
+@pytest.mark.parametrize("kind", ["diffuse", "scalar"])
+def test_assemble_row_blocks_match_whole_matrix(kind):
+    # V = 912 spans several row blocks; the reference is one pass over the matrix
+    grid = build_ball_grid(1.0, 1 / 6)
+    mode = WaveMode(kind, 1.3)
+    ops = assemble(mode, grid, build_sphere_boundary(2.0, 3, 3))
+    r = np.linalg.norm(grid.centers[:, None, :] - grid.centers[None, :, :], axis=-1)
+    np.fill_diagonal(r, 1.0)
+    ref = greens_kernel(mode, r) * grid.weights[None, :]
+    diag = np.array([self_cell_integral(mode, w) for w in grid.weights])
+    np.fill_diagonal(ref, diag.real if kind == "diffuse" else diag)
+    assert np.array_equal(ops.g_vv, ref)
     assert np.abs(ops.g_vv - ops.g_vv.T).max() == 0.0
 
 

@@ -8,6 +8,7 @@ from invborn import (
     ConstantSet,
     WaveMode,
     assemble,
+    born_series,
     born_term,
     build_ball_grid,
     build_sphere_boundary,
@@ -22,7 +23,7 @@ from invborn import (
     stability_probe,
 )
 from invborn.bounds import compositions
-from invborn.cli import build_phantom
+from invborn.cli import build_phantom, validate_absorption
 from invborn.grid import Grid
 from invborn.inverse import SVAL_FLOOR
 
@@ -68,6 +69,14 @@ class _CountingMatmul(np.ndarray):
 
     def __matmul__(self, other):
         self.matmuls += 1
+        return np.asarray(self) @ other
+
+
+class _RecordingMatmul(np.ndarray):
+    """Kernel matrix that records the dtype of each right operand it multiplies."""
+
+    def __matmul__(self, other):
+        self.operand_dtypes.append(np.asarray(other).dtype)
         return np.asarray(self) @ other
 
 
@@ -357,6 +366,26 @@ class TestSeriesRecursion:
             assert g_vv.matmuls == order - 1
             plain = inverse_series(kinv, small_ops, phi, order)
             assert all(np.array_equal(a, b) for a, b in zip(res.terms, plain.terms))
+
+    def test_diffuse_kernel_products_stay_real(self, small_ops, small_linop):
+        # a complex operand would make numpy upcast a complex copy of the real g_vv
+        kinv = regularize(small_linop, tau=1e-2)
+        eta = validate_absorption(
+            0.05 * build_phantom(
+                small_ops.grid, [{"center": [0, 0, 0.2], "radius": 0.5, "amplitude": 1.0}]
+            ),
+            small_ops.mode,
+        )
+        phi = solve_direct(small_ops, eta) * (1.0 + 0j)  # complex dtype, zero imaginary part
+        g_vv = small_ops.g_vv.view(_RecordingMatmul)
+        g_vv.operand_dtypes = []
+        recording = dataclasses.replace(small_ops, g_vv=g_vv)
+        series = born_series(recording, eta, 5)
+        res = inverse_series(kinv, recording, phi, 5)
+        assert g_vv.operand_dtypes == [np.dtype(float)] * 8
+        assert all(np.isrealobj(t) for t in series.terms + res.terms)
+        plain = inverse_series(kinv, small_ops, phi, 5)
+        assert all(np.array_equal(a, b) for a, b in zip(res.terms, plain.terms))
 
     def test_discrete_norms_sit_below_certified_bounds(self, small_ops, small_linop):
         # the exact discrete operator norms of the order-1 map obey the
