@@ -16,8 +16,7 @@ from .bounds import (
     interpolate_constants,
     k_from_optical,
     mu_closed_form,
-    mu_numeric,
-    mu_numeric_grid,
+    mu_numeric_sweep,
     numeric_constants,
     nu_bound,
     partition_count,

@@ -22,7 +22,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .greens import WaveMode, self_cell_l1, self_cell_l2
+from .greens import (
+    _ROW_BLOCK,
+    WaveMode,
+    _diffuse_ball_factor,
+    _pairwise_dist,
+    kernel_modulus,
+    self_cell_l1,
+    self_cell_l2,
+)
 from .grid import Grid
 
 __all__ = [
@@ -32,8 +40,6 @@ __all__ = [
     "nu_bound",
     "closed_form_constants",
     "numeric_constants",
-    "mu_numeric",
-    "mu_numeric_grid",
     "mu_numeric_sweep",
     "interpolate_constants",
     "convergence_radii",
@@ -63,7 +69,8 @@ def mu_closed_form(mode: WaveMode, a: float, p: float) -> float:
 
     diffuse: mu_inf = 1 - (1 + ka) e^{-ka},
              mu_2   = k^2 e^{-ka/2} (sinh(ka) / (4 pi k))^(1/2)
-                    = k^2 ((1 - e^{-2ka}) / (8 pi k))^(1/2)   (stable form)
+                    = k^2 ((1 - e^{-2ka}) / (8 pi k))^(1/2)
+             (both evaluated without cancellation as ka -> 0)
     scalar:  mu_inf = (ka)^2 / 2,  mu_2 = k^2 (a / (4 pi))^(1/2)
     """
     if a <= 0:
@@ -74,8 +81,8 @@ def mu_closed_form(mode: WaveMode, a: float, p: float) -> float:
     ka = k * a
     if mode.kind == "diffuse":
         if p == INF:
-            return 1.0 - (1.0 + ka) * math.exp(-ka)
-        return k**2 * math.sqrt((1.0 - math.exp(-2.0 * ka)) / (8.0 * math.pi * k))
+            return ka**2 * _diffuse_ball_factor(ka)
+        return k**2 * math.sqrt(-math.expm1(-2.0 * ka) / (8.0 * math.pi * k))
     if p == INF:
         return 0.5 * ka**2
     return k**2 * math.sqrt(a / (4.0 * math.pi))
@@ -128,6 +135,8 @@ class ConstantSet:
             v = getattr(self, name)
             if not (np.isfinite(v) and v >= 0):
                 raise ValueError(f"{name} must be finite and nonnegative, got {v}")
+            if v == 0 and name.startswith("mu"):  # every radius divides by mu
+                raise ValueError(f"{name} underflows to 0 at ka={self.mode.k * self.a:g}")
 
     @property
     def dist(self) -> float:
@@ -155,19 +164,6 @@ def closed_form_constants(mode: WaveMode, a: float, omega_radius: float) -> Cons
         omega_radius=omega_radius,
         provenance="closed_form",
     )
-
-
-def mu_numeric_grid(mode: WaveMode, grid: Grid, p: float, batch: int = 1024) -> float:
-    """Quadrature value of mu_p: max over grid nodes of the kernel row sum.
-
-    Row sums are computed in batches without storing the full kernel, so this
-    scales to refinement studies.  The diagonal contribution is the analytic
-    integral of |G| (p=inf) or |G|^2 (p=2) over the equal-volume cell.
-    """
-    if p not in (2, INF):
-        raise ValueError("numeric mu is computed for p in {2, inf}")
-    vals = mu_numeric_sweep(grid, [mode], ps=(p,), batch=batch)
-    return vals[(mode.kind, mode.k, p)]
 
 
 def _lex_rows(points: np.ndarray) -> np.ndarray:
@@ -202,12 +198,14 @@ def _row_representatives(centers: np.ndarray, weights: np.ndarray) -> np.ndarray
     return np.sort(first)
 
 
-def mu_numeric_sweep(grid: Grid, modes, ps=(2, INF), batch: int = 512) -> dict:
-    """Row-sum maxima for several wave modes in one pass over pairwise distances.
+def mu_numeric_sweep(grid: Grid, modes, ps=(2, INF)) -> dict:
+    """Quadrature values of mu_p: k^2 times the largest kernel row norm over the nodes.
 
-    Returns a dict keyed by (kind, k, p).  The distance computation dominates
-    on fine grids, so it is shared across modes and norms, and restricted to
-    one node per symmetry orbit whenever the grid admits that reduction.
+    Returns a dict keyed by (kind, k, p).  Rows are formed in blocks of
+    representative nodes (one per symmetry orbit whenever the grid admits that
+    reduction), so no V x V array is stored.  Each block's distances are shared
+    by all modes and norms.  The diagonal contribution is the analytic integral
+    of |G| (p=inf) or |G|^2 (p=2) over the equal-volume cell.
     """
     modes = list(modes)
     ps = tuple(ps)
@@ -218,41 +216,23 @@ def mu_numeric_sweep(grid: Grid, modes, ps=(2, INF), batch: int = 512) -> dict:
     w = grid.weights
     rows_idx = _row_representatives(centers, w)
     best = {(m.kind, m.k, p): 0.0 for m in modes for p in ps}
-    scalar_modes = [m for m in modes if m.kind == "scalar"]
-    diffuse_modes = [m for m in modes if m.kind == "diffuse"]
-    for start in range(0, rows_idx.size, batch):
-        idx = rows_idx[start : start + batch]
+    for start in range(0, rows_idx.size, _ROW_BLOCK):
+        idx = rows_idx[start : start + _ROW_BLOCK]
         local = np.arange(idx.size)
-        r = np.linalg.norm(centers[idx, None, :] - centers[None, :, :], axis=-1)
-        r[local, idx] = 1.0  # diagonal handled analytically below
-        inv_r = 1.0 / (4.0 * math.pi * r)
-        inv_r[local, idx] = 0.0
-
-        def _update(m, absg):
+        r = _pairwise_dist(centers[idx], centers)
+        r[local, idx] = 1.0  # placeholder, diagonal handled analytically below
+        for m in modes:
+            absg = kernel_modulus(m, r)
+            absg[local, idx] = 0.0
             for p in ps:
                 if p == INF:
                     rows = absg @ w + np.array([self_cell_l1(m, w[i]) for i in idx])
                 else:
                     rows = (absg * absg) @ w + np.array([self_cell_l2(m, w[i]) for i in idx])
                     rows = np.sqrt(rows)
-                val = float(m.k**2 * rows.max())
                 key = (m.kind, m.k, p)
-                if val > best[key]:
-                    best[key] = val
-
-        if scalar_modes:
-            for m in scalar_modes:  # |G| is k-independent for scalar waves
-                _update(m, inv_r)
-        for m in diffuse_modes:
-            absg = np.exp(-m.k * r) * inv_r
-            absg[local, idx] = 0.0
-            _update(m, absg)
+                best[key] = max(best[key], float(m.k**2 * rows.max()))
     return best
-
-
-def mu_numeric(ops, p: float) -> float:
-    """mu_p computed from an assembled operator set's grid and mode."""
-    return mu_numeric_grid(ops.mode, ops.grid, p)
 
 
 def numeric_constants(ops) -> ConstantSet:

@@ -12,7 +12,7 @@ import json
 import math
 import numbers
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -42,7 +42,6 @@ class ExperimentConfig:
     h: float = 1.0 / 6.0
     n_src: int = 48
     n_det: int = 48
-    p: float = 2.0
     tau: float | None = 1e-3
     rank: int | None = None
     order: int = 6
@@ -51,18 +50,13 @@ class ExperimentConfig:
     seed: int | None = None
     output: str | None = None
 
-    _KEYS = (
-        "mode", "k", "a", "omega_radius", "h", "n_src", "n_det", "p",
-        "tau", "rank", "order", "phantom", "noise", "seed", "output",
-    )
-
     def validate(self):
         if self.mode not in ("diffuse", "scalar"):
             raise ValueError(f"mode must be diffuse or scalar, got {self.mode!r}")
         # a --config file can hold any JSON value; bool is an int subclass but no count
         for names, kind, what in (
             (("n_src", "n_det", "order", "rank", "seed"), numbers.Integral, "an integer"),
-            (("k", "a", "omega_radius", "h", "p", "tau", "noise"), numbers.Real, "a number"),
+            (("k", "a", "omega_radius", "h", "tau", "noise"), numbers.Real, "a number"),
         ):
             for name in names:
                 value = getattr(self, name)
@@ -78,8 +72,6 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if math.isnan(self.p):
-            raise ValueError("p must be in [2, inf], got nan")
         if self.k <= 0 or self.a <= 0:
             raise ValueError("k and a must be positive")
         if self.omega_radius <= self.a:
@@ -88,8 +80,6 @@ class ExperimentConfig:
             raise ValueError("h must be in (0, 2a]")
         if self.n_src < 1 or self.n_det < 1:
             raise ValueError("n_src and n_det must be >= 1")
-        if self.p < 2:
-            raise ValueError("p must be in [2, inf]")
         if (self.tau is None) == (self.rank is None):
             raise ValueError("give exactly one of tau or rank")
         if self.order < 1:
@@ -106,30 +96,25 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        unknown = set(data) - set(cls._KEYS)
+        unknown = set(data) - set(_CONFIG_KEYS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         cfg = cls()
         if "rank" in data and "tau" not in data:
             cfg.tau = None  # an explicit rank rule replaces the default tau rule
         for key, value in data.items():
-            if key == "p" and value == "inf":
-                value = math.inf
             setattr(cfg, key, value)
         return cfg
 
     def to_dict(self) -> dict:
-        out = {}
-        for key in self._KEYS:
-            value = getattr(self, key)
-            if key == "p" and math.isinf(value):
-                value = "inf"
-            out[key] = value
-        return out
+        return {key: getattr(self, key) for key in _CONFIG_KEYS}
 
     @property
     def wave_mode(self) -> WaveMode:
         return WaveMode(self.mode, self.k)
+
+
+_CONFIG_KEYS = tuple(f.name for f in fields(ExperimentConfig))
 
 
 def _finite_number(name: str, value, kind):
@@ -317,6 +302,10 @@ def _selftest_checks():
     """
     from .greens import greens_kernel, self_cell_integral
 
+    def problem(h, n_src, n_det, mode="diffuse"):
+        """(grid, boundary, ops) at the default geometry: unit ball, radius-2 sphere, k = 1."""
+        return _setup(ExperimentConfig(mode=mode, h=h, n_src=n_src, n_det=n_det))
+
     def grid_volume(fault):
         g = build_ball_grid(1.0, 1.0 / 6.0)
         target = 4.0 * math.pi / 3.0 * (2.5 if fault else 1.0)
@@ -340,9 +329,7 @@ def _selftest_checks():
         return abs(val - ref) <= 1e-14, f"|dev| {abs(val - ref):.3e}"
 
     def assembly_symmetry(fault):
-        g = build_ball_grid(1.0, 0.35)
-        b = build_sphere_boundary(2.0, 6, 6)
-        ops = assemble(WaveMode.diffuse(1.0), g, b)
+        _, _, ops = problem(0.35, 6, 6)
         dev = np.abs(ops.g_vv - ops.g_vv.T).max() + (1e-6 if fault else 0.0)
         return dev == 0.0, f"max asymmetry {dev:.3e}"
 
@@ -363,9 +350,7 @@ def _selftest_checks():
         return abs(phi - ref) <= 1e-14 * abs(ref), f"|dev| {abs(phi - ref):.3e}"
 
     def multilinearity(fault):
-        g = build_ball_grid(1.0, 0.45)
-        b = build_sphere_boundary(2.0, 4, 4)
-        ops = assemble(WaveMode.diffuse(1.0), g, b)
+        g, _, ops = problem(0.45, 4, 4)
         rng = np.random.default_rng(11)
         f1 = rng.normal(size=g.n_nodes) + 1j * rng.normal(size=g.n_nodes)
         f2 = rng.normal(size=g.n_nodes)
@@ -375,9 +360,7 @@ def _selftest_checks():
         return dev <= 1e-12, f"rel dev {dev:.3e}"
 
     def born_vs_direct(fault):
-        g = build_ball_grid(1.0, 0.3)
-        b = build_sphere_boundary(2.0, 8, 8)
-        ops = assemble(WaveMode.diffuse(1.0), g, b)
+        g, _, ops = problem(0.3, 8, 8)
         amp = 0.3 / bounds.mu_closed_form(WaveMode.diffuse(1.0), 1.0, bounds.INF)
         eta = np.full(g.n_nodes, amp, dtype=complex) * (1.2 if fault else 1.0)
         phi = forward.solve_direct(ops, eta)
@@ -386,9 +369,7 @@ def _selftest_checks():
         return dev <= 1e-8, f"rel dev {dev:.3e}"
 
     def certificate_dominates(fault):
-        g = build_ball_grid(1.0, 0.3)
-        b = build_sphere_boundary(2.0, 8, 8)
-        ops = assemble(WaveMode.diffuse(1.0), g, b)
+        g, _, ops = problem(0.3, 8, 8)
         amp = 0.4 / bounds.mu_closed_form(WaveMode.diffuse(1.0), 1.0, bounds.INF)
         eta = np.full(g.n_nodes, amp, dtype=complex)
         records = forward.residual_certificate(ops, eta, 5)
@@ -401,9 +382,7 @@ def _selftest_checks():
         return ok, "empirical <= bound for all orders and p"
 
     def linearized_two_path(fault):
-        g = build_ball_grid(1.0, 0.35)
-        b = build_sphere_boundary(2.0, 5, 7)
-        ops = assemble(WaveMode.scalar(1.0), g, b)
+        g, b, ops = problem(0.35, 5, 7, mode="scalar")
         linop = inverse.linearized_operator(ops)
         rng = np.random.default_rng(3)
         eta = rng.normal(size=g.n_nodes) + 1j * rng.normal(size=g.n_nodes)
@@ -413,18 +392,14 @@ def _selftest_checks():
         return dev <= 1e-12, f"rel dev {dev:.3e}"
 
     def projector_idempotent(fault):
-        g = build_ball_grid(1.0, 0.35)
-        b = build_sphere_boundary(2.0, 8, 8)
-        ops = assemble(WaveMode.diffuse(1.0), g, b)
+        _, _, ops = problem(0.35, 8, 8)
         kinv = inverse.regularize(inverse.linearized_operator(ops), tau=1e-2)
         proj = kinv.projector_matrix()
         dev = np.abs(proj @ proj - proj).max() + (1e-6 if fault else 0.0)
         return dev <= 1e-10, f"max |P^2 - P| {dev:.3e}"
 
     def recursion_composition(fault):
-        g = build_ball_grid(1.0, 0.45)
-        b = build_sphere_boundary(2.0, 6, 6)
-        ops = assemble(WaveMode.diffuse(1.0), g, b)
+        g, _, ops = problem(0.45, 6, 6)
         kinv = inverse.regularize(inverse.linearized_operator(ops), tau=1e-3)
         eta = 0.02 * build_phantom(g, DEFAULT_PHANTOM) / DEFAULT_PHANTOM[0]["amplitude"]
         phi = forward.solve_direct(ops, eta)
@@ -461,11 +436,8 @@ def _selftest_checks():
         return r2 < r1, f"R2(k=1.3)={r2:.4f} < R2(k=1)={r1:.4f}"
 
     def term_bound_sample(fault):
-        g = build_ball_grid(1.0, 0.4)
-        b = build_sphere_boundary(2.0, 6, 6)
-        mode = WaveMode.diffuse(1.0)
-        ops = assemble(mode, g, b)
-        cs = bounds.closed_form_constants(mode, 1.0, 2.0)
+        g, b, ops = problem(0.4, 6, 6)
+        cs = bounds.closed_form_constants(ops.mode, 1.0, 2.0)
         from .grid import field_norm as fn
 
         rng = np.random.default_rng(5)
@@ -533,7 +505,6 @@ def _add_config_flags(parser):
     parser.add_argument("--h", type=float)
     parser.add_argument("--n-src", dest="n_src", type=int)
     parser.add_argument("--n-det", dest="n_det", type=int)
-    parser.add_argument("--p", type=lambda s: math.inf if s == "inf" else float(s))
     parser.add_argument("--tau", type=float)
     parser.add_argument("--rank", type=int)
     parser.add_argument("--order", type=int)
@@ -544,20 +515,16 @@ def _add_config_flags(parser):
 
 
 def _resolve_config(args) -> ExperimentConfig:
+    """The --config file's keys, overridden by the flags given."""
     data = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             data.update(json.load(fh))
-    cfg = ExperimentConfig.from_dict(data)
-    for key in ExperimentConfig._KEYS:
+    for key in _CONFIG_KEYS:
         value = getattr(args, key, None)
         if value is not None:
-            if key == "phantom":
-                value = json.loads(value)
-            setattr(cfg, key, value)
-    if args.__dict__.get("rank") is not None and "tau" not in data and args.tau is None:
-        cfg.tau = None  # an explicit rank flag replaces the default tau rule
-    return cfg.validate()
+            data[key] = json.loads(value) if key == "phantom" else value
+    return ExperimentConfig.from_dict(data).validate()
 
 
 def _write_output(text: str, path: str | None, default_name: str) -> str:

@@ -25,6 +25,7 @@ __all__ = [
     "WaveMode",
     "OperatorSet",
     "greens_kernel",
+    "kernel_modulus",
     "self_cell_integral",
     "self_cell_l1",
     "self_cell_l2",
@@ -79,9 +80,38 @@ def greens_kernel(mode: WaveMode, r):
     return vals if vals.ndim else vals.item()
 
 
+def kernel_modulus(mode: WaveMode, r: np.ndarray) -> np.ndarray:
+    """|G| at an array of distances r > 0, as float64.
+
+    The diffuse kernel is its own modulus; the scalar one is 1/(4 pi r), taken
+    without the complex exponential.
+    """
+    if mode.kind == "diffuse":
+        return greens_kernel(mode, r)
+    if np.any(r <= 0):
+        raise ValueError("kernel_modulus requires r > 0; use self_cell_l1 at coincident points")
+    return 1.0 / (4.0 * math.pi * r)
+
+
 def _cell_radius(w: float) -> float:
     """Radius of the ball with the same volume as a voxel of weight w."""
     return (3.0 * w / (4.0 * math.pi)) ** (1.0 / 3.0)
+
+
+def _diffuse_ball_factor(x: float) -> float:
+    """(1 - (1 + x) e^{-x}) / x^2 for x >= 0, to within a few ulp.
+
+    k^2 times the integral of exp(-k r) / (4 pi r) over a ball of radius rho
+    about its center is x^2 times this factor, x = k rho.  The closed form
+    cancels as x -> 0 (it reads 0 below x ~ 1e-8), so below x = 2 the factor
+    is summed as e^{-x} sum_{m >= 0} x^m / (m + 2)!, whose terms are positive.
+    """
+    if x >= 2.0:
+        return (1.0 - (1.0 + x) * math.exp(-x)) / (x * x)
+    terms = [0.5]
+    while terms[-1] > 1e-17:
+        terms.append(terms[-1] * x / (len(terms) + 2))
+    return math.fsum(terms) * math.exp(-x)
 
 
 def self_cell_integral(mode: WaveMode, w: float) -> complex:
@@ -99,17 +129,15 @@ def self_cell_integral(mode: WaveMode, w: float) -> complex:
     rc = _cell_radius(w)
     k = mode.k
     if mode.kind == "diffuse":
-        return complex((1.0 - (1.0 + k * rc) * math.exp(-k * rc)) / k**2)
+        return complex(rc**2 * _diffuse_ball_factor(k * rc))
     return complex((np.exp(1j * k * rc) * (1.0 - 1j * k * rc) - 1.0) / k**2)
 
 
 def self_cell_l1(mode: WaveMode, w: float) -> float:
     """Integral of |G| over the equal-volume ball (for sup-type row sums)."""
-    rc = _cell_radius(w)
-    if mode.kind == "diffuse":
-        k = mode.k
-        return (1.0 - (1.0 + k * rc) * math.exp(-k * rc)) / k**2
-    return 0.5 * rc**2
+    if mode.kind == "diffuse":  # G > 0
+        return self_cell_integral(mode, w).real
+    return 0.5 * _cell_radius(w) ** 2
 
 
 def self_cell_l2(mode: WaveMode, w: float) -> float:
@@ -117,7 +145,7 @@ def self_cell_l2(mode: WaveMode, w: float) -> float:
     rc = _cell_radius(w)
     if mode.kind == "diffuse":
         k = mode.k
-        return (1.0 - math.exp(-2.0 * k * rc)) / (8.0 * math.pi * k)
+        return -math.expm1(-2.0 * k * rc) / (8.0 * math.pi * k)
     return rc / (4.0 * math.pi)
 
 
@@ -188,7 +216,9 @@ def assemble(mode: WaveMode, grid: Grid, boundary: BoundaryArray) -> OperatorSet
         rows = np.arange(r.shape[0])
         r[rows, start + rows] = 1.0  # placeholder, diagonal overwritten below
         np.multiply(greens_kernel(mode, r), grid.weights, out=g_vv[start : start + len(rows)])
-    diag = np.array([self_cell_integral(mode, w) for w in grid.weights])
+    # one self-cell integral per distinct weight: a uniform lattice has one
+    weights, which = np.unique(grid.weights, return_inverse=True)
+    diag = np.array([self_cell_integral(mode, w) for w in weights])[which]
     np.fill_diagonal(g_vv, diag.real if mode.kind == "diffuse" else diag)
 
     g_sv = greens_kernel(mode, _pairwise_dist(boundary.sources, grid.centers))

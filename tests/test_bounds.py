@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,9 @@ from invborn import (
     ConstantSet,
     CertifiedBounds,
     WaveMode,
+    assemble,
     build_ball_grid,
+    build_sphere_boundary,
     closed_form_constants,
     convergence_radii,
     diagram_count,
@@ -15,13 +18,14 @@ from invborn import (
     interpolate_constants,
     k_from_optical,
     mu_closed_form,
-    mu_numeric,
-    mu_numeric_grid,
+    mu_numeric_sweep,
     nu_bound,
     partition_count,
     series_constant,
 )
-from invborn.bounds import compositions
+from invborn.bounds import _row_representatives, compositions
+from invborn.greens import _ROW_BLOCK, self_cell_l2
+from invborn.grid import Grid
 
 INF = math.inf
 
@@ -40,6 +44,13 @@ class TestClosedForms:
         got = mu_closed_form(WaveMode.diffuse(1.0), 1.0, 2)
         expected = math.exp(-0.5) * math.sqrt(math.sinh(1.0) / (4 * math.pi))
         assert got == pytest.approx(expected, rel=1e-13)
+
+    def test_diffuse_small_ka_has_no_cancellation(self):
+        ka = 1e-9
+        mode = WaveMode.diffuse(ka)
+        assert mu_closed_form(mode, 1.0, INF) == pytest.approx(5e-19, rel=1e-9, abs=0)
+        l2 = ka**2 * math.sqrt((1 - ka) / (4 * math.pi))  # -expm1(-2ka) / 2ka = 1 - ka + ...
+        assert mu_closed_form(mode, 1.0, 2) == pytest.approx(l2, rel=1e-12, abs=0)
 
     def test_scalar_sup_exact(self):
         assert mu_closed_form(WaveMode.scalar(2.0), 1.0, INF) == 2.0
@@ -248,41 +259,69 @@ class TestCertifiedBounds:
             tb2.remainder_bound(2, phi_norm=10.0)
 
 
+def jittered(grid):
+    """Copy of grid with one weight perturbed, which forces mu_numeric_sweep onto every row."""
+    weights = grid.weights.copy()
+    weights[0] *= 1.0 + 1e-13
+    return Grid(centers=grid.centers, weights=weights, spacing=grid.spacing, radius_a=1.0)
+
+
 class TestNumericMu:
     def test_converges_to_closed_form_with_rate(self):
         mode = WaveMode.diffuse(1.0)
         hs = [1 / 4, 1 / 8, 1 / 16]
+        sweeps = [mu_numeric_sweep(build_ball_grid(1.0, h), [mode]) for h in hs]
         for p in (2, INF):
             ref = mu_closed_form(mode, 1.0, p)
-            errs = [
-                abs(mu_numeric_grid(mode, build_ball_grid(1.0, h), p) - ref) / ref for h in hs
-            ]
+            errs = [abs(vals[("diffuse", 1.0, p)] - ref) / ref for vals in sweeps]
             rate = np.polyfit(np.log(hs), np.log(errs), 1)[0]
             assert rate >= 0.8
 
     def test_small_k_values_vanish(self):
         grid = build_ball_grid(1.0, 0.25)
-        vals = [mu_numeric_grid(WaveMode.diffuse(k), grid, INF) for k in (0.5, 0.1, 0.01)]
+        ks = (0.5, 0.1, 0.01)
+        sweep = mu_numeric_sweep(grid, [WaveMode.diffuse(k) for k in ks], ps=(INF,))
+        vals = [sweep[("diffuse", k, INF)] for k in ks]
         assert vals[0] > vals[1] > vals[2]
         assert vals[2] < 1e-3
-
-    def test_accepts_operator_set(self, small_ops):
-        direct = mu_numeric_grid(small_ops.mode, small_ops.grid, 2)
-        assert mu_numeric(small_ops, 2) == direct
 
     def test_orbit_reduction_matches_full_scan(self):
         grid = build_ball_grid(1.0, 0.3)
         mode = WaveMode.diffuse(1.2)
-        full = np.arange(grid.n_nodes)
-        # force the all-rows path through a weight perturbation on a copy
-        from invborn.grid import Grid
-
-        jitter = grid.weights.copy()
-        jitter[0] *= 1.0 + 1e-13
-        g2 = Grid(centers=grid.centers, weights=jitter, spacing=grid.spacing, radius_a=1.0)
-        v_sym = mu_numeric_grid(mode, grid, INF)
-        v_all = mu_numeric_grid(mode, g2, INF)
+        v_sym = mu_numeric_sweep(grid, [mode], ps=(INF,))
+        v_all = mu_numeric_sweep(jittered(grid), [mode], ps=(INF,))
         assert v_sym == pytest.approx(v_all, rel=1e-10)
+
+    @pytest.mark.parametrize("jitter", [False, True])
+    def test_matches_assembled_operator_rows(self, jitter):
+        # k^2 times the largest absolute row sum of g_vv is mu_inf by definition;
+        # off the diagonal g_vv[i, j]^2 / w_j = |G_ij|^2 w_j gives the L2 rows
+        grid = build_ball_grid(1.0, 0.25)
+        if jitter:
+            grid = jittered(grid)
+            assert _row_representatives(grid.centers, grid.weights).size > 2 * _ROW_BLOCK
+        mode = WaveMode.diffuse(1.2)
+        ops = assemble(mode, grid, build_sphere_boundary(2.0, 2, 2))
+        assert ops.n_nodes == 280
+        w = grid.weights
+        off = ops.g_vv.copy()
+        np.fill_diagonal(off, 0.0)
+        l2_rows = (off**2 / w).sum(axis=1) + [self_cell_l2(mode, wi) for wi in w]
+        mu_inf = mode.k**2 * np.abs(ops.g_vv).sum(axis=1).max()
+        mu_2 = mode.k**2 * np.sqrt(l2_rows).max()
+        vals = mu_numeric_sweep(grid, [mode])
+        assert vals[("diffuse", 1.2, INF)] == pytest.approx(mu_inf, rel=1e-13, abs=0)
+        assert vals[("diffuse", 1.2, 2)] == pytest.approx(mu_2, rel=1e-13, abs=0)
+
+    def test_peak_memory_is_a_few_row_blocks(self):
+        grid = build_ball_grid(1.0, 1 / 12)
+        tracemalloc.start()
+        try:
+            mu_numeric_sweep(grid, [WaveMode.diffuse(1.0)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * _ROW_BLOCK * grid.n_nodes * 8
 
 
 class TestOpticalConversion:
@@ -315,6 +354,17 @@ def test_constant_set_interpolation_methods():
     assert cs.mu(INF) == cs.mu_inf
     assert cs.nu(4) == pytest.approx(math.sqrt(cs.nu_2 * cs.nu_inf), rel=1e-13)
     assert cs.dist == 1.0
+
+
+def test_constant_set_refuses_zero_mu():
+    mode = WaveMode.scalar(1e-170)
+    with pytest.raises(ValueError, match="mu_inf underflows to 0"):
+        closed_form_constants(mode, 1.0, 2.0)
+    with pytest.raises(ValueError, match="mu_2 underflows to 0"):
+        ConstantSet(
+            mu_inf=0.1, mu_2=0.0, nu_inf=0.0, nu_2=0.0,
+            mode=WaveMode.diffuse(1.0), a=1.0, omega_radius=2.0, provenance="numeric",
+        )
 
 
 def test_constant_set_rejects_nonfinite():

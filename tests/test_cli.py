@@ -55,10 +55,13 @@ def test_config_rank_rule_replaces_tau():
     assert cfg.rank == 7 and cfg.tau is None
 
 
-def test_config_p_inf_round_trip():
-    cfg = ExperimentConfig.from_dict({"p": "inf"})
-    assert math.isinf(cfg.p)
-    assert cfg.to_dict()["p"] == "inf"
+def test_cli_config_file_with_removed_p_key_exits_one(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"p": 2}))
+    out = tmp_path / "f.json"
+    assert main(["forward", "--config", str(path), *SMALL_ARGS, "--output", str(out)]) == 1
+    assert "unknown config keys: ['p']" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_phantom_sampling():
@@ -118,6 +121,31 @@ def test_cli_radii_deterministic(tmp_path):
     text1 = out1.read_bytes()
     assert run_cli(tmp_path, "radii", "--ka", "1,5,25", "--output", out1) == 0
     assert out1.read_bytes() == text1
+
+
+def test_cli_radii_small_ka_rows_are_finite(tmp_path):
+    # 1 - (1 + ka) e^{-ka} cancels to 0 here unless it is summed as a series
+    out = tmp_path / "r.csv"
+    assert run_cli(tmp_path, "radii", "--ka", "1e-9", "--output", out) == 0
+    header, row = out.read_text().splitlines()
+    values = dict(zip(header.split(","), row.split(",")))
+    assert float(values["mu_inf"]) == pytest.approx(5e-19, rel=1e-9, abs=0)
+    assert all(math.isfinite(float(values[col])) for col in header.split(",")[:-1])
+
+
+def test_cli_radii_refuses_underflowed_mu(tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    code = run_cli(tmp_path, "radii", "--mode", "scalar", "--ka", "1e-170", "--output", out)
+    assert code == 1
+    assert "mu_inf underflows to 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_forward_small_k(tmp_path):
+    out = tmp_path / "f.json"
+    assert run_cli(tmp_path, "forward", *SMALL_ARGS, "--k", "1e-9", "--output", out) == 0
+    payload = json.loads(out.read_text())
+    assert all(rec["applicable"] for rec in payload["certificate"])
 
 
 def test_cli_forward_zero_phantom(tmp_path):
@@ -273,7 +301,6 @@ def test_cli_rejects_unphysical_diffuse_phantom(tmp_path, capsys):
     "flag, value, field",
     [
         ("--noise", "nan", "noise"),
-        ("--p", "nan", "p"),
         ("--a", "nan", "a"),
         ("--omega-radius", "nan", "omega_radius"),
         ("--k", "inf", "k"),
@@ -300,7 +327,6 @@ def test_cli_rejects_non_finite_values(tmp_path, capsys, flag, value, field):
         ({"seed": "1", "noise": 0.01}, "seed"),
         ({"k": "1"}, "k"),
         ({"a": True}, "a"),
-        ({"p": "2"}, "p"),
     ],
 )
 def test_cli_rejects_wrongly_typed_config_values(tmp_path, capsys, config, field):

@@ -13,7 +13,7 @@ from invborn import (
     mu_closed_form,
     self_cell_integral,
 )
-from invborn.greens import _pairwise_dist, self_cell_l2
+from invborn.greens import _pairwise_dist, kernel_modulus, self_cell_l1, self_cell_l2
 from invborn.grid import BoundaryArray, Grid
 
 INF = math.inf
@@ -90,6 +90,31 @@ def test_self_cell_small_cell_limit(kind):
     rc = (3 * w / (4 * math.pi)) ** (1 / 3)
     val = self_cell_integral(WaveMode(kind, 1.0), w)
     assert val == pytest.approx(rc**2 / 2, rel=1e-3)
+
+
+@pytest.mark.parametrize("k", [1e-3, 1e-5, 1e-8])
+def test_self_cell_diffuse_small_k_taylor(k):
+    # 1 - (1 + x) e^{-x} cancels as x = k r_c -> 0; its Taylor form does not
+    w = (1 / 6) ** 3
+    rc = (3 * w / (4 * math.pi)) ** (1 / 3)
+    x = k * rc
+    taylor = rc**2 * (0.5 - x / 3 + x**2 / 8)
+    mode = WaveMode.diffuse(k)
+    assert self_cell_integral(mode, w).real == pytest.approx(taylor, rel=1e-12, abs=0)
+    assert self_cell_l1(mode, w) == pytest.approx(taylor, rel=1e-12, abs=0)
+    l2_taylor = rc * (1 - x + 2 * x**2 / 3) / (4 * math.pi)
+    assert self_cell_l2(mode, w) == pytest.approx(l2_taylor, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("kind", ["diffuse", "scalar"])
+def test_kernel_modulus_is_real_abs_of_kernel(kind):
+    r = np.array([[0.3, 1.0], [2.7, 1e-3]])
+    mode = WaveMode(kind, 2.0)
+    vals = kernel_modulus(mode, r)
+    assert vals.dtype == np.float64
+    np.testing.assert_allclose(vals, np.abs(greens_kernel(mode, r)), rtol=1e-15)
+    with pytest.raises(ValueError):
+        kernel_modulus(mode, np.array([0.0, 1.0]))
 
 
 def test_self_cell_rejects_bad_weight():

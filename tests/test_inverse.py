@@ -10,7 +10,6 @@ from invborn import (
     assemble,
     born_series,
     born_term,
-    build_ball_grid,
     build_sphere_boundary,
     closed_form_constants,
     data_norm,
@@ -27,13 +26,13 @@ from invborn.cli import build_phantom, validate_absorption
 from invborn.grid import Grid
 from invborn.inverse import SVAL_FLOOR
 
+from conftest import make_ops
+
 INF = math.inf
 
 
-def make_problem(h=0.45, n_src=6, n_det=6, kind="diffuse", k=1.0):
-    grid = build_ball_grid(1.0, h)
-    boundary = build_sphere_boundary(2.0, n_src, n_det)
-    ops = assemble(WaveMode(kind, k), grid, boundary)
+def make_problem(**kwargs):
+    ops = make_ops(**kwargs)
     return ops, linearized_operator(ops)
 
 
