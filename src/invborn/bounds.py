@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,6 +44,7 @@ __all__ = [
     "mu_numeric_sweep",
     "interpolate_constants",
     "convergence_radii",
+    "forward_remainder_bounds",
     "partition_count",
     "diagram_count",
     "compositions",
@@ -266,10 +268,13 @@ def interpolate_constants(mu2, mu_inf, nu2, nu_inf, p: float):
     return float(mu_p), float(nu_p)
 
 
+def _radii(mu_p: float, nu_p: float):
+    return 1.0 / mu_p, 1.0 / (mu_p + nu_p)
+
+
 def convergence_radii(constants: ConstantSet, p: float):
     """(forward_radius, inverse_radius) = (1/mu_p, 1/(mu_p + nu_p))."""
-    mu_p, nu_p = constants.mu_nu(p)
-    return 1.0 / mu_p, 1.0 / (mu_p + nu_p)
+    return _radii(*constants.mu_nu(p))
 
 
 def partition_count(j: int, m: int) -> int:
@@ -327,26 +332,33 @@ def series_constant(mu_p: float, nu_p: float, pinv_norm: float):
     The refined value is the Euler-Maclaurin estimate and is the smaller of
     the two throughout (0, 1).
     """
-    q = (mu_p + nu_p) * pinv_norm
-    if q < 0:
-        raise ValueError("inputs must be nonnegative")
-    if q >= 1:
-        raise ValueError(
-            f"outside convergence region: (mu_p + nu_p) * pinv_norm = {q:.6g} >= 1"
-        )
-    c_simple = math.exp(1.0 / (1.0 - q))
-    if q == 0.0:
-        return c_simple, 0.0
-    c_refined = math.exp(dilog(-q) / math.log(q) + 0.5 * math.log(q))
-    return c_simple, c_refined
+    return CertifiedBounds(mu_p, nu_p, pinv_norm).series_constants
+
+
+def _violation(expression: str, value: float) -> str | None:
+    """The message for a failed smallness hypothesis ``expression < 1`` (NaN fails), else None."""
+    return None if value < 1.0 else f"{expression} = {value:.6g} >= 1"
+
+
+def forward_remainder_bounds(constants: ConstantSet, p: float, eta_norm: float, order: int):
+    """Bounds (nu_p/mu_p) q^(n+1) / (1 - q) on ||phi - S_n||_p, n = 1..order, q = mu_p ||eta||_p.
+
+    None outside the forward region q < 1 (||eta||_p below the forward radius 1/mu_p).
+    """
+    mu_p, nu_p = constants.mu_nu(p)
+    q = mu_p * eta_norm
+    if _violation("mu_p * eta_norm", q):
+        return None
+    return [(nu_p / mu_p) * q ** (n + 1) / (1.0 - q) for n in range(1, order + 1)]
 
 
 class CertifiedBounds:
-    """Right-hand sides of the convergence, stability and error estimates.
+    """Hypotheses and right-hand sides of the convergence, stability and error estimates.
 
     All three estimates share q = (mu_p + nu_p) * ||pinv||_p < 1 through the
-    coefficient constant; each raises ValueError naming the violated
-    inequality when evaluated outside its hypothesis region.
+    coefficient constant and add a data or state smallness hypothesis.  Each
+    estimate raises ValueError naming the violated inequality outside its
+    region; the ``*_report`` methods give None there instead.
     """
 
     def __init__(self, mu_p: float, nu_p: float, pinv_norm: float):
@@ -364,35 +376,67 @@ class CertifiedBounds:
 
     @property
     def inverse_radius(self) -> float:
-        return 1.0 / self.msum
+        return _radii(self.mu_p, self.nu_p)[1]
 
     @property
     def q(self) -> float:
         """Operator smallness value (mu_p + nu_p) * ||pinv||; must be < 1."""
         return self.msum * self.pinv_norm
 
+    def r(self, data_norm: float) -> float:
+        """Data smallness value (mu_p + nu_p) * ||pinv|| * ||phi||; must be < 1."""
+        return self.q * data_norm
+
+    def operator_violation(self) -> str | None:
+        return _violation("(mu_p + nu_p) * pinv_norm", self.q)
+
+    def data_violation(self, data_norm: float, name: str = "phi_norm") -> str | None:
+        return _violation(f"(mu_p + nu_p) * pinv_norm * {name}", self.r(data_norm))
+
+    def state_violation(self, state_bound: float) -> str | None:
+        return _violation("(mu_p + nu_p) * state_bound", self.msum * state_bound)
+
+    def first_term_ok(self, eta1_norm: float) -> bool:
+        """First-term smallness ||eta_1||_p < 1 / (mu_p + nu_p)."""
+        return eta1_norm < self.inverse_radius
+
+    def violations(self, phi_norm: float) -> list:
+        """The failed hypotheses of the tail and stability bounds for data of norm phi_norm."""
+        return [v for v in (self.operator_violation(), self.data_violation(phi_norm)) if v]
+
+    @cached_property
+    def series_constants(self) -> tuple:
+        """(c_simple, c_refined) of ``series_constant``, evaluated once."""
+        q = self.q
+        if q < 0:
+            raise ValueError("inputs must be nonnegative")
+        if self.operator_violation():
+            raise ValueError(f"outside convergence region: {self.operator_violation()}")
+        c_simple = math.exp(1.0 / (1.0 - q))
+        if q == 0.0:
+            return c_simple, 0.0
+        return c_simple, math.exp(dilog(-q) / math.log(q) + 0.5 * math.log(q))
+
     def constant(self) -> float:
-        return series_constant(self.mu_p, self.nu_p, self.pinv_norm)[0]
+        return self.series_constants[0]
+
+    @staticmethod
+    def _require(violation: str | None, consequence: str):
+        if violation:
+            raise ValueError(f"{violation}: {consequence}")
 
     def remainder_bound(self, order: int, phi_norm: float) -> float:
         """Tail bound C r^(N+1) / (1 - r) with r = (mu+nu) ||pinv|| ||phi||."""
         c = self.constant()
-        r = self.q * phi_norm
-        if r >= 1:
-            raise ValueError(
-                f"(mu_p + nu_p) * pinv_norm * phi_norm = {r:.6g} >= 1: series tail not summable"
-            )
+        self._require(self.data_violation(phi_norm), "series tail not summable")
+        r = self.r(phi_norm)
         return c * r ** (order + 1) / (1.0 - r)
 
     def stability_constant(self, data_bound: float) -> float:
         """Lipschitz constant C ||pinv|| / (1 - (mu+nu) ||pinv|| M)^2 for data of norm <= M."""
         c = self.constant()
-        x = self.q * data_bound
-        if x >= 1:
-            raise ValueError(
-                f"(mu_p + nu_p) * pinv_norm * M = {x:.6g} >= 1: stability hypothesis violated"
-            )
-        return c * self.pinv_norm / (1.0 - x) ** 2
+        self._require(self.data_violation(data_bound, "M"), "stability hypothesis violated")
+        return c * self.pinv_norm / (1.0 - self.r(data_bound)) ** 2
 
     def stability_bound(self, data_bound: float, dphi_norm: float) -> float:
         return self.stability_constant(data_bound) * dphi_norm
@@ -409,22 +453,45 @@ class CertifiedBounds:
             C_err = 1 + C (mu+nu)/(1-q) * [1/(1-b)^2 - 1 - q/(1-bq)^2 + q].
         """
         c = self.constant()
+        self._require(self.state_violation(state_bound), "error-bound hypothesis violated")
+        self._require(self.data_violation(phi_norm), "series tail not summable")
         b = self.msum * state_bound
-        if b >= 1:
-            raise ValueError(
-                f"(mu_p + nu_p) * state_bound = {b:.6g} >= 1: error-bound hypothesis violated"
-            )
-        r = self.q * phi_norm
-        if r >= 1:
-            raise ValueError(
-                f"(mu_p + nu_p) * pinv_norm * phi_norm = {r:.6g} >= 1: series tail not summable"
-            )
-        q = self.q
-        tail_coeff = (
-            1.0 / (1.0 - b) ** 2 - 1.0 - q / (1.0 - b * q) ** 2 + q
-        )
+        q, r = self.q, self.r(phi_norm)
+        tail_coeff = 1.0 / (1.0 - b) ** 2 - 1.0 - q / (1.0 - b * q) ** 2 + q
         c_err = 1.0 + c * self.msum / (1.0 - q) * tail_coeff
         return c_err * linear_residual + c * r**order / (1.0 - r)
+
+    def tail_report(self, order: int, phi_norm: float) -> dict:
+        """Constants, tail bounds for orders 1..order and the stability constant at M = phi_norm."""
+        if self.violations(phi_norm):
+            return dict.fromkeys(("c_simple", "c_refined", "tail_bound", "stability_constant"))
+        return {
+            "c_simple": self.series_constants[0],
+            "c_refined": self.series_constants[1],
+            "tail_bound": [self.remainder_bound(n, phi_norm) for n in range(1, order + 1)],
+            "stability_constant": self.stability_constant(phi_norm),
+        }
+
+    def error_report(self, order, phi_norm, linear_residual, state_bound) -> dict:
+        """The state smallness flag and the error bounds for orders 1..order."""
+        state_ok = self.state_violation(state_bound) is None
+        bound = None
+        if state_ok and not self.violations(phi_norm):
+            args = (phi_norm, linear_residual, state_bound)
+            bound = [self.error_bound(n, *args) for n in range(1, order + 1)]
+        return {"hyp_state_ok": state_ok, "error_bound": bound}
+
+    def stability_report(self, data_bound: float, dphi_norm: float) -> dict:
+        """Hypothesis flags, stability constant and bound for data of norm <= data_bound."""
+        operator_ok = self.operator_violation() is None
+        data_ok = self.data_violation(data_bound, "M") is None
+        ctilde = self.stability_constant(data_bound) if operator_ok and data_ok else None
+        return {
+            "hyp_operator_ok": operator_ok,
+            "hyp_data_bound_ok": data_ok,
+            "stability_constant": ctilde,
+            "rhs": None if ctilde is None else ctilde * dphi_norm,
+        }
 
 
 def k_from_optical(mu_a_bar: float, mu_s_prime: float) -> float:

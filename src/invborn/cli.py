@@ -236,10 +236,7 @@ def cmd_forward(config: ExperimentConfig) -> tuple[dict, int]:
     result = {
         "config": config.to_dict(),
         "grid_nodes": grid.n_nodes,
-        "data_norms": {
-            "2": data_norm(boundary, phi, 2),
-            "inf": data_norm(boundary, phi, bounds.INF),
-        },
+        "data_norms": {label: data_norm(boundary, phi, p) for p, label in bounds.P_NORMS},
         "certificate": certificate,
     }
     ok = all(rec["applicable"] for rec in certificate)

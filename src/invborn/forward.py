@@ -105,17 +105,10 @@ def born_term(ops: OperatorSet, factors) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BornSeries:
-    """Series terms, partial sums and the per-order geometric remainder bounds.
-
-    remainder_bounds[p][n-1] bounds ||phi - partial_sums[n-1]||_p by
-    (nu_p / mu_p) (mu_p ||eta||_p)^(n+1) / (1 - mu_p ||eta||_p), computed from
-    the closed-form constants; None when mu_p ||eta||_p >= 1 (not applicable).
-    """
+    """Series terms and their partial sums (data arrays, one per order)."""
 
     terms: list
     partial_sums: list
-    eta_norms: dict
-    remainder_bounds: dict
 
     @property
     def order(self) -> int:
@@ -123,7 +116,7 @@ class BornSeries:
 
 
 def born_series(ops: OperatorSet, eta: np.ndarray, order: int) -> BornSeries:
-    """First `order` Born terms with equal factors eta, plus remainder bounds."""
+    """First `order` Born terms with equal factors eta, and their partial sums."""
     if order < 1:
         raise ValueError("order must be >= 1")
     eta = _check_factor(ops, eta)
@@ -137,50 +130,33 @@ def born_series(ops: OperatorSet, eta: np.ndarray, order: int) -> BornSeries:
         if m < order:
             t = eta[:, None] * (ops.g_vv @ t)
     partial_sums = list(np.cumsum(np.array(terms), axis=0))
-
-    constants = bounds.closed_form_constants(mode, ops.grid.radius_a, ops.boundary.omega_radius)
-    eta_norms = {}
-    remainder = {}
-    for p, label in bounds.P_NORMS:
-        mu_p, nu_p = constants.mu_nu(p)
-        norm_p = field_norm(ops.grid, eta, p)
-        eta_norms[label] = norm_p
-        q = mu_p * norm_p
-        if q >= 1:
-            remainder[label] = None
-        else:
-            remainder[label] = [
-                (nu_p / mu_p) * q ** (n + 1) / (1.0 - q) for n in range(1, order + 1)
-            ]
-    return BornSeries(
-        terms=terms, partial_sums=partial_sums, eta_norms=eta_norms, remainder_bounds=remainder
-    )
+    return BornSeries(terms=terms, partial_sums=partial_sums)
 
 
 def residual_certificate(ops: OperatorSet, eta: np.ndarray, order: int, phi=None) -> list:
     """Empirical series remainders against the direct solve, next to their bounds.
 
     Returns one record per p in {2, inf}: the measured ||phi_direct - S_n||_p
-    for n = 1..order, the geometric bound (None when the smallness condition
-    fails), and an applicability flag.  Pass ``phi`` to reuse an existing
-    direct solve of the same instance.
+    for n = 1..order, ||eta||_p and its bounds from ``bounds`` (None outside the
+    forward region), and an applicability flag.  Pass ``phi`` to reuse an
+    existing direct solve of the same instance.
     """
     if phi is None:
         phi = solve_direct(ops, eta)
     series = born_series(ops, eta, order)
+    constants = bounds.closed_form_constants(ops.mode, ops.grid.radius_a, ops.boundary.omega_radius)
     records = []
     for p, label in bounds.P_NORMS:
-        empirical = [
-            data_norm(ops.boundary, phi - s_n, p) for s_n in series.partial_sums
-        ]
-        bound = series.remainder_bounds[label]
+        empirical = [data_norm(ops.boundary, phi - s_n, p) for s_n in series.partial_sums]
+        eta_norm = field_norm(ops.grid, eta, p)
+        bound = bounds.forward_remainder_bounds(constants, p, eta_norm, order)
         records.append(
             {
                 "p": label,
                 "empirical": empirical,
                 "bound": bound,
                 "applicable": bound is not None,
-                "eta_norm": series.eta_norms[label],
+                "eta_norm": eta_norm,
             }
         )
     return records

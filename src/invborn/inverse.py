@@ -312,40 +312,22 @@ def diagnostics(
 def _per_p(result, kinv, constants, ops, phi, p, eta_true):
     grid = ops.grid
     tb = bounds.CertifiedBounds.from_constants(constants, p, kinv.norm(p))
-    radius = tb.inverse_radius
     phi_norm = data_norm(ops.boundary, phi, p)
     eta1_norm = field_norm(grid, result.terms[0], p)
-    q = tb.q
-    r = q * phi_norm
     rec = {
         "mu_p": tb.mu_p,
         "nu_p": tb.nu_p,
-        "inverse_radius": radius,
-        "pinv_norm": kinv.norm(p),
-        "hyp_operator_ok": bool(kinv.norm(p) < radius),
+        "inverse_radius": tb.inverse_radius,
+        "pinv_norm": tb.pinv_norm,
+        "hyp_operator_ok": tb.operator_violation() is None,
         "eta1_norm": eta1_norm,
-        "hyp_data_ok": bool(eta1_norm < radius),
+        "hyp_data_ok": tb.first_term_ok(eta1_norm),
         "phi_norm": phi_norm,
-        "q": q,
-        "r": r,
+        "q": tb.q,
+        "r": tb.r(phi_norm),
         "term_norms": result.term_norms(grid, p),
+        **tb.tail_report(result.order, phi_norm),
     }
-    violations = []
-    if q >= 1:
-        violations.append(f"(mu_p + nu_p) * pinv_norm = {q:.6g} >= 1")
-    if r >= 1:
-        violations.append(f"(mu_p + nu_p) * pinv_norm * phi_norm = {r:.6g} >= 1")
-    if not violations:
-        c_simple, c_refined = bounds.series_constant(tb.mu_p, tb.nu_p, kinv.norm(p))
-        rec["c_simple"] = c_simple
-        rec["c_refined"] = c_refined
-        rec["tail_bound"] = [tb.remainder_bound(n, phi_norm) for n in range(1, result.order + 1)]
-        rec["stability_constant"] = tb.stability_constant(phi_norm)
-    else:
-        rec["c_simple"] = None
-        rec["c_refined"] = None
-        rec["tail_bound"] = None
-        rec["stability_constant"] = None
     if eta_true is not None:
         eta_true = np.asarray(eta_true, dtype=complex)
         proj = kinv.project(eta_true)
@@ -357,16 +339,8 @@ def _per_p(result, kinv, constants, ops, phi, p, eta_true):
         rec["measured_error"] = [
             field_norm(grid, eta_true - s_n, p) for s_n in result.partial_sums
         ]
-        state_ok = tb.msum * state_bound < 1
-        rec["hyp_state_ok"] = bool(state_ok)
-        if not violations and state_ok:
-            rec["error_bound"] = [
-                tb.error_bound(n, phi_norm, linres, state_bound)
-                for n in range(1, result.order + 1)
-            ]
-        else:
-            rec["error_bound"] = None
-    rec["hypothesis_violations"] = violations
+        rec.update(tb.error_report(result.order, phi_norm, linres, state_bound))
+    rec["hypothesis_violations"] = tb.violations(phi_norm)
     return rec
 
 
@@ -382,7 +356,7 @@ def stability_probe(
 
     Per p: lhs = ||S_N(phi1) - S_N(phi2)||_p against the stability bound
     C~ * ||phi1 - phi2||_p with M = max of the two data norms.  The bound is
-    None (with the violation recorded) outside the hypothesis region.
+    None outside the hypothesis region; the hyp_* flags name the failed part.
     """
     res1 = inverse_series(kinv, ops, phi1, order)
     res2 = inverse_series(kinv, ops, phi2, order)
@@ -392,21 +366,11 @@ def stability_probe(
         lhs = field_norm(ops.grid, res1.partial_sums[-1] - res2.partial_sums[-1], p)
         dphi = data_norm(ops.boundary, np.asarray(phi1) - np.asarray(phi2), p)
         m_bound = max(data_norm(ops.boundary, phi1, p), data_norm(ops.boundary, phi2, p))
-        rec = {
+        out["p"][label] = {
             "lhs": lhs,
             "dphi_norm": dphi,
             "data_bound": m_bound,
-            "hyp_operator_ok": bool(tb.q < 1),
-            "hyp_data_bound_ok": bool(tb.q * m_bound < 1),
+            **tb.stability_report(m_bound, dphi),
+            "ratio": lhs / dphi if dphi > 0 else 0.0,
         }
-        if rec["hyp_operator_ok"] and rec["hyp_data_bound_ok"]:
-            ctilde = tb.stability_constant(m_bound)
-            rec["stability_constant"] = ctilde
-            rec["rhs"] = ctilde * dphi
-            rec["ratio"] = lhs / dphi if dphi > 0 else 0.0
-        else:
-            rec["stability_constant"] = None
-            rec["rhs"] = None
-            rec["ratio"] = lhs / dphi if dphi > 0 else 0.0
-        out["p"][label] = rec
     return out

@@ -23,7 +23,7 @@ from invborn import (
     partition_count,
     series_constant,
 )
-from invborn.bounds import _row_representatives, compositions
+from invborn.bounds import _row_representatives, compositions, forward_remainder_bounds
 from invborn.greens import _ROW_BLOCK, self_cell_l2
 from invborn.grid import Grid
 
@@ -257,6 +257,42 @@ class TestCertifiedBounds:
             tb2.error_bound(2, 0.1, 0.01, state_bound=10.0)
         with pytest.raises(ValueError, match="phi_norm"):
             tb2.remainder_bound(2, phi_norm=10.0)
+
+
+class TestHypotheses:
+    def test_violations_name_each_failed_hypothesis(self):
+        assert CertifiedBounds(0.1, 0.1, 2.0).violations(0.5) == []  # q = 0.4, r = 0.2
+        assert CertifiedBounds(0.1, 0.1, 2.0).violations(5.0) == [
+            "(mu_p + nu_p) * pinv_norm * phi_norm = 2 >= 1"
+        ]
+        assert CertifiedBounds(0.4, 0.4, 2.0).violations(0.1) == [
+            "(mu_p + nu_p) * pinv_norm = 1.6 >= 1"
+        ]
+
+    def test_nan_counts_as_violated(self):
+        tb = CertifiedBounds(0.1, 0.1, math.nan)
+        assert tb.violations(0.5) == [
+            "(mu_p + nu_p) * pinv_norm = nan >= 1",
+            "(mu_p + nu_p) * pinv_norm * phi_norm = nan >= 1",
+        ]
+        assert tb.tail_report(2, 0.5)["tail_bound"] is None
+
+    def test_first_term_smallness_uses_inverse_radius(self):
+        tb = CertifiedBounds(0.1, 0.3, 2.0)
+        assert tb.inverse_radius == convergence_radii(
+            ConstantSet(0.1, 0.1, 0.3, 0.3, WaveMode.diffuse(1.0), 1.0, 2.0, "numeric"), 2
+        )[1]
+        assert tb.first_term_ok(2.4999) and not tb.first_term_ok(2.5)
+
+    def test_forward_remainder_bounds_region(self):
+        cs = closed_form_constants(WaveMode.diffuse(1.0), 1.0, 2.0)
+        radius = convergence_radii(cs, INF)[0]
+        assert forward_remainder_bounds(cs, INF, 0.0, 3) == [0.0, 0.0, 0.0]
+        assert forward_remainder_bounds(cs, INF, radius * (1 + 1e-12), 3) is None
+        q = 0.5
+        got = forward_remainder_bounds(cs, INF, q * radius, 2)
+        ratio = cs.nu_inf / cs.mu_inf
+        assert got == pytest.approx([ratio * q**2 / (1 - q), ratio * q**3 / (1 - q)], rel=1e-14)
 
 
 def jittered(grid):

@@ -211,8 +211,10 @@ def test_real_kernels_match_complex_oracle(small_ops, form):
     for got, want in zip(series.terms, ref.terms):
         assert np.iscomplexobj(got) == (form == "complex")
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-    assert series.eta_norms == ref.eta_norms
-    assert series.remainder_bounds == ref.remainder_bounds
+    cert = residual_certificate(small_ops, eta, 6, phi=phi)
+    cert_ref = residual_certificate(oracle, eta, 6, phi=phi_ref)
+    assert [rec["eta_norm"] for rec in cert] == [rec["eta_norm"] for rec in cert_ref]
+    assert [rec["bound"] for rec in cert] == [rec["bound"] for rec in cert_ref]
 
 
 def test_scalar_data_symmetric_for_identical_arrays():
@@ -240,22 +242,38 @@ class TestResidualCertificate:
                 assert emp <= bnd
 
     def test_bound_values_match_geometric_formula(self):
-        from invborn import born_series, closed_form_constants, field_norm
+        from invborn import closed_form_constants, field_norm
 
         amp = 0.4 / mu_closed_form(self.mode, 1.0, INF)
         eta = np.full(self.ops.n_nodes, amp, dtype=complex)
-        series = born_series(self.ops, eta, 4)
+        records = {rec["p"]: rec for rec in residual_certificate(self.ops, eta, 4)}
         cs = closed_form_constants(self.mode, 1.0, 2.0)
         for p, label, mu_p, nu_p in (
             (2, "2", cs.mu_2, cs.nu_2),
             (INF, "inf", cs.mu_inf, cs.nu_inf),
         ):
             norm_p = field_norm(self.ops.grid, eta, p)
-            assert series.eta_norms[label] == pytest.approx(norm_p, rel=1e-14)
+            assert records[label]["eta_norm"] == pytest.approx(norm_p, rel=1e-14)
             q = mu_p * norm_p
-            for n, bound in enumerate(series.remainder_bounds[label], start=1):
+            for n, bound in enumerate(records[label]["bound"], start=1):
                 expected = (nu_p / mu_p) * q ** (n + 1) / (1 - q)
                 assert bound == pytest.approx(expected, rel=1e-13)
+
+    @pytest.mark.parametrize("side", [1 - 1e-9, 1 + 1e-9])
+    def test_applicable_exactly_inside_forward_radius(self, side):
+        # the forward region is ||eta||_p < 1/mu_p, the radius convergence_radii reports
+        from invborn import closed_form_constants, convergence_radii, field_norm
+
+        cs = closed_form_constants(self.mode, 1.0, 2.0)
+        ones = np.ones(self.ops.n_nodes)
+        for p, label in ((2, "2"), (INF, "inf")):
+            radius = convergence_radii(cs, p)[0]
+            eta = side * radius / field_norm(self.ops.grid, ones, p) * ones
+            rec = next(r for r in residual_certificate(self.ops, eta, 3) if r["p"] == label)
+            inside = rec["eta_norm"] < radius
+            assert inside == (side < 1)
+            assert rec["applicable"] is inside
+            assert (rec["bound"] is None) is not inside
 
     def test_bounds_decrease_monotonically(self):
         amp = 0.4 / mu_closed_form(self.mode, 1.0, INF)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from invborn import (
+    CertifiedBounds,
     ConstantSet,
     WaveMode,
     assemble,
@@ -563,3 +564,113 @@ class TestStabilityProbe:
             assert rec["hyp_operator_ok"] and rec["hyp_data_bound_ok"]
             assert rec["rhs"] is not None
             assert rec["lhs"] <= rec["rhs"]
+
+
+def constants_with_q(mode, kinv, q):
+    """Synthetic constants with mu_p = nu_p and (mu_p + nu_p) * ||pinv||_p = q at p = 2 and inf."""
+    return ConstantSet(
+        mu_inf=q / (2 * kinv.norm_inf),
+        mu_2=q / (2 * kinv.norm2),
+        nu_inf=q / (2 * kinv.norm_inf),
+        nu_2=q / (2 * kinv.norm2),
+        mode=mode,
+        a=1.0,
+        omega_radius=2.0,
+        provenance="closed_form",
+    )
+
+
+class TestPartialHypotheses:
+    """Each smallness hypothesis failing on its own, record by record."""
+
+    @pytest.fixture
+    def case(self, small_ops, small_linop):
+        from invborn.cli import add_noise
+
+        kinv = regularize(small_linop, tau=1e-2)
+        eta = 0.02 * build_phantom(
+            small_ops.grid, [{"center": [0, 0, 0.2], "radius": 0.5, "amplitude": 1.0}]
+        )
+        phi = solve_direct(small_ops, eta)
+        cs = constants_with_q(small_ops.mode, kinv, 0.5)
+        return kinv, eta, phi, add_noise(phi, 1e-3, 5), cs
+
+    @staticmethod
+    def certified(cs, kinv, p):
+        return CertifiedBounds.from_constants(cs, p, kinv.norm(p))
+
+    def test_data_smallness_fails_alone(self, small_ops, case):
+        kinv, eta, phi, noisy, cs = case
+        # q = 0.5 at both norms; data scaled so that q * ||phi||_p >= 1 at both
+        norms = [data_norm(small_ops.boundary, phi, p) for p in (2, INF)]
+        big, big_noisy = (4.0 / min(norms)) * phi, (4.0 / min(norms)) * noisy
+        res = inverse_series(kinv, small_ops, big, 3)
+        diag = diagnostics(res, kinv, cs, small_ops, big, eta_true=eta)
+        probe = stability_probe(kinv, small_ops, big, big_noisy, 3, cs)
+        for p, label in ((2, "2"), (INF, "inf")):
+            tb = self.certified(cs, kinv, p)
+            rec = diag["p"][label]
+            assert rec["q"] == pytest.approx(0.5, rel=1e-14)
+            assert rec["r"] >= 1
+            assert rec["hyp_operator_ok"] is True
+            assert rec["hypothesis_violations"] == [
+                f"(mu_p + nu_p) * pinv_norm * phi_norm = {rec['r']:.6g} >= 1"
+            ]
+            for key in ("c_simple", "c_refined", "tail_bound", "stability_constant"):
+                assert rec[key] is None
+            assert rec["hyp_state_ok"] is True
+            assert rec["error_bound"] is None
+            with pytest.raises(ValueError, match="series tail not summable"):
+                tb.remainder_bound(1, rec["phi_norm"])
+            prec = probe["p"][label]
+            assert prec["hyp_operator_ok"] is True
+            assert prec["hyp_data_bound_ok"] is False
+            assert prec["stability_constant"] is None and prec["rhs"] is None
+
+    def test_state_smallness_fails_alone(self, small_ops, case):
+        kinv, eta, phi, noisy, cs = case
+        # the state bound max(||eta||, ||P eta||) reaches 1/(mu_p + nu_p) = 2 ||pinv||_p
+        big_eta = 4.0 * max(kinv.norm2, kinv.norm_inf) * eta / field_norm(small_ops.grid, eta, INF)
+        res = inverse_series(kinv, small_ops, phi, 3)
+        diag = diagnostics(res, kinv, cs, small_ops, phi, eta_true=big_eta)
+        probe = stability_probe(kinv, small_ops, phi, noisy, 3, cs)
+        for p, label in ((2, "2"), (INF, "inf")):
+            tb = self.certified(cs, kinv, p)
+            rec = diag["p"][label]
+            assert rec["hypothesis_violations"] == []
+            assert rec["hyp_operator_ok"] is True
+            assert rec["tail_bound"] == [tb.remainder_bound(n, rec["phi_norm"]) for n in (1, 2, 3)]
+            assert rec["stability_constant"] == tb.stability_constant(rec["phi_norm"])
+            assert (rec["c_simple"], rec["c_refined"]) == tb.series_constants
+            assert tb.msum * rec["state_bound"] >= 1
+            assert rec["hyp_state_ok"] is False
+            assert rec["error_bound"] is None
+            with pytest.raises(ValueError, match="state_bound"):
+                tb.error_bound(3, rec["phi_norm"], rec["linear_residual"], rec["state_bound"])
+            prec = probe["p"][label]
+            assert prec["hyp_operator_ok"] is True and prec["hyp_data_bound_ok"] is True
+            assert prec["stability_constant"] == tb.stability_constant(prec["data_bound"])
+            assert prec["rhs"] == prec["stability_constant"] * prec["dphi_norm"]
+
+    def test_all_hypotheses_hold_error_bound_values(self, small_ops, case):
+        kinv, eta, phi, _, cs = case
+        res = inverse_series(kinv, small_ops, phi, 3)
+        diag = diagnostics(res, kinv, cs, small_ops, phi, eta_true=eta)
+        for p, label in ((2, "2"), (INF, "inf")):
+            tb = self.certified(cs, kinv, p)
+            rec = diag["p"][label]
+            assert rec["hyp_state_ok"] is True and rec["hypothesis_violations"] == []
+            args = (rec["phi_norm"], rec["linear_residual"], rec["state_bound"])
+            assert rec["error_bound"] == [tb.error_bound(n, *args) for n in (1, 2, 3)]
+
+    def test_coefficient_constant_computed_once_per_norm(self, small_ops, case, monkeypatch):
+        import invborn.bounds as bounds_module
+
+        kinv, eta, phi, _, cs = case
+        res = inverse_series(kinv, small_ops, phi, 4)
+        calls = []
+        dilog = bounds_module.dilog
+        monkeypatch.setattr(bounds_module, "dilog", lambda x: calls.append(x) or dilog(x))
+        diag = diagnostics(res, kinv, cs, small_ops, phi, eta_true=eta)
+        assert all(rec["error_bound"] is not None for rec in diag["p"].values())
+        assert len(calls) == 2
