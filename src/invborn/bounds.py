@@ -26,7 +26,7 @@ import numpy as np
 from .greens import (
     _ROW_BLOCK,
     WaveMode,
-    _diffuse_ball_factor,
+    _ball_factor,
     _pairwise_dist,
     kernel_modulus,
     self_cell_l1,
@@ -83,7 +83,7 @@ def mu_closed_form(mode: WaveMode, a: float, p: float) -> float:
     ka = k * a
     if mode.kind == "diffuse":
         if p == INF:
-            return ka**2 * _diffuse_ball_factor(ka)
+            return ka**2 * _ball_factor(ka).real
         return k**2 * math.sqrt(-math.expm1(-2.0 * ka) / (8.0 * math.pi * k))
     if p == INF:
         return 0.5 * ka**2
@@ -135,10 +135,11 @@ class ConstantSet:
     def __post_init__(self):
         for name in ("mu_inf", "mu_2", "nu_inf", "nu_2"):
             v = getattr(self, name)
+            ka = self.mode.k * self.a
             if not (np.isfinite(v) and v >= 0):
-                raise ValueError(f"{name} must be finite and nonnegative, got {v}")
+                raise ValueError(f"{name} must be finite and nonnegative, got {v} at ka={ka:g}")
             if v == 0 and name.startswith("mu"):  # every radius divides by mu
-                raise ValueError(f"{name} underflows to 0 at ka={self.mode.k * self.a:g}")
+                raise ValueError(f"{name} underflows to 0 at ka={ka:g}")
 
     @property
     def dist(self) -> float:
@@ -156,16 +157,12 @@ class ConstantSet:
 
 
 def closed_form_constants(mode: WaveMode, a: float, omega_radius: float) -> ConstantSet:
-    return ConstantSet(
-        mu_inf=mu_closed_form(mode, a, INF),
-        mu_2=mu_closed_form(mode, a, 2),
-        nu_inf=nu_bound(mode, a, omega_radius, INF),
-        nu_2=nu_bound(mode, a, omega_radius, 2),
-        mode=mode,
-        a=a,
-        omega_radius=omega_radius,
-        provenance="closed_form",
-    )
+    try:  # k**2 on a Python float raises rather than returning inf
+        mu_inf, mu_2 = mu_closed_form(mode, a, INF), mu_closed_form(mode, a, 2)
+        nu_inf, nu_2 = nu_bound(mode, a, omega_radius, INF), nu_bound(mode, a, omega_radius, 2)
+    except OverflowError:
+        raise ValueError(f"closed-form constants overflow at ka={mode.k * a:g}") from None
+    return ConstantSet(mu_inf, mu_2, nu_inf, nu_2, mode, a, omega_radius, "closed_form")
 
 
 def _lex_rows(points: np.ndarray) -> np.ndarray:

@@ -74,6 +74,8 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.k <= 0 or self.a <= 0:
             raise ValueError("k and a must be positive")
+        if not math.isfinite(self.k * self.k):
+            raise ValueError(f"k^2 overflows at k={self.k:g}")
         if self.omega_radius <= self.a:
             raise ValueError("omega_radius must exceed a")
         if not 0 < self.h <= 2 * self.a:
@@ -531,8 +533,19 @@ def _write_output(text: str, path: str | None, default_name: str) -> str:
     return path
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses abbreviated flags, and exits 1 on a usage error (2 means a violated hypothesis)."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="invborn",
         description="Born and inverse Born series experiments with convergence certificates",
     )
@@ -560,12 +573,14 @@ def main(argv=None) -> int:
             return cmd_selftest(args.inject_fault)
         config = _resolve_config(args)
         if args.command == "radii":
+            for name in ("ka_min", "ka_max", "ka_points"):
+                value = getattr(args, name)
+                if not (math.isfinite(value) and value > 0):
+                    raise ValueError(f"--{name.replace('_', '-')} must be positive, got {value}")
             if args.ka:
                 kas = [float(s) for s in args.ka.split(",")]
             else:
-                kas = list(
-                    np.geomspace(args.ka_min, args.ka_max, args.ka_points)
-                )
+                kas = list(np.geomspace(args.ka_min, args.ka_max, args.ka_points))
             rows = cmd_radii(config, kas)
             path = _write_output(radii_csv(rows), config.output, "radii.csv")
             print(f"wrote {len(rows)} rows to {path}")

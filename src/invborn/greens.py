@@ -14,6 +14,7 @@ O(h) quadrature consistency.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -98,20 +99,23 @@ def _cell_radius(w: float) -> float:
     return (3.0 * w / (4.0 * math.pi)) ** (1.0 / 3.0)
 
 
-def _diffuse_ball_factor(x: float) -> float:
-    """(1 - (1 + x) e^{-x}) / x^2 for x >= 0, to within a few ulp.
+def _ball_factor(z: complex) -> complex:
+    """(1 - (1 + z) e^{-z}) / z^2 for Re z >= 0, to within a few ulp.
 
-    k^2 times the integral of exp(-k r) / (4 pi r) over a ball of radius rho
-    about its center is x^2 times this factor, x = k rho.  The closed form
-    cancels as x -> 0 (it reads 0 below x ~ 1e-8), so below x = 2 the factor
-    is summed as e^{-x} sum_{m >= 0} x^m / (m + 2)!, whose terms are positive.
+    k^2 times the integral of G over a ball of radius rho about its center is
+    x^2 times this factor, x = k rho, at z = x for the diffuse kernel and at
+    z = -i x for the scalar one.  The closed form cancels as z -> 0 (it reads
+    0 below |z| ~ 1e-8), so below |z| = 2 the factor is summed as
+    e^{-z} sum_{m >= 0} z^m / (m + 2)!, each part with one exact float sum;
+    for real z the terms are positive and the result is real.
     """
-    if x >= 2.0:
-        return (1.0 - (1.0 + x) * math.exp(-x)) / (x * x)
+    if abs(z) >= 2.0:
+        return (1.0 - (1.0 + z) * cmath.exp(-z)) / (z * z)
     terms = [0.5]
-    while terms[-1] > 1e-17:
-        terms.append(terms[-1] * x / (len(terms) + 2))
-    return math.fsum(terms) * math.exp(-x)
+    while abs(terms[-1]) > 1e-17:
+        terms.append(terms[-1] * z / (len(terms) + 2))
+    total = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+    return total * cmath.exp(-z)
 
 
 def self_cell_integral(mode: WaveMode, w: float) -> complex:
@@ -122,15 +126,15 @@ def self_cell_integral(mode: WaveMode, w: float) -> complex:
     * diffuse:  (1 - (1 + k r_c) e^{-k r_c}) / k^2
     * scalar:   (e^{i k r_c} (1 - i k r_c) - 1) / k^2
 
-    Both reduce to r_c^2 / 2 as k r_c -> 0.
+    Both reduce to r_c^2 / 2 as k r_c -> 0, and both are evaluated as r_c^2
+    times a factor in x = k r_c that does not cancel there.
     """
     if w <= 0:
         raise ValueError("voxel weight must be positive")
     rc = _cell_radius(w)
-    k = mode.k
-    if mode.kind == "diffuse":
-        return complex(rc**2 * _diffuse_ball_factor(k * rc))
-    return complex((np.exp(1j * k * rc) * (1.0 - 1j * k * rc) - 1.0) / k**2)
+    x = mode.k * rc
+    z = x if mode.kind == "diffuse" else complex(0.0, -x)  # the scalar kernel is k -> -ik
+    return complex(rc**2 * _ball_factor(z))
 
 
 def self_cell_l1(mode: WaveMode, w: float) -> float:

@@ -380,3 +380,79 @@ def test_default_phantom_not_mutated():
     cfg1.phantom[0]["amplitude"] = 99.0
     assert DEFAULT_PHANTOM[0]["amplitude"] == 0.1
     assert ExperimentConfig().phantom[0]["amplitude"] == 0.1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["invert", "--order", "abc"], "invalid int value: 'abc'"),
+        (["invert", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+        (["invert", "--p", "2"], "unrecognized arguments: --p 2"),  # not --phantom
+        (["invert", "--orde", "3"], "unrecognized arguments: --orde 3"),
+        (["radii", "--ka-poin", "3"], "unrecognized arguments: --ka-poin 3"),
+        (["frobnicate"], "invalid choice: 'frobnicate'"),
+    ],
+)
+def test_cli_usage_errors_exit_one(capsys, argv, message):
+    # exit 2 means results were produced with a violated hypothesis
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert message in capsys.readouterr().err
+
+
+def test_cli_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["radii", "--help"])
+    assert exc.value.code == 0
+    assert "--ka-points" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--ka-points", "0"], "--ka-points must be positive, got 0"),
+        (["--ka-min", "0"], "--ka-min must be positive, got 0.0"),
+        (["--ka-max", "nan"], "--ka-max must be positive, got nan"),
+    ],
+)
+def test_cli_radii_refuses_bad_sweep_flags(tmp_path, capsys, args, message):
+    out = tmp_path / "r.csv"
+    assert run_cli(tmp_path, "radii", *args, "--output", out) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--ka", "1e160"], "closed-form constants overflow at ka=1e+160"),
+        (["--mode", "scalar", "--ka", "1e154"], "nu_inf must be finite and nonnegative, got inf"),
+    ],
+)
+def test_cli_radii_names_ka_on_overflow(tmp_path, capsys, args, message):
+    out = tmp_path / "r.csv"
+    assert run_cli(tmp_path, "radii", *args, "--output", out) == 1
+    err = capsys.readouterr().err
+    assert message in err and "at ka=1e+1" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["diffuse", "scalar"])
+def test_cli_forward_refuses_overflowing_k(tmp_path, capsys, mode):
+    out = tmp_path / "f.json"
+    args = ["--mode", mode, "--k", "1e160", "--output", out]
+    code = run_cli(tmp_path, "forward", *SMALL_ARGS, *args)
+    assert code == 1
+    assert "k^2 overflows at k=1e+160" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_scalar_forward_tiny_k_names_underflow(tmp_path, capsys):
+    # the scalar self-cell integral no longer turns into 0/0 (a NaN) on the way
+    out = tmp_path / "f.json"
+    args = ["--mode", "scalar", "--k", "1e-170", "--output", out]
+    code = run_cli(tmp_path, "forward", *SMALL_ARGS, *args)
+    assert code == 1
+    assert "mu_inf underflows to 0 at ka=1e-170" in capsys.readouterr().err
+    assert not out.exists()

@@ -272,3 +272,28 @@ def test_center_integral_refines_at_first_order():
     assert errs[2] < errs[0]
     rate = np.polyfit(np.log(hs), np.log(errs), 1)[0]
     assert rate >= 0.8
+
+
+@pytest.mark.parametrize("k", [1e-3, 1e-5, 1e-8])
+def test_self_cell_scalar_small_k_taylor(k):
+    # e^{ix} (1 - ix) - 1 cancels as x = k r_c -> 0 (it read exactly 0 at k = 1e-8)
+    w = (1 / 6) ** 3
+    rc = (3 * w / (4 * math.pi)) ** (1 / 3)
+    x = k * rc
+    taylor = rc**2 * (0.5 + 1j * x / 3 - x**2 / 8)
+    val = self_cell_integral(WaveMode.scalar(k), w)
+    assert abs(val - taylor) <= 1e-12 * abs(taylor)
+    assert val.imag == pytest.approx(taylor.imag, rel=1e-8, abs=0)  # next term: -x^3 / 30
+
+
+def test_scalar_ball_factor_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    from invborn.greens import _ball_factor
+
+    eps = 2.0**-53
+    with mpmath.workdps(80):  # the reference cancels 2 * 20 digits at x = 1e-20
+        for x in np.concatenate([np.logspace(-20, 1, 400), [0.5, 1.0 - 1e-12, 1.0, 2.3]]):
+            xm = mpmath.mpf(float(x))
+            ref = (mpmath.exp(1j * xm) * (1 - 1j * xm) - 1) / xm**2
+            err = abs(mpmath.mpc(_ball_factor(complex(0.0, -x))) - ref) / abs(ref)
+            assert err <= 8 * eps, f"x={x}: {float(err / eps):.1f} ulp"
