@@ -113,10 +113,17 @@ def nu_bound(mode: WaveMode, a: float, omega_radius: float, p: float) -> float:
     vol = _ball_volume(a)
     decay = math.exp(-2.0 * k * dist) if mode.kind == "diffuse" else 1.0
     denom = (4.0 * math.pi * dist) ** 2
-    if p == INF:
-        return k**2 * vol * decay / denom
-    area = 4.0 * math.pi * omega_radius**2
-    return k**2 * area * math.sqrt(vol) * decay / denom
+    factors = (vol,) if p == INF else (4.0 * math.pi * omega_radius**2, math.sqrt(vol))
+    value = k**2
+    for f in factors:
+        value *= f
+    value = value * decay / denom
+    if mode.kind == "diffuse" and not (decay > 0.0 and math.isfinite(value)):
+        # at ka ~ 1e154 k^2 |B| overflows where e^{-2kd} underflows (inf * 0); in logs
+        # the decay wins
+        logs = 2.0 * math.log(k) + sum(map(math.log, factors)) - 2.0 * k * dist
+        value = math.exp(logs - math.log(denom))
+    return value
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ evaluated as chains of kernel products; no tensor is ever materialized.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import LinAlgWarning, lapack, lu_factor, lu_solve
@@ -55,15 +55,52 @@ def _check_factor(ops: OperatorSet, f) -> np.ndarray:
     return f.astype(complex, copy=False)
 
 
+def _on_support(ops: OperatorSet, eta) -> tuple[OperatorSet, np.ndarray]:
+    """The operator set and eta restricted to the nodes where eta is nonzero.
+
+    The data needs the total field only where eta is nonzero, and there it solves
+    the closed system u_S = u_i,S + alpha G_SS diag(eta_S) u_S; every series term
+    is a chain eta G eta G ... that restricts the same way.  So the restriction
+    is exact.  ``ops`` comes back unchanged when eta vanishes nowhere.
+    """
+    eta = _check_factor(ops, eta)
+    s = np.flatnonzero(eta)
+    if s.size == ops.n_nodes:
+        return ops, eta
+    sub = replace(
+        ops,
+        grid=ops.grid.subset(s),
+        g_vv=ops.g_vv[np.ix_(s, s)],
+        g_sv=ops.g_sv[:, s],
+        g_vd=ops.g_vd[s],
+    )
+    return sub, eta[s]
+
+
+def _coefficient(mode, m: int) -> float:
+    """-alpha**m, the coefficient of the order-m series term."""
+    try:
+        return -mode.alpha**m
+    except OverflowError:
+        raise ValueError(
+            f"the order-{m} series coefficient alpha^{m} overflows at k={mode.k:g}"
+        ) from None
+
+
 def solve_direct(ops: OperatorSet, eta: np.ndarray) -> np.ndarray:
     """Scattering data phi = u_i - u from the dense direct solve, all sources at once.
 
-    Raises ValueError when the LAPACK condition estimate of the system matrix
-    exceeds COND_LIMIT.
+    The system is solved on the support of eta only, so the LU costs V_S^3 for
+    V_S nonzeros.  Raises ValueError when the LAPACK condition estimate of that
+    system, I - alpha G_SS diag(eta_S), exceeds COND_LIMIT; the full system is
+    block-triangular with an identity block, so it is singular exactly when
+    this one is.
     """
-    eta = _check_factor(ops, eta)
+    ops, eta = _on_support(ops, eta)
+    if not ops.n_nodes:  # no scatterer, no data (and LAPACK refuses a 0 x 0 system)
+        return np.zeros((ops.n_src, ops.n_det), dtype=np.result_type(ops.g_sv, eta))
     mode = ops.mode
-    # A = I - alpha G_vv diag(eta), in Fortran order so that the LU overwrites it
+    # A = I - alpha G_SS diag(eta_S), in Fortran order so that the LU overwrites it
     a_mat = np.multiply(ops.g_vv, -mode.alpha * eta, order="F")
     a_mat.flat[:: ops.n_nodes + 1] += 1.0
     lange, gecon = lapack.get_lapack_funcs(("lange", "gecon"), (a_mat,))
@@ -100,7 +137,7 @@ def born_term(ops: OperatorSet, factors) -> np.ndarray:
     for f in fs[-2::-1]:
         t = f[:, None] * (ops.g_vv @ t)
     phi = ops.g_sv @ (ops.grid.weights[:, None] * t)
-    return -ops.mode.alpha**m * phi
+    return _coefficient(ops.mode, m) * phi
 
 
 @dataclass(frozen=True)
@@ -116,16 +153,18 @@ class BornSeries:
 
 
 def born_series(ops: OperatorSet, eta: np.ndarray, order: int) -> BornSeries:
-    """First `order` Born terms with equal factors eta, and their partial sums."""
+    """First `order` Born terms with equal factors eta, and their partial sums.
+
+    Summed on the support of eta, so each order costs V_S^2 * D for V_S nonzeros.
+    """
     if order < 1:
         raise ValueError("order must be >= 1")
-    eta = _check_factor(ops, eta)
-    mode = ops.mode
+    ops, eta = _on_support(ops, eta)
     w = ops.grid.weights
     terms = []
     t = eta[:, None] * ops.g_vd
     for m in range(1, order + 1):
-        phi_m = -mode.alpha**m * (ops.g_sv @ (w[:, None] * t))
+        phi_m = _coefficient(ops.mode, m) * (ops.g_sv @ (w[:, None] * t))
         terms.append(phi_m)
         if m < order:
             t = eta[:, None] * (ops.g_vv @ t)
@@ -141,6 +180,7 @@ def residual_certificate(ops: OperatorSet, eta: np.ndarray, order: int, phi=None
     forward region), and an applicability flag.  Pass ``phi`` to reuse an
     existing direct solve of the same instance.
     """
+    ops, eta = _on_support(ops, eta)  # once, for the solve, the series and the norms
     if phi is None:
         phi = solve_direct(ops, eta)
     series = born_series(ops, eta, order)

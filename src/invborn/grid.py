@@ -67,6 +67,15 @@ class Grid:
         """Total quadrature volume (approximates 4*pi*a^3/3)."""
         return float(self.weights.sum())
 
+    def subset(self, nodes) -> "Grid":
+        """The given nodes (an index array or boolean mask) with the same spacing and radius_a."""
+        return Grid(
+            centers=self.centers[nodes],
+            weights=self.weights[nodes],
+            spacing=self.spacing,
+            radius_a=self.radius_a,
+        )
+
 
 @dataclass(frozen=True)
 class BoundaryArray:

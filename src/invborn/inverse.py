@@ -99,7 +99,14 @@ def linearized_operator(ops: OperatorSet) -> LinearizedOperator:
     row_scale = math.sqrt(ops.boundary.pair_weight)
     col_scale = np.sqrt(w)
     gram = (g_sv.conj().T @ g_sv) * (g_vd.conj() @ g_vd.T)
-    gram *= (mode.alpha * row_scale) ** 2 * np.outer(col_scale, col_scale)
+    try:
+        scale = (mode.alpha * row_scale) ** 2
+    except OverflowError:
+        raise ValueError(
+            f"the order-2 Gram coefficient (alpha*row_scale)^2 of the linearized operator"
+            f" overflows at k={mode.k:g}"
+        ) from None
+    gram *= scale * np.outer(col_scale, col_scale)
     lam, vecs = np.linalg.eigh(gram)
     n = min(k1.shape)  # the SVD of an (S*D) x V matrix has min(S*D, V) triplets
     svals = np.sqrt(np.clip(lam[::-1][:n], 0.0, None))

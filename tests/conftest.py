@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from invborn import (
@@ -13,6 +14,16 @@ def make_ops(kind="diffuse", k=1.0, a=1.0, omega=2.0, h=0.45, n_src=6, n_det=6):
     grid = build_ball_grid(a, h)
     boundary = build_sphere_boundary(omega, n_src, n_det)
     return assemble(WaveMode(kind, k), grid, boundary)
+
+
+def full_system_data(ops, eta):
+    """Data from np.linalg.solve of the full V x V system (I - alpha G_vv diag(eta)) u = u_i.
+
+    The oracle for the forward solve, which works on the support of eta only.
+    """
+    alpha = ops.mode.alpha
+    u = np.linalg.solve(np.eye(ops.n_nodes) - alpha * ops.g_vv * eta[None, :], ops.g_sv.T)
+    return -alpha * ((u * (eta * ops.grid.weights)[:, None]).T @ ops.g_vd)
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from invborn.cli import (
     ExperimentConfig,
     add_noise,
     build_phantom,
+    cmd_forward,
     cmd_radii,
     cmd_selftest,
     main,
@@ -436,6 +438,50 @@ def test_cli_radii_names_ka_on_overflow(tmp_path, capsys, args, message):
     err = capsys.readouterr().err
     assert message in err and "at ka=1e+1" in err
     assert not out.exists()
+
+
+def test_cli_radii_diffuse_nu_underflows_to_zero(tmp_path):
+    # k^2 |B| overflows to inf where e^{-2kd} underflows to 0; the product is 0, not inf * 0
+    out = tmp_path / "r.csv"
+    assert run_cli(tmp_path, "radii", "--ka", "1e154", "--output", out) == 0
+    header, row = out.read_text().splitlines()
+    values = dict(zip(header.split(","), row.split(",")))
+    assert float(values["nu_inf"]) == 0.0 and float(values["nu_2"]) == 0.0
+    assert all(math.isfinite(float(values[col])) for col in header.split(",")[:-1])
+
+
+@pytest.mark.parametrize(
+    "command, k, message",
+    [
+        ("forward", "1e150", "order-2 series coefficient alpha^2 overflows at k=1e+150"),
+        ("invert", "1e100", "order-2 Gram coefficient (alpha*row_scale)^2 of the linearized"),
+    ],
+)
+def test_cli_names_overflowing_alpha_power(tmp_path, capsys, command, k, message):
+    # k^2 is finite, so the config passes; a higher power of alpha = -s k^2 is not
+    out = tmp_path / "o.json"
+    code = run_cli(tmp_path, command, *SMALL_ARGS, "--k", k, "--output", out)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert message in err and f"k={float(k):g}" in err
+    assert not out.exists()
+
+
+def test_cmd_forward_peak_memory_below_one_volume_kernel():
+    # kernels are assembled on the phantom's support alone: no V x V array is formed
+    config = ExperimentConfig(
+        h=1 / 9, phantom=[{"center": [0.2, 0.0, 0.0], "radius": 0.3, "amplitude": 0.3}]
+    ).validate()
+    tracemalloc.start()
+    try:
+        payload, code = cmd_forward(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    n = payload["grid_nodes"]
+    assert n == 3112
+    assert peak < 8 * n * n
 
 
 @pytest.mark.parametrize("mode", ["diffuse", "scalar"])

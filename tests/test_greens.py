@@ -13,7 +13,7 @@ from invborn import (
     mu_closed_form,
     self_cell_integral,
 )
-from invborn.greens import _pairwise_dist, kernel_modulus, self_cell_l1, self_cell_l2
+from invborn.greens import _ROW_BLOCK, _pairwise_dist, kernel_modulus, self_cell_l1, self_cell_l2
 from invborn.grid import BoundaryArray, Grid
 
 INF = math.inf
@@ -189,6 +189,23 @@ def test_assemble_row_blocks_match_whole_matrix(kind):
     np.fill_diagonal(ref, diag.real if kind == "diffuse" else diag)
     assert np.array_equal(ops.g_vv, ref)
     assert np.abs(ops.g_vv - ops.g_vv.T).max() == 0.0
+
+
+@pytest.mark.parametrize("kind", ["diffuse", "scalar"])
+def test_subset_assembly_is_bit_equal_to_full_matrix(kind):
+    # 400 of V = 912 nodes: the subset itself spans several row blocks
+    grid = build_ball_grid(1.0, 1 / 6)
+    boundary = build_sphere_boundary(2.0, 5, 4)
+    mode = WaveMode(kind, 1.3)
+    full = assemble(mode, grid, boundary)
+    s = np.sort(np.random.default_rng(5).choice(grid.n_nodes, 400, replace=False))
+    assert len(s) > 2 * _ROW_BLOCK
+    sub = assemble(mode, grid.subset(s), boundary)
+    assert np.array_equal(sub.g_vv, full.g_vv[np.ix_(s, s)])
+    assert np.array_equal(sub.g_sv, full.g_sv[:, s])
+    assert np.array_equal(sub.g_vd, full.g_vd[s])
+    empty = assemble(mode, grid.subset([]), boundary)
+    assert (empty.g_vv.shape, empty.g_sv.shape, empty.g_vd.shape) == ((0, 0), (5, 0), (0, 4))
 
 
 def test_assemble_diffuse_positive():

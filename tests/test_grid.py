@@ -72,6 +72,17 @@ def test_ball_grid_deterministic():
     assert np.array_equal(g1.weights, g2.weights)
 
 
+def test_grid_subset_keeps_spacing_and_radius():
+    grid = build_ball_grid(1.0, 0.3)
+    nodes = np.array([0, 5, grid.n_nodes - 1])
+    sub = grid.subset(nodes)
+    assert np.array_equal(sub.centers, grid.centers[nodes])
+    assert np.array_equal(sub.weights, grid.weights[nodes])
+    assert (sub.spacing, sub.radius_a) == (grid.spacing, grid.radius_a)
+    assert grid.subset(np.zeros(grid.n_nodes, dtype=bool)).n_nodes == 0
+    assert grid.subset(np.ones(grid.n_nodes, dtype=bool)).n_nodes == grid.n_nodes
+
+
 def test_grid_type_rejects_bad_input():
     with pytest.raises(ValueError):
         Grid(centers=np.array([[2.0, 0, 0]]), weights=np.array([1.0]), spacing=1.0, radius_a=1.0)

@@ -73,7 +73,14 @@ class _CountingMatmul(np.ndarray):
 
 
 class _RecordingMatmul(np.ndarray):
-    """Kernel matrix that records the dtype of each right operand it multiplies."""
+    """Kernel matrix that records the dtype of each right operand it multiplies.
+
+    Blocks taken from it (the forward path works on the support of eta) record
+    into the same list.
+    """
+
+    def __array_finalize__(self, obj):
+        self.operand_dtypes = getattr(obj, "operand_dtypes", None)
 
     def __matmul__(self, other):
         self.operand_dtypes.append(np.asarray(other).dtype)
