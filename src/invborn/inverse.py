@@ -20,6 +20,7 @@ not capped.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -28,7 +29,7 @@ import numpy as np
 from . import bounds
 from .forward import _check_factor
 from .forward import born_term  # noqa: F401  bench/run.py traces invborn.inverse.born_term
-from .greens import OperatorSet
+from .greens import _ROW_BLOCK, OperatorSet
 from .grid import data_norm, field_norm
 
 __all__ = [
@@ -45,7 +46,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LinearizedOperator:
-    """Dense order-1 operator with its weighted right singular vectors.
+    """Order-1 operator, held as its weighted right singular vectors.
 
     Rows are (source, detector) pairs in row-major order, columns are voxels;
     volume weights are folded in so that ``matrix @ eta`` equals the order-1
@@ -55,14 +56,14 @@ class LinearizedOperator:
     between the weighted L2 spaces.  They come from the V x V Gram matrix
     A^H A rather than from an SVD of the (S*D) x V matrix: the columns of K
     are Khatri-Rao products of source and detector kernel columns, so A^H A
-    is the Hadamard product of the source and detector Gram matrices.  The
-    left singular vectors are never formed in full; ``regularize`` computes
-    the retained ones.  Diffuse kernels are real, so in diffuse mode
-    ``matrix``, ``svals`` and ``vh`` are real arrays.
+    is the Hadamard product of the source and detector Gram matrices.  K is
+    not stored: ``regularize`` applies it to the retained right singular
+    vectors a detector block at a time, and ``matrix`` forms it on first
+    access (for tests and the selftest).  Diffuse kernels are real, so in
+    diffuse mode ``matrix``, ``svals`` and ``vh`` are real arrays.
     """
 
     ops: OperatorSet
-    matrix: np.ndarray
     svals: np.ndarray
     vh: np.ndarray
     row_scale: float
@@ -70,15 +71,29 @@ class LinearizedOperator:
 
     @property
     def n_pairs(self) -> int:
-        return self.matrix.shape[0]
+        return self.ops.n_src * self.ops.n_det
 
     @property
     def n_nodes(self) -> int:
-        return self.matrix.shape[1]
+        return self.ops.n_nodes
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense (S*D) x V order-1 matrix K."""
+        return _k_rows(self.ops, self.ops.g_vd.T).reshape(self.n_pairs, self.n_nodes)
+
+
+def _k_rows(ops: OperatorSet, g_dv: np.ndarray) -> np.ndarray:
+    """The rows of K for every source and the detectors of g_dv (rows of g_vd^T), as (S, d, V)."""
+    # entry for pair (s, d) and voxel j: -alpha * g_sv[s, j] * g_vd[j, d] * w_j
+    rows = ops.g_sv[:, None, :] * g_dv[None, :, :]
+    rows *= -ops.mode.alpha
+    rows *= ops.grid.weights
+    return rows
 
 
 def linearized_operator(ops: OperatorSet) -> LinearizedOperator:
-    """Assemble the order-1 matrix and factor it through its weighted V x V Gram.
+    """Factor the order-1 operator through its weighted V x V Gram matrix.
 
     With c = -alpha * row_scale the weighted Gram matrix is
 
@@ -91,14 +106,9 @@ def linearized_operator(ops: OperatorSet) -> LinearizedOperator:
     diffuse mode runs in real arithmetic; scalar mode is complex.
     """
     mode = ops.mode
-    w = ops.grid.weights
     g_sv, g_vd = ops.g_sv, ops.g_vd
-    # entry for pair (s, d) and voxel j: -alpha * g_sv[s, j] * g_vd[j, d] * w_j
-    k1 = g_sv[:, None, :] * g_vd.T[None, :, :]  # (S, D, V)
-    k1 = -mode.alpha * k1.reshape(-1, ops.n_nodes) * w[None, :]
     row_scale = math.sqrt(ops.boundary.pair_weight)
-    col_scale = np.sqrt(w)
-    gram = (g_sv.conj().T @ g_sv) * (g_vd.conj() @ g_vd.T)
+    col_scale = np.sqrt(ops.grid.weights)
     try:
         scale = (mode.alpha * row_scale) ** 2
     except OverflowError:
@@ -106,34 +116,66 @@ def linearized_operator(ops: OperatorSet) -> LinearizedOperator:
             f"the order-2 Gram coefficient (alpha*row_scale)^2 of the linearized operator"
             f" overflows at k={mode.k:g}"
         ) from None
-    gram *= scale * np.outer(col_scale, col_scale)
+    gram = g_sv.conj().T @ g_sv
+    gram *= g_vd.conj() @ g_vd.T
+    # scaled in place by row blocks, with no V x V outer-product temporary
+    for start in range(0, ops.n_nodes, _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        gram[rows] *= scale * np.outer(col_scale[rows], col_scale)
     lam, vecs = np.linalg.eigh(gram)
-    n = min(k1.shape)  # the SVD of an (S*D) x V matrix has min(S*D, V) triplets
+    n = min(ops.n_src * ops.n_det, ops.n_nodes)  # the SVD of an (S*D) x V matrix has n triplets
     svals = np.sqrt(np.clip(lam[::-1][:n], 0.0, None))
     vh = vecs[:, ::-1][:, :n].conj().T
     return LinearizedOperator(
-        ops=ops, matrix=k1, svals=svals, vh=vh, row_scale=row_scale, col_scale=col_scale
+        ops=ops, svals=svals, vh=vh, row_scale=row_scale, col_scale=col_scale
     )
+
+
+# Detectors per pass of _apply_k: a block of K's rows holds S * 8 * V entries
+# (2.8 MB at V=912) where K holds S * D * V.
+_DET_BLOCK = 8
+
+
+def _apply_k(ops: OperatorSet, x: np.ndarray) -> np.ndarray:
+    """K @ x for a V x r array x, forming K a block of detectors at a time.
+
+    Each block holds the entries of the dense K row for row, so the result is
+    ``K @ x`` up to the order in which the BLAS sums.
+    """
+    n_src, n_det, r = ops.n_src, ops.n_det, x.shape[1]
+    g_dv = np.ascontiguousarray(ops.g_vd.T)  # contiguous detector rows build blocks faster
+    out = np.empty((n_src, n_det, r), dtype=np.result_type(ops.g_sv, ops.g_vd, x))
+    for start in range(0, n_det, _DET_BLOCK):
+        rows = _k_rows(ops, g_dv[start : start + _DET_BLOCK]).reshape(-1, ops.n_nodes)
+        out[:, start : start + _DET_BLOCK] = (rows @ x).reshape(n_src, -1, r)
+    return out.reshape(n_src * n_det, r)
 
 
 @dataclass(frozen=True)
 class RegularizedInverse:
-    """Truncated-SVD pseudoinverse of the linearized operator.
+    """Truncated-SVD pseudoinverse of the linearized operator, held as two factors.
 
-    ``matrix`` maps flattened data to a volume field (real in diffuse mode).
-    norm2 = 1/sigma_min of the retained triplets is the weighted-L2 operator
-    norm; norm_inf is the max absolute row sum of the realized matrix (the
-    exact discrete sup-norm).
+    pinv = left @ u_rh with left = V_r diag(row_scale / sigma) / col_scale
+    (V x r) and u_rh = U_r^H (r x S*D), so ``apply`` costs (S*D + V) * r.
+    ``matrix`` forms the dense V x (S*D) pseudoinverse on first access (for
+    tests and the selftest); it is real in diffuse mode.  norm2 =
+    1/sigma_min of the retained triplets is the weighted-L2 operator norm;
+    norm_inf is the max absolute row sum of the pseudoinverse (the exact
+    discrete sup-norm), taken over row blocks of the product.
     """
 
     linop: LinearizedOperator
     rank: int
     sigma_min: float
-    matrix: np.ndarray
     norm2: float
     norm_inf: float
     _v_r: np.ndarray = field(repr=False)
-    _u_r: np.ndarray = field(repr=False)
+    _left: np.ndarray = field(repr=False)
+    _u_rh: np.ndarray = field(repr=False)
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        return self._left @ self._u_rh
 
     def norm(self, p: float) -> float:
         if p == 2:
@@ -143,17 +185,14 @@ class RegularizedInverse:
         raise ValueError("pseudoinverse norms are computed for p in {2, inf}")
 
     def apply(self, phi: np.ndarray) -> np.ndarray:
-        """Volume field from data (accepts (S, D) or flattened); always complex."""
-        phi = np.asarray(phi).ravel()
-        if phi.shape[0] != self.linop.n_pairs:
-            raise ValueError("data size does not match the operator")
-        if np.iscomplexobj(self.matrix):
-            return self.matrix @ phi.astype(complex, copy=False)
-        # a real pinv times complex data would upcast a full copy of the pinv
-        eta = (self.matrix @ phi.real).astype(complex)
-        if np.iscomplexobj(phi) and phi.imag.any():
-            eta += 1j * (self.matrix @ phi.imag)
-        return eta
+        """Volume field from data of shape (S, D) or (S*D,); always complex."""
+        phi = np.asarray(phi)
+        shapes = ((self.linop.ops.n_src, self.linop.ops.n_det), (self.linop.n_pairs,))
+        if phi.shape not in shapes:
+            raise ValueError(
+                f"data shape {phi.shape} is neither (S, D) = {shapes[0]} nor (S*D,) = {shapes[1]}"
+            )
+        return (self._left @ (self._u_rh @ phi.ravel())).astype(complex, copy=False)
 
     def project(self, eta: np.ndarray) -> np.ndarray:
         """Orthogonal projection (weighted inner product) onto the retained subspace.
@@ -174,7 +213,7 @@ class RegularizedInverse:
         lin = self.linop
         s_r = lin.svals[: self.rank]
         vh_r = self._v_r.conj().T * lin.col_scale[None, :]
-        return (self._u_r * s_r[None, :]) @ vh_r / lin.row_scale
+        return (self._u_rh.conj().T * s_r[None, :]) @ vh_r / lin.row_scale
 
     def spectrum(self) -> dict:
         """Spectral health of the truncation (deterministic, for the invert report).
@@ -207,7 +246,9 @@ def regularize(
 
     Exactly one rule must be given: keep the top ``rank`` triplets, or keep
     singular values >= tau * sigma_max with tau in (0, 1].  A truncation that
-    retains a singular value below SVAL_FLOOR * sigma_max is refused.
+    retains a singular value below SVAL_FLOOR * sigma_max is refused.  The
+    retained left singular vectors U_r = row_scale * K (V_r / col_scale)
+    diag(1 / sigma) are computed without storing K.
     """
     if (rank is None) == (tau is None):
         raise ValueError("give exactly one of rank= or tau=")
@@ -232,18 +273,23 @@ def regularize(
             "or a smaller rank"
         )
     v_r = linop.vh[:r].conj().T
+    gain = (linop.row_scale / s_r)[None, :]
     scaled_v = v_r / linop.col_scale[:, None]
-    u_r = (linop.matrix @ scaled_v) * (linop.row_scale / s_r)[None, :]
-    pinv = ((scaled_v / s_r[None, :]) @ u_r.conj().T) * linop.row_scale
+    u_rh = (_apply_k(linop.ops, scaled_v) * gain).conj().T
+    left = scaled_v * gain
+    norm_inf = max(
+        np.abs(left[start : start + _ROW_BLOCK] @ u_rh).sum(axis=1).max()
+        for start in range(0, linop.n_nodes, _ROW_BLOCK)
+    )
     return RegularizedInverse(
         linop=linop,
         rank=r,
         sigma_min=float(s_r[-1]),
-        matrix=pinv,
         norm2=float(1.0 / s_r[-1]),
-        norm_inf=float(np.abs(pinv).sum(axis=1).max()),
+        norm_inf=float(norm_inf),
         _v_r=v_r,
-        _u_r=u_r,
+        _left=left,
+        _u_rh=u_rh,
     )
 
 
@@ -321,6 +367,7 @@ def _per_p(result, kinv, constants, ops, phi, p, eta_true):
     tb = bounds.CertifiedBounds.from_constants(constants, p, kinv.norm(p))
     phi_norm = data_norm(ops.boundary, phi, p)
     eta1_norm = field_norm(grid, result.terms[0], p)
+    term_norms = result.term_norms(grid, p)
     rec = {
         "mu_p": tb.mu_p,
         "nu_p": tb.nu_p,
@@ -332,7 +379,9 @@ def _per_p(result, kinv, constants, ops, phi, p, eta_true):
         "phi_norm": phi_norm,
         "q": tb.q,
         "r": tb.r(phi_norm),
-        "term_norms": result.term_norms(grid, p),
+        "term_norms": term_norms,
+        # observed ||eta_j|| / ||eta_{j-1}||, None after a zero term
+        "term_ratios": [b / a if a > 0 else None for a, b in zip(term_norms, term_norms[1:])],
         **tb.tail_report(result.order, phi_norm),
     }
     if eta_true is not None:

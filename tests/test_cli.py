@@ -189,6 +189,20 @@ def test_cli_invert_reports_and_exits_two(tmp_path):
     assert payload["config"]["order"] == 3
 
 
+def test_cli_invert_zero_phantom_writes_finite_json(tmp_path):
+    out = tmp_path / "i.json"
+    zero = json.dumps([{"center": [0, 0, 0], "radius": 0.4, "amplitude": 0.0}])
+    assert run_cli(tmp_path, "invert", *SMALL_ARGS, "--phantom", zero, "--output", out) == 2
+
+    def reject(name):
+        raise ValueError(f"non-finite {name} in the invert JSON")
+
+    payload = json.loads(out.read_text(), parse_constant=reject)
+    for rec in payload["diagnostics"]["p"].values():
+        assert rec["term_norms"] == [0.0, 0.0, 0.0]
+        assert rec["term_ratios"] == [None, None]
+
+
 def test_cli_invert_byte_identical_rerun(tmp_path):
     out = tmp_path / "i.json"
     args = ["invert", *SMALL_ARGS, "--noise", "0.001", "--seed", "11", "--output", out]

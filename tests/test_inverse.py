@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from invborn import (
 from invborn.bounds import compositions
 from invborn.cli import build_phantom, validate_absorption
 from invborn.grid import Grid
-from invborn.inverse import SVAL_FLOOR
+from invborn.inverse import SVAL_FLOOR, _apply_k
 
 from conftest import make_ops
 
@@ -168,11 +169,63 @@ class TestGramAgainstDenseSvd:
             ref = pinv @ data.ravel()
             assert np.abs(kinv.apply(data) - ref).max() <= 1e-8 * np.abs(ref).max()
 
+    def test_factored_apply_matches_dense_matrix(self, kind):
+        ops, linop = self.problem(kind)
+        kinv = regularize(linop, tau=1e-3)
+        rng = np.random.default_rng(7)
+        real = rng.normal(size=(ops.n_src, ops.n_det))
+        for data in (real, real + 0j, real + 1j * rng.normal(size=real.shape)):
+            ref = kinv.matrix @ data.ravel()
+            assert np.abs(kinv.apply(data) - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert kinv.norm_inf == pytest.approx(np.abs(kinv.matrix).sum(axis=1).max(), rel=1e-15)
+
+    def test_blockwise_k_product_matches_dense(self, kind):
+        # 10 detectors: one full block of _DET_BLOCK = 8 and a partial one
+        ops, linop = self.problem(kind)
+        x = linop.vh[:20].conj().T / linop.col_scale[:, None]
+        ref = linop.matrix @ x
+        assert np.abs(_apply_k(ops, x) - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    def test_apply_refuses_transposed_data(self, kind):
+        ops, linop = self.problem(kind)
+        kinv = regularize(linop, tau=1e-3)
+        phi = np.ones((ops.n_src, ops.n_det))
+        with pytest.raises(ValueError, match=r"\(10, 8\) is neither .*\(8, 10\).*\(80,\)"):
+            kinv.apply(phi.T)
+        assert np.array_equal(kinv.apply(phi), kinv.apply(phi.ravel()))
+
     def test_real_arithmetic_for_diffuse_waves_only(self, kind):
         _, linop = self.problem(kind)
         kinv = regularize(linop, tau=1e-3)
         assert np.isrealobj(kinv.matrix) == (kind == "diffuse")
         assert np.iscomplexobj(kinv.apply(np.ones(linop.n_pairs)))
+
+
+@pytest.mark.parametrize("kind", ["diffuse", "scalar"])
+def test_invert_path_forms_no_dense_operator(kind):
+    ops = make_ops(kind=kind, h=0.25, n_src=48, n_det=48)
+    n_pairs = ops.n_src * ops.n_det
+    assert (ops.n_nodes, n_pairs) == (280, 2304)
+    tracemalloc.start()
+    try:
+        linop = linearized_operator(ops)
+        kinv = regularize(linop, tau=1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the dense (S*D) x V matrix and pseudoinverse alone take two of these units
+    assert peak < 2 * ops.g_sv.itemsize * n_pairs * ops.n_nodes
+    eta = 0.05 * build_phantom(
+        ops.grid, [{"center": [0.1, 0.2, 0], "radius": 0.5, "amplitude": 1.0}]
+    )
+    phi = solve_direct(ops, eta)
+    res = inverse_series(kinv, ops, phi, 3)
+    diagnostics(res, kinv, closed_form_constants(ops.mode, 1.0, 2.0), ops, phi, eta_true=eta)
+    kinv.spectrum()
+    assert "matrix" not in vars(linop)
+    assert "matrix" not in vars(kinv)
+    # 280 rows: the sup-norm spans three row blocks of the factor product
+    assert kinv.norm_inf == pytest.approx(np.abs(kinv.matrix).sum(axis=1).max(), rel=1e-15)
 
 
 class TestRegularize:
@@ -509,6 +562,20 @@ class TestDiagnostics:
             assert rec["phi_norm"] == 0.0
             assert rec["eta1_norm"] == 0.0
             assert all(n == 0 for n in rec["term_norms"])
+            assert rec["term_ratios"] == [None]
+
+    def test_term_ratios_are_quotients_of_term_norms(self, small_ops, small_linop):
+        kinv = regularize(small_linop, tau=1e-3)
+        eta = 0.05 * build_phantom(
+            small_ops.grid, [{"center": [0, 0, 0.2], "radius": 0.5, "amplitude": 1.0}]
+        )
+        phi = solve_direct(small_ops, eta)
+        res = inverse_series(kinv, small_ops, phi, 4)
+        cs = closed_form_constants(small_ops.mode, 1.0, 2.0)
+        for rec in diagnostics(res, kinv, cs, small_ops, phi)["p"].values():
+            norms = rec["term_norms"]
+            assert rec["term_ratios"] == [norms[j] / norms[j - 1] for j in range(1, 4)]
+            assert all(0 < q < 1 for q in rec["term_ratios"])
 
     def test_synthetic_constants_enable_certified_tail(self, small_ops, small_linop):
         kinv = regularize(small_linop, tau=1e-2)
