@@ -27,6 +27,7 @@ from .greens import (
     _ROW_BLOCK,
     WaveMode,
     _ball_factor,
+    _ball_l2,
     _pairwise_dist,
     kernel_modulus,
     self_cell_l1,
@@ -67,27 +68,20 @@ def _check_p(p: float):
 
 
 def mu_closed_form(mode: WaveMode, a: float, p: float) -> float:
-    """Closed-form mu_p of the free-space kernel on the ball of radius a.
+    """Closed-form mu_p: k^2 ||G||_L1 (p=inf) or ||G||_L2 (p=2) over the radius-a ball about 0.
 
-    diffuse: mu_inf = 1 - (1 + ka) e^{-ka},
-             mu_2   = k^2 e^{-ka/2} (sinh(ka) / (4 pi k))^(1/2)
-                    = k^2 ((1 - e^{-2ka}) / (8 pi k))^(1/2)
+    diffuse: mu_inf = 1 - (1 + ka) e^{-ka},  mu_2 = k^2 ((1 - e^{-2ka}) / (8 pi k))^(1/2)
              (both evaluated without cancellation as ka -> 0)
-    scalar:  mu_inf = (ka)^2 / 2,  mu_2 = k^2 (a / (4 pi))^(1/2)
+    scalar:  mu_inf = (ka)^2 / 2,            mu_2 = k^2 (a / (4 pi))^(1/2)
     """
     if a <= 0:
         raise ValueError("a must be positive")
     if p not in (2, INF):
         raise ValueError("closed forms are available for p in {2, inf}; interpolate otherwise")
     k = mode.k
-    ka = k * a
-    if mode.kind == "diffuse":
-        if p == INF:
-            return ka**2 * _ball_factor(ka).real
-        return k**2 * math.sqrt(-math.expm1(-2.0 * ka) / (8.0 * math.pi * k))
     if p == INF:
-        return 0.5 * ka**2
-    return k**2 * math.sqrt(a / (4.0 * math.pi))
+        return (k * a) ** 2 * _ball_factor(mode.kappa.real * a).real
+    return k**2 * math.sqrt(_ball_l2(mode, a))
 
 
 def nu_bound(mode: WaveMode, a: float, omega_radius: float, p: float) -> float:
@@ -102,6 +96,8 @@ def nu_bound(mode: WaveMode, a: float, omega_radius: float, p: float) -> float:
     """
     if a <= 0:
         raise ValueError("a must be positive")
+    if not math.isfinite(omega_radius):
+        raise ValueError(f"omega_radius must be finite, got {omega_radius}")
     if omega_radius <= a:
         raise ValueError(
             f"measurement sphere must enclose the support: omega_radius={omega_radius} <= a={a}"
@@ -111,7 +107,7 @@ def nu_bound(mode: WaveMode, a: float, omega_radius: float, p: float) -> float:
     k = mode.k
     dist = omega_radius - a
     vol = _ball_volume(a)
-    decay = math.exp(-2.0 * k * dist) if mode.kind == "diffuse" else 1.0
+    decay = math.exp(-2.0 * mode.kappa.real * dist)  # 1 for the scalar kernel
     denom = (4.0 * math.pi * dist) ** 2
     factors = (vol,) if p == INF else (4.0 * math.pi * omega_radius**2, math.sqrt(vol))
     value = k**2
@@ -416,7 +412,10 @@ class CertifiedBounds:
             raise ValueError("inputs must be nonnegative")
         if self.operator_violation():
             raise ValueError(f"outside convergence region: {self.operator_violation()}")
-        c_simple = math.exp(1.0 / (1.0 - q))
+        try:  # the refined exponent is the smaller one, so only c_simple can overflow
+            c_simple = math.exp(1.0 / (1.0 - q))
+        except OverflowError:
+            raise ValueError(f"the series constant exp(1 / (1 - q)) overflows at q={q!r}") from None
         if q == 0.0:
             return c_simple, 0.0
         return c_simple, math.exp(dilog(-q) / math.log(q) + 0.5 * math.log(q))

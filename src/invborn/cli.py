@@ -78,10 +78,7 @@ class ExperimentConfig:
             raise ValueError(f"k^2 overflows at k={self.k:g}")
         if self.omega_radius <= self.a:
             raise ValueError("omega_radius must exceed a")
-        if not 0 < self.h <= 2 * self.a:
-            raise ValueError("h must be in (0, 2a]")
-        if self.n_src < 1 or self.n_det < 1:
-            raise ValueError("n_src and n_det must be >= 1")
+        # h, n_src and n_det are range-checked where the grids are built: radii builds none
         if (self.tau is None) == (self.rank is None):
             raise ValueError("give exactly one of tau or rank")
         if self.order < 1:
@@ -121,6 +118,10 @@ _CONFIG_KEYS = tuple(f.name for f in fields(ExperimentConfig))
 
 def _finite_number(name: str, value, kind):
     try:
+        # bool is an int subclass and float() parses strings; only a complex may be
+        # spelled as a string, since JSON has no complex numbers
+        if isinstance(value, bool) or (isinstance(value, str) and kind is not complex):
+            raise TypeError
         number = kind(value)
     except (TypeError, ValueError):
         number = math.nan
@@ -137,6 +138,8 @@ def _check_blob(name: str, blob) -> None:
         if key not in blob:
             raise ValueError(f"{name}.{key} is missing")
     try:
+        if any(isinstance(c, (bool, str)) for c in blob["center"]):
+            raise TypeError
         center = np.asarray(blob["center"], dtype=float)
     except (TypeError, ValueError):
         center = np.empty(0)
@@ -541,6 +544,27 @@ def _write_output(text: str, path: str | None, default_name: str) -> str:
     return path
 
 
+_KA_SWEEP = {"ka_min": 0.1, "ka_max": 100.0, "ka_points": 60}  # the default radii sweep
+
+
+def _radii_ka_values(args) -> list:
+    """The --ka list, or the geometric sweep set by --ka-min, --ka-max and --ka-points."""
+    given = {name: getattr(args, name) for name in _KA_SWEEP if getattr(args, name) is not None}
+    if args.ka is not None:
+        if given:
+            flag = "--" + next(iter(given)).replace("_", "-")
+            raise ValueError(f"{flag} sets the ka sweep, which --ka replaces; give one of them")
+        try:
+            return [float(s) for s in args.ka.split(",")]
+        except ValueError:
+            raise ValueError(f"--ka must be comma-separated numbers, got {args.ka!r}") from None
+    sweep = {**_KA_SWEEP, **given}
+    for name, value in sweep.items():
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"--{name.replace('_', '-')} must be positive, got {value}")
+    return list(np.geomspace(sweep["ka_min"], sweep["ka_max"], sweep["ka_points"]))
+
+
 class _Parser(argparse.ArgumentParser):
     """Refuses abbreviated flags, and exits 1 on a usage error (2 means a violated hypothesis)."""
 
@@ -561,10 +585,13 @@ def main(argv=None) -> int:
 
     p_radii = sub.add_parser("radii", help="closed-form constants and radii over a ka sweep")
     _add_config_flags(p_radii)
-    p_radii.add_argument("--ka", help="comma-separated ka values")
-    p_radii.add_argument("--ka-min", type=float, default=0.1)
-    p_radii.add_argument("--ka-max", type=float, default=100.0)
-    p_radii.add_argument("--ka-points", type=int, default=60)
+    p_radii.add_argument("--ka", help="comma-separated ka values (replaces the sweep)")
+    default = {name: f"(default {value:g})" for name, value in _KA_SWEEP.items()}
+    p_radii.add_argument("--ka-min", type=float, help=f"sweep start {default['ka_min']}")
+    p_radii.add_argument("--ka-max", type=float, help=f"sweep end {default['ka_max']}")
+    p_radii.add_argument(
+        "--ka-points", type=int, help=f"geometric sweep points {default['ka_points']}"
+    )
 
     p_fwd = sub.add_parser("forward", help="direct solve, Born sum and remainder certificate")
     _add_config_flags(p_fwd)
@@ -581,15 +608,7 @@ def main(argv=None) -> int:
             return cmd_selftest(args.inject_fault)
         config = _resolve_config(args)
         if args.command == "radii":
-            for name in ("ka_min", "ka_max", "ka_points"):
-                value = getattr(args, name)
-                if not (math.isfinite(value) and value > 0):
-                    raise ValueError(f"--{name.replace('_', '-')} must be positive, got {value}")
-            if args.ka:
-                kas = [float(s) for s in args.ka.split(",")]
-            else:
-                kas = list(np.geomspace(args.ka_min, args.ka_max, args.ka_points))
-            rows = cmd_radii(config, kas)
+            rows = cmd_radii(config, _radii_ka_values(args))
             path = _write_output(radii_csv(rows), config.output, "radii.csv")
             print(f"wrote {len(rows)} rows to {path}")
             return 0

@@ -1,10 +1,11 @@
 """Free-space Green's kernels and discrete operator assembly.
 
-Two wave models share one code path:
+Two wave models share one code path and one kernel G(r) = exp(-kappa r) / (4 pi r):
 
-* diffuse:  G(r) = exp(-k r) / (4 pi r)   (real, positive)
-* scalar:   G(r) = exp(i k r) / (4 pi r)  (oscillatory)
+* diffuse:  kappa = k,     G(r) = exp(-k r) / (4 pi r)   (real, positive)
+* scalar:   kappa = -i k,  G(r) = exp(i k r) / (4 pi r)  (oscillatory)
 
+Each kernel formula is written once in kappa, and |G| is G at Re(kappa).
 Kernels are real arrays (float64) in diffuse mode and complex in scalar mode,
 so diffuse problems run in real arithmetic downstream.  The singular diagonal
 of the volume-volume kernel is replaced by the analytic integral of G over a
@@ -58,6 +59,11 @@ class WaveMode:
         return cls("scalar", float(k))
 
     @property
+    def kappa(self) -> complex | float:
+        """Decay constant of G = exp(-kappa r) / (4 pi r): k (diffuse) or -i k (scalar)."""
+        return float(self.k) if self.kind == "diffuse" else complex(0.0, -self.k)
+
+    @property
     def sign(self) -> float:
         """Sign s of the scattering term in (I + s k^2 G eta) u = u_i."""
         return 1.0 if self.kind == "diffuse" else -1.0
@@ -76,22 +82,18 @@ def greens_kernel(mode: WaveMode, r):
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0):
         raise ValueError("greens_kernel requires r > 0; use self_cell_integral at coincident points")
-    vals = np.exp(-mode.k * r) if mode.kind == "diffuse" else np.exp(1j * mode.k * r)
+    vals = np.exp(-mode.kappa * r)
     vals /= 4.0 * math.pi * r
     return vals if vals.ndim else vals.item()
 
 
 def kernel_modulus(mode: WaveMode, r: np.ndarray) -> np.ndarray:
-    """|G| at an array of distances r > 0, as float64.
-
-    The diffuse kernel is its own modulus; the scalar one is 1/(4 pi r), taken
-    without the complex exponential.
-    """
-    if mode.kind == "diffuse":
-        return greens_kernel(mode, r)
+    """|G| = exp(-Re(kappa) r) / (4 pi r) at an array of distances r > 0, as float64."""
     if np.any(r <= 0):
         raise ValueError("kernel_modulus requires r > 0; use self_cell_l1 at coincident points")
-    return 1.0 / (4.0 * math.pi * r)
+    vals = np.exp(-mode.kappa.real * r)
+    vals /= 4.0 * math.pi * r
+    return vals
 
 
 def _cell_radius(w: float) -> float:
@@ -103,8 +105,8 @@ def _ball_factor(z: complex) -> complex:
     """(1 - (1 + z) e^{-z}) / z^2 for Re z >= 0, to within a few ulp.
 
     k^2 times the integral of G over a ball of radius rho about its center is
-    x^2 times this factor, x = k rho, at z = x for the diffuse kernel and at
-    z = -i x for the scalar one.  The closed form cancels as z -> 0 (it reads
+    (k rho)^2 times this factor at z = kappa rho, and of |G| at z = Re(kappa)
+    rho (0 for the scalar kernel).  The closed form cancels as z -> 0 (it reads
     0 below |z| ~ 1e-8), so below |z| = 2 the factor is summed as
     e^{-z} sum_{m >= 0} z^m / (m + 2)!, each part with one exact float sum;
     for real z the terms are positive and the result is real.
@@ -118,39 +120,36 @@ def _ball_factor(z: complex) -> complex:
     return total * cmath.exp(-z)
 
 
+def _ball_l2(mode: WaveMode, rho: float) -> float:
+    """Integral of |G|^2 over the ball of radius rho about its center."""
+    kr = mode.kappa.real
+    if kr == 0.0:
+        return rho / (4.0 * math.pi)
+    return -math.expm1(-2.0 * kr * rho) / (8.0 * math.pi * kr)
+
+
 def self_cell_integral(mode: WaveMode, w: float) -> complex:
     """Integral of G over the equal-volume ball centered on the node.
 
-    With r_c = (3w / 4 pi)^(1/3):
-
-    * diffuse:  (1 - (1 + k r_c) e^{-k r_c}) / k^2
-    * scalar:   (e^{i k r_c} (1 - i k r_c) - 1) / k^2
-
-    Both reduce to r_c^2 / 2 as k r_c -> 0, and both are evaluated as r_c^2
-    times a factor in x = k r_c that does not cancel there.
+    With r_c = (3w / 4 pi)^(1/3) it is (1 - (1 + kappa r_c) e^{-kappa r_c}) / kappa^2,
+    which tends to r_c^2 / 2 as kappa r_c -> 0; it is evaluated as r_c^2 times
+    _ball_factor(kappa r_c), which does not cancel there.
     """
     if w <= 0:
         raise ValueError("voxel weight must be positive")
     rc = _cell_radius(w)
-    x = mode.k * rc
-    z = x if mode.kind == "diffuse" else complex(0.0, -x)  # the scalar kernel is k -> -ik
-    return complex(rc**2 * _ball_factor(z))
+    return complex(rc**2 * _ball_factor(mode.kappa * rc))
 
 
 def self_cell_l1(mode: WaveMode, w: float) -> float:
     """Integral of |G| over the equal-volume ball (for sup-type row sums)."""
-    if mode.kind == "diffuse":  # G > 0
-        return self_cell_integral(mode, w).real
-    return 0.5 * _cell_radius(w) ** 2
+    rc = _cell_radius(w)
+    return rc**2 * _ball_factor(mode.kappa.real * rc).real
 
 
 def self_cell_l2(mode: WaveMode, w: float) -> float:
     """Integral of |G|^2 over the equal-volume ball (for L2 row sums)."""
-    rc = _cell_radius(w)
-    if mode.kind == "diffuse":
-        k = mode.k
-        return -math.expm1(-2.0 * k * rc) / (8.0 * math.pi * k)
-    return rc / (4.0 * math.pi)
+    return _ball_l2(mode, _cell_radius(w))
 
 
 @dataclass(frozen=True)
@@ -214,7 +213,7 @@ def assemble(mode: WaveMode, grid: Grid, boundary: BoundaryArray) -> OperatorSet
         raise ValueError("boundary points must lie strictly outside the support ball")
 
     x, n = grid.centers, grid.n_nodes
-    g_vv = np.empty((n, n), dtype=float if mode.kind == "diffuse" else complex)
+    g_vv = np.empty((n, n), dtype=np.result_type(mode.kappa))
     for start in range(0, n, _ROW_BLOCK):
         r = _pairwise_dist(x[start : start + _ROW_BLOCK], x)
         rows = np.arange(r.shape[0])

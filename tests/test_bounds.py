@@ -62,6 +62,51 @@ class TestClosedForms:
         assert got == pytest.approx(1.3**2 * math.sqrt(0.8 / (4 * math.pi)), rel=1e-14)
 
 
+def _per_mode_mu(mode, a, p):
+    """The four per-mode mu_p formulas that greens' ball integrals replaced."""
+    from invborn.greens import _ball_factor
+
+    k = mode.k
+    ka = k * a
+    if mode.kind == "diffuse":
+        if p == INF:
+            return ka**2 * _ball_factor(ka).real
+        return k**2 * math.sqrt(-math.expm1(-2.0 * ka) / (8.0 * math.pi * k))
+    if p == INF:
+        return 0.5 * ka**2
+    return k**2 * math.sqrt(a / (4.0 * math.pi))
+
+
+def _per_mode_nu(mode, a, omega_radius, p):
+    """nu_bound with the decay written per mode."""
+    k = mode.k
+    dist = omega_radius - a
+    vol = 4.0 * math.pi * a**3 / 3.0
+    decay = math.exp(-2.0 * k * dist) if mode.kind == "diffuse" else 1.0
+    denom = (4.0 * math.pi * dist) ** 2
+    factors = (vol,) if p == INF else (4.0 * math.pi * omega_radius**2, math.sqrt(vol))
+    value = k**2
+    for f in factors:
+        value *= f
+    value = value * decay / denom
+    if mode.kind == "diffuse" and not (decay > 0.0 and math.isfinite(value)):
+        logs = 2.0 * math.log(k) + sum(map(math.log, factors)) - 2.0 * k * dist
+        value = math.exp(logs - math.log(denom))
+    return value
+
+
+@pytest.mark.parametrize("kind", ["diffuse", "scalar"])
+def test_closed_forms_match_per_mode_formulas_bit_for_bit(kind):
+    for k in (1e-9, 1e-3, 0.37, 1.0, 2.5, 13.0, 1e3, 1e150):
+        for a, omega in ((0.05, 0.1), (0.7, 2.0), (1.0, 2.0), (2.3, 3.1), (10.0, 10.5)):
+            mode = WaveMode(kind, k)
+            for p in (2, INF):
+                got, ref = mu_closed_form(mode, a, p), _per_mode_mu(mode, a, p)
+                assert got.hex() == ref.hex(), (k, a, p)
+                got, ref = nu_bound(mode, a, omega, p), _per_mode_nu(mode, a, omega, p)
+                assert got.hex() == ref.hex(), (k, a, omega, p)
+
+
 class TestNuBounds:
     def test_diffuse_sup_example(self):
         got = nu_bound(WaveMode.diffuse(1.0), 1.0, 2.0, INF)
@@ -86,6 +131,12 @@ class TestNuBounds:
     def test_rejects_enclosed_geometry(self):
         with pytest.raises(ValueError):
             nu_bound(WaveMode.diffuse(1.0), 1.0, 1.0, INF)
+
+    @pytest.mark.parametrize("omega", [INF, math.nan])
+    def test_rejects_non_finite_omega_radius(self, omega):
+        for mode in (WaveMode.diffuse(1.0), WaveMode.scalar(1.0)):
+            with pytest.raises(ValueError, match="omega_radius must be finite"):
+                nu_bound(mode, 1.0, omega, INF)
 
 
 class TestInterpolation:
@@ -208,6 +259,15 @@ class TestSeriesConstant:
     def test_outside_region_raises(self):
         with pytest.raises(ValueError, match="outside convergence region"):
             series_constant(0.5, 0.5, 1.0)
+
+    @pytest.mark.parametrize("half_q", [0.4995, 0.49999])
+    def test_overflow_inside_region_names_q(self, half_q):
+        # exp(1 / (1 - q)) overflows for q > 1 - 1/709.78, inside the region q < 1
+        tb = CertifiedBounds(half_q, half_q, 1.0)
+        with pytest.raises(ValueError, match=f"overflows at q={2 * half_q!r}"):
+            tb.series_constants
+        with pytest.raises(ValueError, match="overflows at q="):
+            tb.tail_report(3, 0.5)
 
 
 class TestCertifiedBounds:

@@ -1,11 +1,16 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import invborn
 from invborn import (
     WaveMode,
     assemble,
@@ -254,6 +259,21 @@ def test_cli_config_file_and_flag_override(tmp_path):
     assert payload["config"]["order"] == 2  # file wins over default
 
 
+@pytest.mark.parametrize("mode", ["diffuse", "scalar"])
+def test_cli_config_file_with_integer_k(tmp_path, mode):
+    # JSON "k": 2 arrives as an int; it must run exactly as "k": 2.0
+    payloads = []
+    for k in (2, 2.0):
+        cfg_path, out = tmp_path / f"cfg_{k!r}.json", tmp_path / f"f_{k!r}.json"
+        cfg_path.write_text(json.dumps({"mode": mode, "k": k}))
+        code = run_cli(tmp_path, "forward", *SMALL_ARGS, "--config", cfg_path, "--output", out)
+        assert code in (0, 2)
+        payload = json.loads(out.read_text())
+        del payload["config"]
+        payloads.append(payload)
+    assert payloads[0] == payloads[1]
+
+
 def test_cli_error_paths(tmp_path, capsys):
     assert main(["invert", "--noise", "0.1"]) == 1  # seed missing
     assert "seed" in capsys.readouterr().err
@@ -374,6 +394,13 @@ def test_config_rejects_non_path_output(output):
         ({"center": [0, 0], "radius": 0.3, "amplitude": 0.1}, "center"),
         ({"center": [0, 0, 0], "radius": 0.3, "amplitude": math.nan}, "amplitude"),
         ({"center": [0, 0, 0], "radius": 0.3, "amplitude": -math.inf}, "amplitude"),
+        # bool is an int subclass and float() parses strings; neither is a number here
+        ({"center": [0, 0, 0], "radius": True, "amplitude": 0.1}, "radius"),
+        ({"center": [0, 0, 0], "radius": "0.3", "amplitude": 0.1}, "radius"),
+        ({"center": [0, 0, 0], "radius": 0.3, "amplitude": True}, "amplitude"),
+        ({"center": ["0", False, 0], "radius": 0.3, "amplitude": 0.1}, "center"),
+        ({"center": [0, 0, True], "radius": 0.3, "amplitude": 0.1}, "center"),
+        ({"center": [0, "0.1", 0], "radius": 0.3, "amplitude": 0.1}, "center"),
     ],
 )
 def test_cli_rejects_malformed_phantom_entries(tmp_path, capsys, blob, field):
@@ -516,3 +543,81 @@ def test_cli_scalar_forward_tiny_k_names_underflow(tmp_path, capsys):
     assert code == 1
     assert "mu_inf underflows to 0 at ka=1e-170" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_accepts_complex_amplitude_string(tmp_path):
+    # JSON has no complex numbers, so a string is the one way to give a complex amplitude
+    out = tmp_path / "f.json"
+    phantom = json.dumps([{"center": [0, 0, 0], "radius": 0.5, "amplitude": "0.1+0.05j"}])
+    args = ["--mode", "scalar", "--phantom", phantom, "--output", out]
+    assert run_cli(tmp_path, "forward", *SMALL_ARGS, *args) == 0
+    assert json.loads(out.read_text())["config"]["phantom"][0]["amplitude"] == "0.1+0.05j"
+
+
+def test_cli_radii_ignores_h_it_never_uses(tmp_path):
+    # the default h = 1/6 exceeds 2a here, but radii builds no grid
+    out = tmp_path / "r.csv"
+    args = ["--a", "0.05", "--omega-radius", "0.1", "--ka", "1", "--output", out]
+    assert run_cli(tmp_path, "radii", *args) == 0
+    assert len(out.read_text().strip().split("\n")) == 2
+
+
+@pytest.mark.parametrize(
+    "command, args, message",
+    [
+        ("forward", ["--h", "3"], "spacing must satisfy 0 < h <= 2a, got h=3.0, a=1.0"),
+        ("invert", ["--h", "0"], "spacing must satisfy 0 < h <= 2a, got h=0.0, a=1.0"),
+        ("forward", ["--n-src", "0"], "need at least one source and one detector, got 0, 48"),
+        ("invert", ["--n-det", "-2"], "need at least one source and one detector, got 48, -2"),
+    ],
+)
+def test_cli_grid_ranges_checked_where_grids_are_built(tmp_path, capsys, command, args, message):
+    out = tmp_path / "o.json"
+    assert run_cli(tmp_path, command, *args, "--output", out) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (["--ka", "1,2", "--ka-points", "7"], "--ka-points"),
+        (["--ka", "1", "--ka-min", "0.5"], "--ka-min"),
+        (["--ka-max", "10", "--ka", "3"], "--ka-max"),
+    ],
+)
+def test_cli_radii_refuses_sweep_flags_with_ka(tmp_path, capsys, args, flag):
+    out = tmp_path / "r.csv"
+    assert run_cli(tmp_path, "radii", *args, "--output", out) == 1
+    assert f"{flag} sets the ka sweep, which --ka replaces" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("ka", ["", "1,,2", "1;2"])
+def test_cli_radii_names_malformed_ka(tmp_path, capsys, ka):
+    out = tmp_path / "r.csv"
+    assert run_cli(tmp_path, "radii", f"--ka={ka}", "--output", out) == 1
+    assert f"--ka must be comma-separated numbers, got {ka!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_radii_sweep_flags_default_independently(tmp_path):
+    out = tmp_path / "r.csv"
+    assert run_cli(tmp_path, "radii", "--ka-points", "5", "--output", out) == 0
+    kas = [float(line.split(",")[0]) for line in out.read_text().strip().split("\n")[1:]]
+    assert kas == [float(x) for x in np.geomspace(0.1, 100.0, 5)]
+
+
+def test_cli_import_defers_scipy_special():
+    # dilog imports scipy.special on first use; the CLI start-up time is a benchmark metric
+    src = str(Path(invborn.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, invborn.cli; print([m for m in sys.modules if 'scipy.special' in m])"
+    run = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert run.stdout.strip() == "[]"

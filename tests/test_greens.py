@@ -314,3 +314,84 @@ def test_scalar_ball_factor_against_mpmath():
             ref = (mpmath.exp(1j * xm) * (1 - 1j * xm) - 1) / xm**2
             err = abs(mpmath.mpc(_ball_factor(complex(0.0, -x))) - ref) / abs(ref)
             assert err <= 8 * eps, f"x={x}: {float(err / eps):.1f} ulp"
+
+
+# The per-mode formulas the kappa-parameterized kernels replaced.  Each function
+# below must agree with them bit for bit: the kernel family changed the code,
+# not the numbers.
+def _per_mode_kernel(mode, r):
+    vals = np.exp(-mode.k * r) if mode.kind == "diffuse" else np.exp(1j * mode.k * r)
+    vals /= 4.0 * math.pi * r
+    return vals
+
+
+def _per_mode_modulus(mode, r):
+    return _per_mode_kernel(mode, r) if mode.kind == "diffuse" else 1.0 / (4.0 * math.pi * r)
+
+
+def _per_mode_self_cell(mode, w):
+    from invborn.greens import _ball_factor, _cell_radius
+
+    rc = _cell_radius(w)
+    x = mode.k * rc
+    return complex(rc**2 * _ball_factor(x if mode.kind == "diffuse" else complex(0.0, -x)))
+
+
+def _per_mode_self_cell_l1(mode, w):
+    from invborn.greens import _cell_radius
+
+    if mode.kind == "diffuse":
+        return _per_mode_self_cell(mode, w).real
+    return 0.5 * _cell_radius(w) ** 2
+
+
+def _per_mode_self_cell_l2(mode, w):
+    from invborn.greens import _cell_radius
+
+    rc = _cell_radius(w)
+    if mode.kind == "diffuse":
+        return -math.expm1(-2.0 * mode.k * rc) / (8.0 * math.pi * mode.k)
+    return rc / (4.0 * math.pi)
+
+
+def _same_bits(x, y) -> bool:
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+_FAMILY_KS = (1e-9, 1e-3, 0.37, 1.0, 2.5, 13.0, 1e3)
+
+
+@pytest.mark.parametrize("kind", ["diffuse", "scalar"])
+def test_wave_mode_kappa(kind):
+    mode = WaveMode(kind, 2.5)
+    assert mode.kappa == (2.5 if kind == "diffuse" else -2.5j)
+    assert isinstance(mode.kappa, float if kind == "diffuse" else complex)
+    with pytest.raises(AttributeError):
+        mode.kappa = 1.0
+
+
+@pytest.mark.parametrize("kind", ["diffuse", "scalar"])
+def test_assemble_integer_k_matches_float_k(kind):
+    # a config file may hold "k": 2; kappa must not make g_vv an integer array
+    grid, boundary = build_ball_grid(1.0, 0.45), build_sphere_boundary(2.0, 3, 3)
+    got = assemble(WaveMode(kind, 2), grid, boundary)
+    ref = assemble(WaveMode(kind, 2.0), grid, boundary)
+    assert got.g_vv.dtype == (np.float64 if kind == "diffuse" else np.complex128)
+    for name in ("g_vv", "g_sv", "g_vd"):
+        assert _same_bits(getattr(got, name), getattr(ref, name)), name
+
+
+@pytest.mark.parametrize("kind", ["diffuse", "scalar"])
+@pytest.mark.parametrize("k", _FAMILY_KS)
+def test_kernel_family_matches_per_mode_formulas_bit_for_bit(kind, k):
+    mode = WaveMode(kind, k)
+    r = np.concatenate([np.logspace(-6, 2, 97), [0.1, 1.0 / 3.0, 1.0, math.pi]])
+    assert _same_bits(greens_kernel(mode, r), _per_mode_kernel(mode, r))
+    assert _same_bits(kernel_modulus(mode, r), _per_mode_modulus(mode, r))
+    for ri in (0.1, 1.0, 7.25):
+        assert _same_bits(greens_kernel(mode, ri), _per_mode_kernel(mode, np.float64(ri)))
+    for w in (1e-9, (1 / 9) ** 3, (1 / 6) ** 3, 0.25**3, 0.1, 4.0 * math.pi / 3.0, 30.0):
+        assert _same_bits(self_cell_integral(mode, w), _per_mode_self_cell(mode, w))
+        assert _same_bits(self_cell_l1(mode, w), _per_mode_self_cell_l1(mode, w))
+        assert _same_bits(self_cell_l2(mode, w), _per_mode_self_cell_l2(mode, w))
