@@ -306,18 +306,25 @@ def compositions(total: int, parts: int):
             yield (head,) + tail
 
 
+def _li2_series(x: float) -> float:
+    """Li2(x) for 0 <= x <= 1/2: 63 terms of its power series reach below 2^-62 of the first."""
+    return math.fsum(x**n / (n * n) for n in range(1, 64))
+
+
 def dilog(x: float) -> float:
-    """Dilogarithm Li2(x) = sum_{n>=1} x^n / n^2 for |x| <= 1, as spence(1 - x)."""
+    """Dilogarithm Li2(x) = sum_{n>=1} x^n / n^2 for |x| <= 1, from its series on [0, 1/2].
+
+    Landen's identity maps [-1, 0), and the reflection formula (1/2, 1), onto that interval.
+    """
     if abs(x) > 1:
         raise ValueError(f"dilog requires |x| <= 1, got {x}")
     if x == 1.0:
         return math.pi**2 / 6.0
-    if x == -1.0:
-        return -(math.pi**2) / 12.0
-    # deferred: importing scipy.special costs ~0.1 s at CLI start-up
-    from scipy.special import spence
-
-    return float(spence(1.0 - x))
+    if x < 0.0:
+        return -_li2_series(x / (x - 1.0)) - 0.5 * math.log1p(-x) ** 2
+    if x <= 0.5:
+        return _li2_series(x)
+    return math.fsum((math.pi**2 / 6.0, -math.log(x) * math.log1p(-x), -_li2_series(1.0 - x)))
 
 
 def series_constant(mu_p: float, nu_p: float, pinv_norm: float):

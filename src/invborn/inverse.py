@@ -208,13 +208,6 @@ class RegularizedInverse:
         m = self._v_r @ self._v_r.conj().T
         return m * (self.linop.col_scale[None, :] / self.linop.col_scale[:, None])
 
-    def truncated_forward(self) -> np.ndarray:
-        """Rank-limited forward matrix sharing the retained triplets."""
-        lin = self.linop
-        s_r = lin.svals[: self.rank]
-        vh_r = self._v_r.conj().T * lin.col_scale[None, :]
-        return (self._u_rh.conj().T * s_r[None, :]) @ vh_r / lin.row_scale
-
     def spectrum(self) -> dict:
         """Spectral health of the truncation (deterministic, for the invert report).
 
@@ -356,18 +349,23 @@ def diagnostics(
     Violated hypotheses are reported, never raised; bound entries are None
     whenever their inequality region is left.
     """
+    truth = None
+    if eta_true is not None:
+        eta_true = np.asarray(eta_true, dtype=complex)
+        truth = (eta_true, kinv.project(eta_true))
     record = {"order": result.order, "rank": kinv.rank, "p": {}}
     for p, label in bounds.P_NORMS:
-        record["p"][label] = _per_p(result, kinv, constants, ops, phi, p, eta_true)
+        record["p"][label] = _per_p(result, kinv, constants, ops, phi, p, truth)
     return record
 
 
-def _per_p(result, kinv, constants, ops, phi, p, eta_true):
+def _per_p(result, kinv, constants, ops, phi, p, truth):
+    """One diagnostics record; truth is None or (eta_true, its projection)."""
     grid = ops.grid
     tb = bounds.CertifiedBounds.from_constants(constants, p, kinv.norm(p))
     phi_norm = data_norm(ops.boundary, phi, p)
-    eta1_norm = field_norm(grid, result.terms[0], p)
     term_norms = result.term_norms(grid, p)
+    eta1_norm = term_norms[0]
     rec = {
         "mu_p": tb.mu_p,
         "nu_p": tb.nu_p,
@@ -384,12 +382,12 @@ def _per_p(result, kinv, constants, ops, phi, p, eta_true):
         "term_ratios": [b / a if a > 0 else None for a, b in zip(term_norms, term_norms[1:])],
         **tb.tail_report(result.order, phi_norm),
     }
-    if eta_true is not None:
-        eta_true = np.asarray(eta_true, dtype=complex)
-        proj = kinv.project(eta_true)
+    if truth is not None:
+        eta_true, proj = truth
+        eta_true_norm = field_norm(grid, eta_true, p)
         linres = field_norm(grid, eta_true - proj, p)
-        state_bound = max(field_norm(grid, eta_true, p), field_norm(grid, proj, p))
-        rec["eta_true_norm"] = field_norm(grid, eta_true, p)
+        state_bound = max(eta_true_norm, field_norm(grid, proj, p))
+        rec["eta_true_norm"] = eta_true_norm
         rec["linear_residual"] = linres
         rec["state_bound"] = state_bound
         rec["measured_error"] = [

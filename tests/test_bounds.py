@@ -240,6 +240,14 @@ class TestDilog:
         with pytest.raises(ValueError):
             dilog(1.2)
 
+    def test_within_four_ulp_of_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        xs = [float(x) for x in np.linspace(-1.0, 1.0, 2001)]
+        for x in xs + [1.0, -1.0, 0.0, 0.5, -0.5, 1.0 - 1e-12]:
+            want = mpmath.polylog(2, x)
+            err = abs(mpmath.mpf(dilog(x)) - want)
+            assert err <= 4 * math.ulp(float(want)), x
+
 
 class TestSeriesConstant:
     def test_simple_bound_at_half(self):

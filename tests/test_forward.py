@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from invborn.cli import build_phantom
 from invborn.greens import greens_kernel, self_cell_integral
 from invborn.grid import Grid
 
-from conftest import full_system_data
+from conftest import full_system_data, make_ops
 
 INF = math.inf
 
@@ -96,6 +97,40 @@ def test_solve_rejects_singular_system():
     eta_singular = -1.0 / cself  # makes 1 + k^2 eta C vanish
     with pytest.raises(ValueError, match="condition estimate"):
         solve_direct(ops, np.array([eta_singular + 0j]))
+
+
+def _full_support_system(ops, eta):
+    """beta = ||M||_1 and the exact cond_1 of A = I + M, M = -alpha G_vv diag(eta)."""
+    m = -ops.mode.alpha * ops.g_vv * eta[None, :]
+    return np.abs(m).sum(axis=0).max(), np.linalg.cond(np.eye(ops.n_nodes) + m, 1)
+
+
+def test_solve_beyond_neumann_region_checks_exact_condition(monkeypatch):
+    ops = make_ops()
+    eta = np.full(ops.n_nodes, 5.0)  # diffuse full-ball eta = 5: ||M||_1 > 1, A well conditioned
+    beta, cond = _full_support_system(ops, eta)
+    assert beta > 1.0 and cond < 10.0
+    phi = solve_direct(ops, eta)
+    ref = full_system_data(ops, eta)
+    assert np.abs(phi - ref).max() <= 1e-12 * np.abs(ref).max()
+    # the checked figure is the exact condition number
+    monkeypatch.setattr("invborn.forward.COND_LIMIT", cond * (1.0 + 1e-9))
+    solve_direct(ops, eta)
+    monkeypatch.setattr("invborn.forward.COND_LIMIT", cond * (1.0 - 1e-9))
+    with pytest.raises(ValueError, match="condition estimate"):
+        solve_direct(ops, eta)
+
+
+def test_neumann_condition_bound_is_never_below_exact(monkeypatch):
+    ops = make_ops()
+    eta = np.full(ops.n_nodes, 0.5)
+    beta, cond = _full_support_system(ops, eta)
+    assert beta < 1.0
+    neumann = (1.0 + beta) / (1.0 - beta)
+    assert cond <= neumann
+    monkeypatch.setattr("invborn.forward.COND_LIMIT", cond * (1.0 - 1e-9))
+    with pytest.raises(ValueError, match=re.escape(f"condition estimate {neumann:.3e} >")):
+        solve_direct(ops, eta)
 
 
 def test_term_order_one_single_voxel():
