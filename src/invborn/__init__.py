@@ -20,7 +20,6 @@ from .bounds import (
     numeric_constants,
     nu_bound,
     partition_count,
-    series_constant,
 )
 from .forward import (
     BornSeries,
@@ -47,7 +46,6 @@ from .grid import (
     lp_norm,
 )
 from .inverse import (
-    InverseSeriesResult,
     LinearizedOperator,
     RegularizedInverse,
     diagnostics,

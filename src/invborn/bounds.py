@@ -50,7 +50,6 @@ __all__ = [
     "diagram_count",
     "compositions",
     "dilog",
-    "series_constant",
     "k_from_optical",
 ]
 
@@ -144,19 +143,9 @@ class ConstantSet:
             if v == 0 and name.startswith("mu"):  # every radius divides by mu
                 raise ValueError(f"{name} underflows to 0 at ka={ka:g}")
 
-    @property
-    def dist(self) -> float:
-        return self.omega_radius - self.a
-
     def mu_nu(self, p: float):
         """(mu_p, nu_p) interpolated between the endpoint constants."""
         return interpolate_constants(self.mu_2, self.mu_inf, self.nu_2, self.nu_inf, p)
-
-    def mu(self, p: float) -> float:
-        return self.mu_nu(p)[0]
-
-    def nu(self, p: float) -> float:
-        return self.mu_nu(p)[1]
 
 
 def closed_form_constants(mode: WaveMode, a: float, omega_radius: float) -> ConstantSet:
@@ -327,21 +316,6 @@ def dilog(x: float) -> float:
     return math.fsum((math.pi**2 / 6.0, -math.log(x) * math.log1p(-x), -_li2_series(1.0 - x)))
 
 
-def series_constant(mu_p: float, nu_p: float, pinv_norm: float):
-    """Bounds on the order-independent constant of the inverse-coefficient estimate.
-
-    With q = (mu_p + nu_p) * pinv_norm < 1 the coefficient growth constant is
-    bounded by
-
-        c_simple  = exp(1 / (1 - q))
-        c_refined = exp(Li2(-q) / ln q + (ln q) / 2)
-
-    The refined value is the Euler-Maclaurin estimate and is the smaller of
-    the two throughout (0, 1).
-    """
-    return CertifiedBounds(mu_p, nu_p, pinv_norm).series_constants
-
-
 def _violation(expression: str, value: float) -> str | None:
     """The message for a failed smallness hypothesis ``expression < 1`` (NaN fails), else None."""
     return None if value < 1.0 else f"{expression} = {value:.6g} >= 1"
@@ -413,7 +387,17 @@ class CertifiedBounds:
 
     @cached_property
     def series_constants(self) -> tuple:
-        """(c_simple, c_refined) of ``series_constant``, evaluated once."""
+        """Bounds (c_simple, c_refined) on the order-independent series constant C.
+
+        Evaluated once.  With q = (mu_p + nu_p) * pinv_norm < 1 the coefficient
+        growth constant is bounded by
+
+            c_simple  = exp(1 / (1 - q))
+            c_refined = exp(Li2(-q) / ln q + (ln q) / 2)
+
+        The refined value is the Euler-Maclaurin estimate and is the smaller of
+        the two throughout (0, 1).  The estimates below use c_simple.
+        """
         q = self.q
         if q < 0:
             raise ValueError("inputs must be nonnegative")
@@ -427,9 +411,6 @@ class CertifiedBounds:
             return c_simple, 0.0
         return c_simple, math.exp(dilog(-q) / math.log(q) + 0.5 * math.log(q))
 
-    def constant(self) -> float:
-        return self.series_constants[0]
-
     @staticmethod
     def _require(violation: str | None, consequence: str):
         if violation:
@@ -437,19 +418,16 @@ class CertifiedBounds:
 
     def remainder_bound(self, order: int, phi_norm: float) -> float:
         """Tail bound C r^(N+1) / (1 - r) with r = (mu+nu) ||pinv|| ||phi||."""
-        c = self.constant()
+        c = self.series_constants[0]
         self._require(self.data_violation(phi_norm), "series tail not summable")
         r = self.r(phi_norm)
         return c * r ** (order + 1) / (1.0 - r)
 
     def stability_constant(self, data_bound: float) -> float:
         """Lipschitz constant C ||pinv|| / (1 - (mu+nu) ||pinv|| M)^2 for data of norm <= M."""
-        c = self.constant()
+        c = self.series_constants[0]
         self._require(self.data_violation(data_bound, "M"), "stability hypothesis violated")
         return c * self.pinv_norm / (1.0 - self.r(data_bound)) ** 2
-
-    def stability_bound(self, data_bound: float, dphi_norm: float) -> float:
-        return self.stability_constant(data_bound) * dphi_norm
 
     def error_bound(
         self, order: int, phi_norm: float, linear_residual: float, state_bound: float
@@ -462,7 +440,7 @@ class CertifiedBounds:
 
             C_err = 1 + C (mu+nu)/(1-q) * [1/(1-b)^2 - 1 - q/(1-bq)^2 + q].
         """
-        c = self.constant()
+        c = self.series_constants[0]
         self._require(self.state_violation(state_bound), "error-bound hypothesis violated")
         self._require(self.data_violation(phi_norm), "series tail not summable")
         b = self.msum * state_bound

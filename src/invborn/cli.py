@@ -150,14 +150,17 @@ def _check_blob(name: str, blob) -> None:
     _finite_number(f"{name}.amplitude", blob["amplitude"], complex)
 
 
+def _ball_mask(grid, blob) -> np.ndarray:
+    center = np.asarray(blob["center"], dtype=float)
+    return np.linalg.norm(grid.centers - center[None, :], axis=1) <= float(blob["radius"])
+
+
 def build_phantom(grid, blobs) -> np.ndarray:
     """Sum of constant-amplitude balls sampled on the grid nodes."""
     eta = np.zeros(grid.n_nodes, dtype=complex)
     for i, blob in enumerate(blobs):
         _check_blob(f"phantom[{i}]", blob)
-        center = np.asarray(blob["center"], dtype=float)
-        mask = np.linalg.norm(grid.centers - center[None, :], axis=1) <= float(blob["radius"])
-        eta[mask] += complex(blob["amplitude"])
+        eta[_ball_mask(grid, blob)] += complex(blob["amplitude"])
     return eta
 
 
@@ -172,16 +175,22 @@ def validate_absorption(eta: np.ndarray, mode: WaveMode) -> np.ndarray:
     return eta
 
 
+def _config_phantom(grid, config: ExperimentConfig) -> np.ndarray:
+    """The configured phantom on the grid; a ball that covers no node is refused."""
+    for i, blob in enumerate(config.phantom):
+        if not _ball_mask(grid, blob).any():
+            raise ValueError(
+                f"phantom[{i}] covers no grid node (center {blob['center']!r}, radius "
+                f"{blob['radius']!r}, spacing h={grid.spacing:g})"
+            )
+    return validate_absorption(build_phantom(grid, config.phantom), config.wave_mode)
+
+
 def _setup(config: ExperimentConfig):
     grid = build_ball_grid(config.a, config.h)
     boundary = build_sphere_boundary(config.omega_radius, config.n_src, config.n_det)
     ops = assemble(config.wave_mode, grid, boundary)
     return grid, boundary, ops
-
-
-def _regularize(ops, config: ExperimentConfig):
-    linop = inverse.linearized_operator(ops)
-    return inverse.regularize(linop, rank=config.rank, tau=config.tau)
 
 
 def add_noise(phi: np.ndarray, amplitude: float, seed: int) -> np.ndarray:
@@ -240,7 +249,7 @@ def cmd_forward(config: ExperimentConfig) -> tuple[dict, int]:
     """
     grid = build_ball_grid(config.a, config.h)
     boundary = build_sphere_boundary(config.omega_radius, config.n_src, config.n_det)
-    eta = validate_absorption(build_phantom(grid, config.phantom), config.wave_mode)
+    eta = _config_phantom(grid, config)
     support = np.flatnonzero(eta)
     ops = assemble(config.wave_mode, grid.subset(support), boundary)
     eta = eta[support]
@@ -259,11 +268,12 @@ def cmd_forward(config: ExperimentConfig) -> tuple[dict, int]:
 def cmd_invert(config: ExperimentConfig) -> tuple[dict, int]:
     """Generate data from the phantom by direct solve, invert, and report."""
     grid, boundary, ops = _setup(config)
-    eta_true = validate_absorption(build_phantom(grid, config.phantom), config.wave_mode)
+    eta_true = _config_phantom(grid, config)
     phi = forward.solve_direct(ops, eta_true)
     if config.noise > 0:
         phi = add_noise(phi, config.noise, config.seed)
-    kinv = _regularize(ops, config)
+    linop = inverse.linearized_operator(ops)
+    kinv = inverse.regularize(linop, rank=config.rank, tau=config.tau)
     result = inverse.inverse_series(kinv, ops, phi, config.order)
     constants = bounds.closed_form_constants(config.wave_mode, config.a, config.omega_radius)
     diag = inverse.diagnostics(result, kinv, constants, ops, phi, eta_true=eta_true)
@@ -506,22 +516,30 @@ def cmd_selftest(inject_fault: str | None = None, out=sys.stdout) -> int:
 # argument parsing
 
 
-def _add_config_flags(parser):
+# the flag of each ExperimentConfig key: --omega-radius sets omega_radius
+_CONFIG_FLAGS = {
+    "mode": {"choices": ["diffuse", "scalar"]},
+    "k": {"type": float},
+    "a": {"type": float},
+    "omega_radius": {"type": float},
+    "h": {"type": float},
+    "n_src": {"type": int},
+    "n_det": {"type": int},
+    "tau": {"type": float},
+    "rank": {"type": int},
+    "order": {"type": int},
+    "phantom": {"help": "JSON list of {center, radius, amplitude} blobs"},
+    "noise": {"type": float},
+    "seed": {"type": int},
+    "output": {"help": "output file path"},
+}
+_RADII_KEYS = ("mode", "a", "omega_radius", "output")  # the only keys radii reads
+
+
+def _add_config_flags(parser, keys=tuple(_CONFIG_FLAGS)):
     parser.add_argument("--config", help="JSON file with ExperimentConfig keys")
-    parser.add_argument("--mode", choices=["diffuse", "scalar"])
-    parser.add_argument("--k", type=float)
-    parser.add_argument("--a", type=float)
-    parser.add_argument("--omega-radius", dest="omega_radius", type=float)
-    parser.add_argument("--h", type=float)
-    parser.add_argument("--n-src", dest="n_src", type=int)
-    parser.add_argument("--n-det", dest="n_det", type=int)
-    parser.add_argument("--tau", type=float)
-    parser.add_argument("--rank", type=int)
-    parser.add_argument("--order", type=int)
-    parser.add_argument("--phantom", help="JSON list of {center, radius, amplitude} blobs")
-    parser.add_argument("--noise", type=float)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--output", help="output file path")
+    for key in keys:
+        parser.add_argument("--" + key.replace("_", "-"), **_CONFIG_FLAGS[key])
 
 
 def _resolve_config(args) -> ExperimentConfig:
@@ -584,7 +602,7 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_radii = sub.add_parser("radii", help="closed-form constants and radii over a ka sweep")
-    _add_config_flags(p_radii)
+    _add_config_flags(p_radii, _RADII_KEYS)
     p_radii.add_argument("--ka", help="comma-separated ka values (replaces the sweep)")
     default = {name: f"(default {value:g})" for name, value in _KA_SWEEP.items()}
     p_radii.add_argument("--ka-min", type=float, help=f"sweep start {default['ka_min']}")
@@ -623,6 +641,9 @@ def main(argv=None) -> int:
         return code
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy names the allocation it could not make
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

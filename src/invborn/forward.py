@@ -13,6 +13,7 @@ evaluated as chains of kernel products; no tensor is ever materialized.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -134,14 +135,18 @@ def born_term(ops: OperatorSet, factors) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BornSeries:
-    """Series terms and their partial sums (data arrays, one per order)."""
+    """Series terms, one per order: data arrays (forward) or volume fields (inverse)."""
 
     terms: list
-    partial_sums: list
 
     @property
     def order(self) -> int:
         return len(self.terms)
+
+    @cached_property
+    def partial_sums(self) -> list:
+        """S_1, ..., S_order, the cumulative sums of the terms."""
+        return list(np.cumsum(np.array(self.terms), axis=0))
 
 
 def born_series(ops: OperatorSet, eta: np.ndarray, order: int) -> BornSeries:
@@ -160,8 +165,7 @@ def born_series(ops: OperatorSet, eta: np.ndarray, order: int) -> BornSeries:
         terms.append(phi_m)
         if m < order:
             t = eta[:, None] * (ops.g_vv @ t)
-    partial_sums = list(np.cumsum(np.array(terms), axis=0))
-    return BornSeries(terms=terms, partial_sums=partial_sums)
+    return BornSeries(terms)
 
 
 def residual_certificate(ops: OperatorSet, eta: np.ndarray, order: int, phi=None) -> list:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bounds
-from .forward import _check_factor
+from .forward import BornSeries, _check_factor
 from .forward import born_term  # noqa: F401  bench/run.py traces invborn.inverse.born_term
 from .greens import _ROW_BLOCK, OperatorSet
 from .grid import data_norm, field_norm
@@ -35,7 +35,6 @@ from .grid import data_norm, field_norm
 __all__ = [
     "LinearizedOperator",
     "RegularizedInverse",
-    "InverseSeriesResult",
     "linearized_operator",
     "regularize",
     "inverse_series",
@@ -286,24 +285,9 @@ def regularize(
     )
 
 
-@dataclass(frozen=True)
-class InverseSeriesResult:
-    """Series terms eta_j and their cumulative partial sums (volume fields)."""
-
-    terms: list
-    partial_sums: list
-
-    @property
-    def order(self) -> int:
-        return len(self.terms)
-
-    def term_norms(self, grid, p: float) -> list:
-        return [field_norm(grid, t, p) for t in self.terms]
-
-
 def inverse_series(
     kinv: RegularizedInverse, ops: OperatorSet, phi: np.ndarray, order: int
-) -> InverseSeriesResult:
+) -> BornSeries:
     """Evaluate the inverse series to any order by the chain recurrence.
 
     With alpha = -s k^2, let Y_j be the sum over all compositions of j of
@@ -332,12 +316,11 @@ def inverse_series(
         z = alpha * sum(terms[i][:, None] * chains[j - 2 - i] for i in range(j - 1))
         terms.append(_check_factor(ops, kinv.apply(ops.g_sv @ (w[:, None] * z))))
         y = alpha * terms[-1][:, None] * ops.g_vd + z
-    partial = list(np.cumsum(np.array(terms), axis=0))
-    return InverseSeriesResult(terms=terms, partial_sums=partial)
+    return BornSeries(terms)
 
 
 def diagnostics(
-    result: InverseSeriesResult,
+    result: BornSeries,
     kinv: RegularizedInverse,
     constants: bounds.ConstantSet,
     ops: OperatorSet,
@@ -364,7 +347,7 @@ def _per_p(result, kinv, constants, ops, phi, p, truth):
     grid = ops.grid
     tb = bounds.CertifiedBounds.from_constants(constants, p, kinv.norm(p))
     phi_norm = data_norm(ops.boundary, phi, p)
-    term_norms = result.term_norms(grid, p)
+    term_norms = [field_norm(grid, t, p) for t in result.terms]
     eta1_norm = term_norms[0]
     rec = {
         "mu_p": tb.mu_p,

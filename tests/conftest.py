@@ -1,19 +1,16 @@
 import numpy as np
 import pytest
 
-from invborn import (
-    WaveMode,
-    assemble,
-    build_ball_grid,
-    build_sphere_boundary,
-    linearized_operator,
-)
+from invborn import linearized_operator
+from invborn.cli import ExperimentConfig, _setup
 
 
 def make_ops(kind="diffuse", k=1.0, a=1.0, omega=2.0, h=0.45, n_src=6, n_det=6):
-    grid = build_ball_grid(a, h)
-    boundary = build_sphere_boundary(omega, n_src, n_det)
-    return assemble(WaveMode(kind, k), grid, boundary)
+    """The operator set as `cli._setup` builds it, the same route the selftest takes."""
+    config = ExperimentConfig(
+        mode=kind, k=k, a=a, omega_radius=omega, h=h, n_src=n_src, n_det=n_det
+    )
+    return _setup(config)[2]
 
 
 def full_system_data(ops, eta):

@@ -21,7 +21,6 @@ from invborn import (
     mu_numeric_sweep,
     nu_bound,
     partition_count,
-    series_constant,
 )
 from invborn.bounds import _row_representatives, compositions, forward_remainder_bounds
 from invborn.greens import _ROW_BLOCK, self_cell_l2
@@ -251,22 +250,22 @@ class TestDilog:
 
 class TestSeriesConstant:
     def test_simple_bound_at_half(self):
-        c_simple, _ = series_constant(0.25, 0.25, 1.0)  # q = 0.5
+        c_simple, _ = CertifiedBounds(0.25, 0.25, 1.0).series_constants  # q = 0.5
         assert c_simple == pytest.approx(math.exp(2.0), rel=1e-13)
 
     def test_small_q_limits(self):
-        c_simple, c_refined = series_constant(1e-9, 1e-9, 1.0)
+        c_simple, c_refined = CertifiedBounds(1e-9, 1e-9, 1.0).series_constants
         assert c_simple == pytest.approx(math.e, rel=1e-6)
         assert math.isfinite(c_refined)
 
     def test_refined_below_simple(self):
         for q in (0.1, 0.3, 0.5, 0.7, 0.9):
-            c_simple, c_refined = series_constant(q, 0.0, 1.0)
+            c_simple, c_refined = CertifiedBounds(q, 0.0, 1.0).series_constants
             assert 0 < c_refined <= c_simple
 
     def test_outside_region_raises(self):
         with pytest.raises(ValueError, match="outside convergence region"):
-            series_constant(0.5, 0.5, 1.0)
+            CertifiedBounds(0.5, 0.5, 1.0).series_constants
 
     @pytest.mark.parametrize("half_q", [0.4995, 0.49999])
     def test_overflow_inside_region_names_q(self, half_q):
@@ -295,7 +294,7 @@ class TestCertifiedBounds:
 
     def test_stability_zero_perturbation(self):
         tb = CertifiedBounds(0.25, 0.25, 1.0)
-        assert tb.stability_bound(data_bound=0.5, dphi_norm=0.0) == 0.0
+        assert tb.stability_report(data_bound=0.5, dphi_norm=0.0)["rhs"] == 0.0
 
     def test_stability_constant_formula(self):
         tb = CertifiedBounds(0.1, 0.1, 2.0)  # q = 0.4
@@ -454,10 +453,9 @@ def test_numeric_constants_from_operator_set(small_ops):
 
 def test_constant_set_interpolation_methods():
     cs = closed_form_constants(WaveMode.diffuse(1.0), 1.0, 2.0)
-    assert cs.mu(2) == cs.mu_2
-    assert cs.mu(INF) == cs.mu_inf
-    assert cs.nu(4) == pytest.approx(math.sqrt(cs.nu_2 * cs.nu_inf), rel=1e-13)
-    assert cs.dist == 1.0
+    assert cs.mu_nu(2)[0] == cs.mu_2
+    assert cs.mu_nu(INF)[0] == cs.mu_inf
+    assert cs.mu_nu(4)[1] == pytest.approx(math.sqrt(cs.nu_2 * cs.nu_inf), rel=1e-13)
 
 
 def test_constant_set_refuses_zero_mu():

@@ -621,3 +621,68 @@ def test_cli_import_loads_no_scipy():
         check=True,
     )
     assert run.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("command", ["forward", "invert"])
+def test_cli_out_of_memory_exits_one_without_output(tmp_path, capsys, monkeypatch, command):
+    # numpy raises a MemoryError subclass naming the allocation it could not make
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 8.39 GiB for an array with shape (33552, 33552)")
+
+    monkeypatch.setattr("invborn.cli.assemble", out_of_memory)
+    out = tmp_path / "o.json"
+    assert run_cli(tmp_path, command, *SMALL_ARGS, "--output", out) == 1
+    err = capsys.readouterr().err
+    assert "error: out of memory: Unable to allocate 8.39 GiB" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--k", "5"),
+        ("--h", "0.2"),
+        ("--n-src", "4"),
+        ("--n-det", "4"),
+        ("--tau", "0.01"),
+        ("--rank", "3"),
+        ("--order", "3"),
+        ("--phantom", "[]"),
+        ("--noise", "0.5"),
+        ("--seed", "1"),
+    ],
+)
+def test_cli_radii_refuses_flags_it_never_reads(tmp_path, capsys, flag, value):
+    out = tmp_path / "r.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["radii", "--ka", "1", flag, value, "--output", str(out)])
+    assert exc.value.code == 1
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_radii_config_file_may_hold_every_key(tmp_path):
+    out = tmp_path / "r.csv"
+    config = tmp_path / "c.json"
+    data = {**ExperimentConfig().to_dict(), "k": 5.0, "order": 3, "noise": 0.5, "seed": 1}
+    config.write_text(json.dumps(data))
+    assert run_cli(tmp_path, "radii", "--config", config, "--ka", "1", "--output", out) == 0
+    assert len(out.read_text().strip().split("\n")) == 2
+
+
+@pytest.mark.parametrize("command", ["forward", "invert"])
+@pytest.mark.parametrize(
+    "ball",
+    [
+        {"center": [5, 0, 0], "radius": 0.1, "amplitude": 0.1},  # outside the support
+        {"center": [0.1, 0.1, 0.1], "radius": 0.01, "amplitude": 0.1},  # between nodes
+    ],
+)
+def test_cli_refuses_phantom_ball_covering_no_node(tmp_path, capsys, command, ball):
+    out = tmp_path / "o.json"
+    phantom = json.dumps([DEFAULT_PHANTOM[0], ball])
+    code = run_cli(tmp_path, command, *SMALL_ARGS, "--phantom", phantom, "--output", out)
+    assert code == 1
+    assert "error: phantom[1] covers no grid node" in capsys.readouterr().err
+    assert not out.exists()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from invborn import (
+    BornSeries,
     CertifiedBounds,
     ConstantSet,
     WaveMode,
@@ -326,7 +327,7 @@ class TestSeriesRecursion:
         res = inverse_series(kinv, small_ops, phi, 20)
         assert res.order == 20
         assert all(np.isfinite(t).all() for t in res.terms)
-        norms = res.term_norms(small_ops.grid, 2)
+        norms = [field_norm(small_ops.grid, t, 2) for t in res.terms]
         assert norms[-1] > 0
         assert all(b < 1e-2 * a for a, b in zip(norms, norms[1:]))
 
@@ -338,6 +339,17 @@ class TestSeriesRecursion:
         phi = solve_direct(small_ops, eta)
         res = inverse_series(kinv, small_ops, phi, 4)
         assert np.array_equal(res.partial_sums[-1], sum(res.terms))
+
+    def test_result_is_a_born_series_with_sums_formed_once(self, small_ops, small_linop):
+        kinv = regularize(small_linop, tau=1e-2)
+        eta = 0.05 * build_phantom(
+            small_ops.grid, [{"center": [0.2, 0, 0], "radius": 0.5, "amplitude": 1.0}]
+        )
+        res = inverse_series(kinv, small_ops, solve_direct(small_ops, eta), 3)
+        assert type(res) is BornSeries and res.order == 3
+        assert "partial_sums" not in vars(res)  # derived from the terms on first access
+        assert res.partial_sums is res.partial_sums
+        assert np.array_equal(res.partial_sums[1], res.terms[0] + res.terms[1])
 
     def test_single_voxel_hand_recursion_diffuse(self):
         grid = Grid(centers=np.zeros((1, 3)), weights=np.array([0.3]), spacing=0.5, radius_a=0.5)
@@ -474,7 +486,7 @@ class TestSeriesRecursion:
         n2 = field_norm(small_ops.grid, res.terms[1], 2)
         n1 = field_norm(small_ops.grid, res.terms[0], 2)
         assert n2 > 1e-10 * n1
-        norms = res.term_norms(small_ops.grid, 2)
+        norms = [field_norm(small_ops.grid, t, 2) for t in res.terms]
         assert norms[3] < norms[2] < norms[1]
 
     def test_generic_phantom_error_floor_is_linear_residual(self, small_ops, small_linop):
