@@ -11,7 +11,6 @@ from .bounds import (
     CertifiedBounds,
     closed_form_constants,
     convergence_radii,
-    diagram_count,
     dilog,
     interpolate_constants,
     k_from_optical,
@@ -19,13 +18,11 @@ from .bounds import (
     mu_numeric_sweep,
     numeric_constants,
     nu_bound,
-    partition_count,
 )
 from .forward import (
     BornSeries,
     born_series,
     born_term,
-    incident_field,
     residual_certificate,
     solve_direct,
 )

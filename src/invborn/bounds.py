@@ -46,8 +46,6 @@ __all__ = [
     "interpolate_constants",
     "convergence_radii",
     "forward_remainder_bounds",
-    "partition_count",
-    "diagram_count",
     "compositions",
     "dilog",
     "k_from_optical",
@@ -189,24 +187,21 @@ def _row_representatives(centers: np.ndarray, weights: np.ndarray) -> np.ndarray
     return np.sort(first)
 
 
-def mu_numeric_sweep(grid: Grid, modes, ps=(2, INF)) -> dict:
+def mu_numeric_sweep(grid: Grid, modes) -> dict:
     """Quadrature values of mu_p: k^2 times the largest kernel row norm over the nodes.
 
-    Returns a dict keyed by (kind, k, p).  Rows are formed in blocks of
-    representative nodes (one per symmetry orbit whenever the grid admits that
-    reduction), so no V x V array is stored.  Each block's distances are shared
-    by all modes and norms.  The diagonal contribution is the analytic integral
-    of |G| (p=inf) or |G|^2 (p=2) over the equal-volume cell.
+    Returns a dict keyed by (kind, k, p), p over both norms of P_NORMS.  Rows
+    are formed in blocks of representative nodes (one per symmetry orbit
+    whenever the grid admits that reduction), so no V x V array is stored.
+    Each block's distances are shared by all modes and norms.  The diagonal
+    contribution is the analytic integral of |G| (p=inf) or |G|^2 (p=2) over
+    the equal-volume cell.
     """
     modes = list(modes)
-    ps = tuple(ps)
-    for p in ps:
-        if p not in (2, INF):
-            raise ValueError("numeric mu is computed for p in {2, inf}")
     centers = grid.centers
     w = grid.weights
     rows_idx = _row_representatives(centers, w)
-    best = {(m.kind, m.k, p): 0.0 for m in modes for p in ps}
+    best = {(m.kind, m.k, p): 0.0 for m in modes for p, _ in P_NORMS}
     for start in range(0, rows_idx.size, _ROW_BLOCK):
         idx = rows_idx[start : start + _ROW_BLOCK]
         local = np.arange(idx.size)
@@ -215,7 +210,7 @@ def mu_numeric_sweep(grid: Grid, modes, ps=(2, INF)) -> dict:
         for m in modes:
             absg = kernel_modulus(m, r)
             absg[local, idx] = 0.0
-            for p in ps:
+            for p, _ in P_NORMS:
                 if p == INF:
                     rows = absg @ w + np.array([self_cell_l1(m, w[i]) for i in idx])
                 else:
@@ -266,24 +261,10 @@ def convergence_radii(constants: ConstantSet, p: float):
     return _radii(*constants.mu_nu(p))
 
 
-def partition_count(j: int, m: int) -> int:
-    """Number of ordered ways to write j as a sum of m positive integers."""
-    if not 1 <= m <= j:
-        raise ValueError(f"need 1 <= m <= j, got m={m}, j={j}")
-    return math.comb(j - 1, m - 1)
-
-
-def diagram_count(j: int) -> int:
-    """Total number of composition terms of order j: 2^(j-1) - 1."""
-    if j < 1:
-        raise ValueError("order must be >= 1")
-    return 2 ** (j - 1) - 1
-
-
 def compositions(total: int, parts: int):
     """Ordered tuples of `parts` positive integers summing to `total`.
 
-    Depth-first lexicographic order; the count equals partition_count.
+    Depth-first lexicographic order; there are math.comb(total - 1, parts - 1).
     """
     if parts < 1 or parts > total:
         return

@@ -67,14 +67,16 @@ class ExperimentConfig:
         # open() takes an int as a file descriptor: {"output": true} would write to stdout
         if self.output is not None and not isinstance(self.output, str):
             raise ValueError(f"output must be a file path, got {self.output!r}")
-        # every comparison with NaN is False, so non-finite values must be caught first
+        # every comparison with NaN is False, so non-finite values must be caught first;
+        # a JSON integer too large for a float is refused here too
         for name in ("k", "a", "omega_radius", "h", "tau", "noise"):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+            if value is not None:
+                _finite_number(name, value, float)
         if self.k <= 0 or self.a <= 0:
             raise ValueError("k and a must be positive")
-        if not math.isfinite(self.k * self.k):
+        k = float(self.k)  # an int k squares exactly, into an int that isfinite cannot take
+        if not math.isfinite(k * k):
             raise ValueError(f"k^2 overflows at k={self.k:g}")
         if self.omega_radius <= self.a:
             raise ValueError("omega_radius must exceed a")
@@ -87,6 +89,8 @@ class ExperimentConfig:
             raise ValueError("noise must be nonnegative")
         if self.noise > 0 and self.seed is None:
             raise ValueError("a seed is required when noise > 0")
+        if self.seed is not None and self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if not isinstance(self.phantom, list):
             raise ValueError("phantom must be a list of {center, radius, amplitude} balls")
         for i, blob in enumerate(self.phantom):
@@ -123,7 +127,7 @@ def _finite_number(name: str, value, kind):
         if isinstance(value, bool) or (isinstance(value, str) and kind is not complex):
             raise TypeError
         number = kind(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         number = math.nan
     if not np.isfinite(number):
         raise ValueError(f"{name} must be a finite number, got {value!r}")
@@ -186,11 +190,42 @@ def _config_phantom(grid, config: ExperimentConfig) -> np.ndarray:
     return validate_absorption(build_phantom(grid, config.phantom), config.wave_mode)
 
 
-def _setup(config: ExperimentConfig):
+def _grids(config: ExperimentConfig):
     grid = build_ball_grid(config.a, config.h)
     boundary = build_sphere_boundary(config.omega_radius, config.n_src, config.n_det)
-    ops = assemble(config.wave_mode, grid, boundary)
-    return grid, boundary, ops
+    return grid, boundary
+
+
+def _setup(config: ExperimentConfig):
+    grid, boundary = _grids(config)
+    return grid, boundary, assemble(config.wave_mode, grid, boundary)
+
+
+def _available_memory() -> int | None:
+    """MemAvailable from /proc/meminfo in bytes, or None where it cannot be read."""
+    try:
+        with open("/proc/meminfo", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        pass
+    return None
+
+
+def _check_series_memory(config: ExperimentConfig, values: int) -> None:
+    """Refuse an order whose series arrays, ``values`` entries in all, exceed available memory.
+
+    Checked before any kernel is formed.  An entry takes 8 bytes in real (diffuse)
+    arithmetic and 16 in complex (scalar); the kernels themselves are not counted.
+    """
+    need = values * (8 if config.mode == "diffuse" else 16)
+    available = _available_memory()
+    if available is not None and need > available:
+        raise ValueError(
+            f"order {config.order} needs about {need / 2**30:.3g} GiB for its series arrays, "
+            f"more than the {available / 2**30:.3g} GiB of available memory"
+        )
 
 
 def add_noise(phi: np.ndarray, amplitude: float, seed: int) -> np.ndarray:
@@ -247,9 +282,10 @@ def cmd_forward(config: ExperimentConfig) -> tuple[dict, int]:
     The data depends on the kernels only where the phantom is nonzero, so they
     are assembled on those nodes alone: no V x V kernel is formed.
     """
-    grid = build_ball_grid(config.a, config.h)
-    boundary = build_sphere_boundary(config.omega_radius, config.n_src, config.n_det)
+    grid, boundary = _grids(config)
     eta = _config_phantom(grid, config)
+    # the terms, their stacked copy and the partial sums, each order x S x D
+    _check_series_memory(config, 3 * config.order * boundary.n_src * boundary.n_det)
     support = np.flatnonzero(eta)
     ops = assemble(config.wave_mode, grid.subset(support), boundary)
     eta = eta[support]
@@ -267,7 +303,10 @@ def cmd_forward(config: ExperimentConfig) -> tuple[dict, int]:
 
 def cmd_invert(config: ExperimentConfig) -> tuple[dict, int]:
     """Generate data from the phantom by direct solve, invert, and report."""
-    grid, boundary, ops = _setup(config)
+    grid, boundary = _grids(config)
+    # per order a V x D chain matrix, and a term, its stacked copy and a partial sum of V
+    _check_series_memory(config, config.order * grid.n_nodes * (boundary.n_det + 3))
+    ops = assemble(config.wave_mode, grid, boundary)
     eta_true = _config_phantom(grid, config)
     phi = forward.solve_direct(ops, eta_true)
     if config.noise > 0:
@@ -434,12 +473,6 @@ def _selftest_checks():
         dev = np.abs(res.terms[2] - explicit).max() / max(np.abs(explicit).max(), 1e-300)
         return dev <= 1e-12, f"rel dev {dev:.3e}"
 
-    def partition_identity(fault):
-        j = 7
-        total = sum(bounds.partition_count(j, m) for m in range(1, j))
-        ref = bounds.diagram_count(j) + (1 if fault else 0)
-        return total == ref and bounds.partition_count(4, 2) == 3, f"sum over m = {total}"
-
     def interpolation_endpoints(fault):
         mu2, mu_inf = 0.35, 0.6
         got2 = bounds.interpolate_constants(mu2, mu_inf, 1.0, 1.0, 2)[0]
@@ -485,7 +518,6 @@ def _selftest_checks():
         ("linearized-two-path", linearized_two_path),
         ("projector-idempotent", projector_idempotent),
         ("recursion-composition", recursion_composition),
-        ("partition-identity", partition_identity),
         ("interpolation-endpoints", interpolation_endpoints),
         ("radii-monotone", radii_monotone),
         ("term-bound-sample", term_bound_sample),
@@ -534,6 +566,9 @@ _CONFIG_FLAGS = {
     "output": {"help": "output file path"},
 }
 _RADII_KEYS = ("mode", "a", "omega_radius", "output")  # the only keys radii reads
+# forward reads neither the truncation rank nor the data noise; it keeps --tau,
+# which bench/run.py passes to every workload
+_FORWARD_KEYS = tuple(key for key in _CONFIG_FLAGS if key not in ("rank", "noise", "seed"))
 
 
 def _add_config_flags(parser, keys=tuple(_CONFIG_FLAGS)):
@@ -547,7 +582,11 @@ def _resolve_config(args) -> ExperimentConfig:
     data = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            data.update(json.load(fh))
+            data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError(
+                f"the --config file must hold a JSON object, got {type(data).__name__}"
+            )
     for key in _CONFIG_KEYS:
         value = getattr(args, key, None)
         if value is not None:
@@ -612,7 +651,7 @@ def main(argv=None) -> int:
     )
 
     p_fwd = sub.add_parser("forward", help="direct solve, Born sum and remainder certificate")
-    _add_config_flags(p_fwd)
+    _add_config_flags(p_fwd, _FORWARD_KEYS)
 
     p_inv = sub.add_parser("invert", help="inverse series reconstruction and diagnostics")
     _add_config_flags(p_inv)

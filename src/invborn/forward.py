@@ -23,7 +23,6 @@ from .grid import data_norm, field_norm
 
 __all__ = [
     "BornSeries",
-    "incident_field",
     "solve_direct",
     "born_term",
     "born_series",
@@ -31,11 +30,6 @@ __all__ = [
 ]
 
 COND_LIMIT = 1e12
-
-
-def incident_field(ops: OperatorSet, source: int) -> np.ndarray:
-    """Incident field on the grid for one point source (a row of g_sv)."""
-    return ops.g_sv[source]
 
 
 def _check_factor(ops: OperatorSet, f) -> np.ndarray:
@@ -84,6 +78,13 @@ def _coefficient(mode, m: int) -> float:
         raise ValueError(
             f"the order-{m} series coefficient alpha^{m} overflows at k={mode.k:g}"
         ) from None
+
+
+def _finite(values: np.ndarray, series: str, m: int) -> np.ndarray:
+    """``values``, the order-m entry of a series; ValueError naming the order if it overflowed."""
+    if not np.isfinite(values).all():
+        raise ValueError(f"{series} overflows at order {m}")
+    return values
 
 
 def solve_direct(ops: OperatorSet, eta: np.ndarray) -> np.ndarray:
@@ -145,14 +146,17 @@ class BornSeries:
 
     @cached_property
     def partial_sums(self) -> list:
-        """S_1, ..., S_order, the cumulative sums of the terms."""
-        return list(np.cumsum(np.array(self.terms), axis=0))
+        """S_1, ..., S_order, the cumulative sums of the terms; finite, or ValueError."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums = np.cumsum(np.array(self.terms), axis=0)
+        return [_finite(s_n, "the partial sum", n) for n, s_n in enumerate(sums, 1)]
 
 
 def born_series(ops: OperatorSet, eta: np.ndarray, order: int) -> BornSeries:
     """First `order` Born terms with equal factors eta, and their partial sums.
 
     Summed on the support of eta, so each order costs V_S^2 * D for V_S nonzeros.
+    A term that overflows raises ValueError naming its order.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -160,11 +164,12 @@ def born_series(ops: OperatorSet, eta: np.ndarray, order: int) -> BornSeries:
     w = ops.grid.weights
     terms = []
     t = eta[:, None] * ops.g_vd
-    for m in range(1, order + 1):
-        phi_m = _coefficient(ops.mode, m) * (ops.g_sv @ (w[:, None] * t))
-        terms.append(phi_m)
-        if m < order:
-            t = eta[:, None] * (ops.g_vv @ t)
+    with np.errstate(over="ignore", invalid="ignore"):  # _finite names the order instead
+        for m in range(1, order + 1):
+            phi_m = _coefficient(ops.mode, m) * (ops.g_sv @ (w[:, None] * t))
+            terms.append(_finite(phi_m, "the Born series", m))
+            if m < order:
+                t = eta[:, None] * (ops.g_vv @ t)
     return BornSeries(terms)
 
 

@@ -174,7 +174,9 @@ def lp_norm(values: np.ndarray, weights, p: float) -> float:
     """Weighted discrete p-norm (sum_i w_i |f_i|^p)^(1/p); max |f_i| for p=inf.
 
     Only 2 <= p <= inf is supported.  ``weights`` may be a scalar (uniform
-    weight) or an array broadcastable against ``values``.
+    weight) or an array broadcastable against ``values``.  A finite field whose
+    sum overflows (|f|^p beyond the float range) is summed again rescaled by
+    max |f|, so its norm is finite wherever it is representable.
     """
     if p < 2:
         raise ValueError(f"p must be in [2, inf], got {p}")
@@ -185,7 +187,12 @@ def lp_norm(values: np.ndarray, weights, p: float) -> float:
     w = np.broadcast_to(np.asarray(weights, dtype=float), values.shape).ravel()
     if np.any(w <= 0):
         raise ValueError("weights must be positive")
-    return float((w * mags**p).sum() ** (1.0 / p))
+    with np.errstate(over="ignore"):
+        total = (w * mags**p).sum()
+    if math.isinf(total) and np.isfinite(mags).all():
+        top = mags.max()
+        return float(top * (w * (mags / top) ** p).sum() ** (1.0 / p))
+    return float(total ** (1.0 / p))
 
 
 def field_norm(grid: Grid, values: np.ndarray, p: float) -> float:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bounds
-from .forward import BornSeries, _check_factor
+from .forward import BornSeries, _check_factor, _finite
 from .forward import born_term  # noqa: F401  bench/run.py traces invborn.inverse.born_term
 from .greens import _ROW_BLOCK, OperatorSet
 from .grid import data_norm, field_norm
@@ -303,19 +303,22 @@ def inverse_series(
     eta_j passes through the forward module's dtype rule, so a diffuse run
     on real data keeps every product real.  The sum defining Z_j is
     accumulated in ascending i, a fixed order, so reruns are bit-identical.
+    A term that overflows raises ValueError naming its order.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
     alpha = ops.mode.alpha
     w = ops.grid.weights
-    terms = [_check_factor(ops, kinv.apply(phi))]
-    y = alpha * terms[0][:, None] * ops.g_vd
-    chains = []  # chains[n - 1] = C_n
-    for j in range(2, order + 1):
-        chains.append(ops.g_vv @ y)
-        z = alpha * sum(terms[i][:, None] * chains[j - 2 - i] for i in range(j - 1))
-        terms.append(_check_factor(ops, kinv.apply(ops.g_sv @ (w[:, None] * z))))
-        y = alpha * terms[-1][:, None] * ops.g_vd + z
+    with np.errstate(over="ignore", invalid="ignore"):  # _finite names the order instead
+        terms = [_finite(_check_factor(ops, kinv.apply(phi)), "the inverse series", 1)]
+        y = alpha * terms[0][:, None] * ops.g_vd
+        chains = []  # chains[n - 1] = C_n
+        for j in range(2, order + 1):
+            chains.append(ops.g_vv @ y)
+            z = alpha * sum(terms[i][:, None] * chains[j - 2 - i] for i in range(j - 1))
+            eta_j = _check_factor(ops, kinv.apply(ops.g_sv @ (w[:, None] * z)))
+            terms.append(_finite(eta_j, "the inverse series", j))
+            y = alpha * terms[-1][:, None] * ops.g_vd + z
     return BornSeries(terms)
 
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from invborn import linearized_operator
+from invborn import born_term, linearized_operator
+from invborn.bounds import compositions
 from invborn.cli import ExperimentConfig, _setup
 
 
@@ -21,6 +22,21 @@ def full_system_data(ops, eta):
     alpha = ops.mode.alpha
     u = np.linalg.solve(np.eye(ops.n_nodes) - alpha * ops.g_vv * eta[None, :], ops.g_sv.T)
     return -alpha * ((u * (eta * ops.grid.weights)[:, None]).T @ ops.g_vd)
+
+
+def enumerated_inverse_series(kinv, ops, phi, order):
+    """Reference terms: every composition of order j into m >= 2 parts, one chain each.
+
+    The oracle for the chain recurrence of ``inverse_series``.
+    """
+    terms = [kinv.apply(phi)]
+    for j in range(2, order + 1):
+        acc = np.zeros((ops.n_src, ops.n_det), dtype=complex)
+        for m in range(2, j + 1):
+            for comp in compositions(j, m):
+                acc += born_term(ops, [terms[i - 1] for i in comp])
+        terms.append(-kinv.apply(acc))
+    return terms
 
 
 @pytest.fixture(scope="session")

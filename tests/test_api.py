@@ -1,7 +1,10 @@
-"""The public API: the names the package exports, and every module's __all__."""
+"""The public API: the names the package exports, every module's __all__, and the
+library calls the benchmark traces."""
 
+import ast
 import importlib
 import types
+from pathlib import Path
 
 import pytest
 
@@ -26,11 +29,9 @@ PUBLIC_NAMES = {
     "convergence_radii",
     "data_norm",
     "diagnostics",
-    "diagram_count",
     "dilog",
     "field_norm",
     "greens_kernel",
-    "incident_field",
     "interpolate_constants",
     "inverse_series",
     "k_from_optical",
@@ -40,7 +41,6 @@ PUBLIC_NAMES = {
     "mu_numeric_sweep",
     "nu_bound",
     "numeric_constants",
-    "partition_count",
     "regularize",
     "residual_certificate",
     "self_cell_integral",
@@ -65,3 +65,18 @@ def test_every_all_entry_resolves(module):
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert not missing
     assert len(set(mod.__all__)) == len(mod.__all__)
+
+
+def test_every_traced_call_resolves():
+    # bench/run.py pins BLAS environment variables on import, so its TRACED list is
+    # read from the source rather than imported
+    source = (Path(__file__).parents[1] / "bench" / "run.py").read_text(encoding="utf-8")
+    traced = next(
+        ast.literal_eval(node.value)
+        for node in ast.parse(source).body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets)
+    )
+    assert traced
+    for module, attr, _ in traced:
+        assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)

@@ -686,3 +686,119 @@ def test_cli_refuses_phantom_ball_covering_no_node(tmp_path, capsys, command, ba
     assert code == 1
     assert "error: phantom[1] covers no grid node" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--rank", "3"), ("--noise", "0.5"), ("--seed", "1")])
+def test_cli_forward_refuses_flags_it_never_reads(tmp_path, capsys, flag, value):
+    out = tmp_path / "f.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["forward", *SMALL_ARGS, flag, value, "--output", str(out)])
+    assert exc.value.code == 1
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_forward_keeps_tau_and_config_file_may_hold_every_key(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["forward", "--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    assert "--tau" in text
+    assert not any(flag in text for flag in ("--rank", "--noise", "--seed"))
+    out = tmp_path / "f.json"
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({**ExperimentConfig().to_dict(), "noise": 0.5, "seed": 1}))
+    assert run_cli(tmp_path, "forward", "--config", config, *SMALL_ARGS, "--output", out) == 0
+    assert run_cli(tmp_path, "forward", *SMALL_ARGS, "--tau", "1e-3", "--output", out) == 0
+
+
+@pytest.mark.parametrize("text, kind", [("[1, 2]", "list"), ('"abc"', "str"), ("3", "int")])
+def test_cli_config_file_must_hold_an_object(tmp_path, capsys, text, kind):
+    config, out = tmp_path / "c.json", tmp_path / "f.json"
+    config.write_text(text)
+    assert run_cli(tmp_path, "forward", "--config", config, "--output", out) == 1
+    err = capsys.readouterr().err
+    assert f"error: the --config file must hold a JSON object, got {kind}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["k", "a", "omega_radius", "h", "tau", "noise"])
+def test_cli_config_integer_too_large_for_a_float_is_named(tmp_path, capsys, key):
+    config, out = tmp_path / "c.json", tmp_path / "f.json"
+    config.write_text('{"%s": 1%s}' % (key, "0" * 400))
+    assert run_cli(tmp_path, "invert", "--config", config, "--output", out) == 1
+    err = capsys.readouterr().err
+    assert f"error: {key} must be a finite number, got 1000" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_cli_refuses_negative_seed_before_assembly(tmp_path, capsys, monkeypatch):
+    def assemble_not_reached(*args, **kwargs):
+        raise AssertionError("assembled before the seed was checked")
+
+    monkeypatch.setattr("invborn.cli.assemble", assemble_not_reached)
+    out = tmp_path / "i.json"
+    code = run_cli(tmp_path, "invert", "--noise", "1e-3", "--seed", "-1", "--output", out)
+    assert code == 1
+    assert "error: seed must be nonnegative, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+DIVERGING = ["--h", "0.45", "--k", "3", "--n-src", "6", "--n-det", "6"]
+DIVERGING_PHANTOM = '[{"center": [0, 0, 0], "radius": 0.9, "amplitude": -0.99}]'
+
+
+def test_cli_diverging_inverse_series_writes_finite_json(tmp_path):
+    # every term is finite (up to 1e200), but its squared entries overflow
+    out = tmp_path / "i.json"
+    args = [*DIVERGING, "--order", "300", "--phantom", DIVERGING_PHANTOM, "--output", out]
+    assert run_cli(tmp_path, "invert", *args) == 2
+    record = json.loads(out.read_text())["diagnostics"]["p"]["2"]
+    assert record["term_norms"][-1] > 1e150
+    assert all(math.isfinite(r) for r in record["term_ratios"])
+
+
+@pytest.mark.parametrize(
+    "command, args, message",
+    [
+        ("invert", [*DIVERGING, "--order", "1000", "--phantom", DIVERGING_PHANTOM],
+         "the inverse series overflows at order 412"),
+        ("forward", ["--h", "0.45", "--n-src", "6", "--n-det", "6", "--order", "3000",
+                     "--phantom", '[{"center": [0, 0, 0], "radius": 0.9, "amplitude": 20}]'],
+         "the Born series overflows at order 602"),
+    ],
+)
+def test_cli_overflowing_series_names_the_order(tmp_path, capsys, command, args, message):
+    out = tmp_path / "o.json"
+    assert run_cli(tmp_path, command, *args, "--output", out) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, gib", [("forward", "5.15e+07"), ("invert", "3.47e+08")]
+)
+def test_cli_refuses_order_whose_series_exceeds_memory(tmp_path, capsys, monkeypatch, command, gib):
+    def assemble_not_reached(*args, **kwargs):
+        raise AssertionError("assembled before the order was checked")
+
+    monkeypatch.setattr("invborn.cli.assemble", assemble_not_reached)
+    monkeypatch.setattr("invborn.cli._available_memory", lambda: 8 * 2**30)
+    out = tmp_path / "o.json"
+    assert run_cli(tmp_path, command, "--order", "1000000000000", "--output", out) == 1
+    err = capsys.readouterr().err
+    assert (
+        f"error: order 1000000000000 needs about {gib} GiB for its series arrays, "
+        "more than the 8 GiB of available memory"
+    ) in err
+    assert not out.exists()
+
+
+def test_cli_memory_check_skipped_where_meminfo_is_unreadable(tmp_path, monkeypatch):
+    from invborn.cli import _available_memory
+
+    if os.path.exists("/proc/meminfo"):
+        assert _available_memory() > 0
+    monkeypatch.setattr("invborn.cli._available_memory", lambda: None)
+    assert run_cli(tmp_path, "forward", *SMALL_ARGS, "--output", tmp_path / "f.json") == 0

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from invborn import (
+    BornSeries,
     WaveMode,
     assemble,
     born_series,
@@ -13,7 +14,6 @@ from invborn import (
     build_ball_grid,
     build_sphere_boundary,
     data_norm,
-    incident_field,
     mu_closed_form,
     residual_certificate,
     solve_direct,
@@ -85,10 +85,6 @@ def test_single_voxel_closed_form(kind, sign):
     # 1x1 solve: u = g_s / (1 + sign k^2 eta C); phi = sign k^2 g_d eta w u
     expected = sign * k**2 * gs * eta * w * gd / (1.0 + sign * k**2 * eta * cself)
     assert phi == pytest.approx(expected, rel=1e-13)
-
-
-def test_incident_field_is_source_row(small_ops):
-    assert np.array_equal(incident_field(small_ops, 2), small_ops.g_sv[2])
 
 
 def test_solve_rejects_singular_system():
@@ -248,6 +244,13 @@ def test_partial_sums_recompute_exactly(small_ops):
     series = born_series(small_ops, eta, 5)
     recomputed = sum(series.terms)
     assert np.array_equal(series.partial_sums[-1], recomputed)
+
+
+def test_partial_sum_that_overflows_names_its_order():
+    # both terms are finite; their sum is not
+    series = BornSeries([np.full(3, 1.0), np.full(3, 1e308), np.full(3, 1e308)])
+    with pytest.raises(ValueError, match="the partial sum overflows at order 3"):
+        series.partial_sums
 
 
 def test_diffuse_data_is_real(small_ops):

@@ -152,6 +152,22 @@ def test_lp_norm_small_example():
     assert lp_norm(np.array([3.0, 4.0]), np.array([1.0, 1.0]), 2) == pytest.approx(5.0)
 
 
+@pytest.mark.parametrize("p", [2, 3.5])
+def test_lp_norm_of_finite_field_near_float_max_is_finite(p):
+    # |f|^p overflows for entries near 1e200; the norm is rescaled by max |f| instead
+    rng = np.random.default_rng(3)
+    f = rng.normal(size=40) + 1j * rng.normal(size=40)
+    w = rng.uniform(0.1, 2.0, 40)
+    got = lp_norm(1e200 * f, w, p)
+    assert math.isfinite(got)
+    assert got == pytest.approx(1e200 * lp_norm(f, w, p), rel=1e-13)
+
+
+def test_lp_norm_of_non_finite_field_stays_non_finite():
+    assert lp_norm(np.array([1.0, np.inf]), 1.0, 2) == INF
+    assert math.isnan(lp_norm(np.array([1.0, np.nan]), 1.0, 2))
+
+
 def test_lp_norm_rejects_p_below_two():
     with pytest.raises(ValueError):
         lp_norm(np.ones(3), np.ones(3), 1.5)

@@ -24,12 +24,11 @@ from invborn import (
     solve_direct,
     stability_probe,
 )
-from invborn.bounds import compositions
 from invborn.cli import build_phantom, validate_absorption
 from invborn.grid import Grid
 from invborn.inverse import SVAL_FLOOR, _apply_k
 
-from conftest import make_ops
+from conftest import enumerated_inverse_series, make_ops
 
 INF = math.inf
 
@@ -52,18 +51,6 @@ def synthetic_constants(mode, scale=1e-6):
         omega_radius=2.0,
         provenance="closed_form",
     )
-
-
-def enumerated_inverse_series(kinv, ops, phi, order):
-    """Reference terms: every composition of order j into m >= 2 parts, one chain each."""
-    terms = [kinv.apply(phi)]
-    for j in range(2, order + 1):
-        acc = np.zeros((ops.n_src, ops.n_det), dtype=complex)
-        for m in range(2, j + 1):
-            for comp in compositions(j, m):
-                acc += born_term(ops, [terms[i - 1] for i in comp])
-        terms.append(-kinv.apply(acc))
-    return terms
 
 
 class _CountingMatmul(np.ndarray):
