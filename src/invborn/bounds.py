@@ -19,17 +19,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
 from .greens import (
-    _ROW_BLOCK,
     WaveMode,
     _ball_factor,
     _ball_l2,
-    _pairwise_dist,
     kernel_modulus,
+    lattice_row_sums,
     self_cell_l1,
     self_cell_l2,
 )
@@ -155,69 +154,27 @@ def closed_form_constants(mode: WaveMode, a: float, omega_radius: float) -> Cons
     return ConstantSet(mu_inf, mu_2, nu_inf, nu_2, mode, a, omega_radius, "closed_form")
 
 
-def _lex_rows(points: np.ndarray) -> np.ndarray:
-    order = np.lexsort((points[:, 2], points[:, 1], points[:, 0]))
-    return points[order]
-
-
-def _octahedral_symmetric(centers: np.ndarray) -> bool:
-    """True when the node set is invariant under coordinate permutations and sign flips.
-
-    Checking the three group generators suffices; lattice coordinates map to
-    each other exactly, so exact comparison is safe.
-    """
-    ref = _lex_rows(centers)
-    swap = centers[:, [1, 0, 2]]
-    cycle = centers[:, [1, 2, 0]]
-    flip = centers * np.array([-1.0, 1.0, 1.0])
-    return all(np.array_equal(_lex_rows(t), ref) for t in (swap, cycle, flip))
-
-
-def _row_representatives(centers: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Indices realizing every symmetry orbit of nodes (one per orbit).
-
-    Row sums of radial kernels over a symmetric node set are constant on
-    orbits, so maxima over representatives equal maxima over all nodes.  Falls
-    back to all indices when the set lacks the symmetry or weights vary.
-    """
-    if np.ptp(weights) != 0.0 or not _octahedral_symmetric(centers):
-        return np.arange(centers.shape[0])
-    canonical = np.sort(np.abs(centers), axis=1)
-    _, first = np.unique(canonical.round(decimals=12), axis=0, return_index=True)
-    return np.sort(first)
-
-
 def mu_numeric_sweep(grid: Grid, modes) -> dict:
     """Quadrature values of mu_p: k^2 times the largest kernel row norm over the nodes.
 
-    Returns a dict keyed by (kind, k, p), p over both norms of P_NORMS.  Rows
-    are formed in blocks of representative nodes (one per symmetry orbit
-    whenever the grid admits that reduction), so no V x V array is stored.
-    Each block's distances are shared by all modes and norms.  The diagonal
-    contribution is the analytic integral of |G| (p=inf) or |G|^2 (p=2) over
-    the equal-volume cell.
+    Returns a dict keyed by (kind, k, p), p over both norms of P_NORMS.  The
+    off-diagonal row sums of |G| (p=inf) and |G|^2 (p=2) come from
+    greens.lattice_row_sums, one FFT convolution per mode and kernel power on
+    the grid's lattice, so no V x V array is formed; a grid whose nodes are off
+    that lattice raises ValueError.  The diagonal contribution is the analytic
+    integral of |G| or |G|^2 over the equal-volume cell, evaluated once per
+    distinct weight.
     """
     modes = list(modes)
-    centers = grid.centers
-    w = grid.weights
-    rows_idx = _row_representatives(centers, w)
-    best = {(m.kind, m.k, p): 0.0 for m in modes for p, _ in P_NORMS}
-    for start in range(0, rows_idx.size, _ROW_BLOCK):
-        idx = rows_idx[start : start + _ROW_BLOCK]
-        local = np.arange(idx.size)
-        r = _pairwise_dist(centers[idx], centers)
-        r[local, idx] = 1.0  # placeholder, diagonal handled analytically below
-        for m in modes:
-            absg = kernel_modulus(m, r)
-            absg[local, idx] = 0.0
-            for p, _ in P_NORMS:
-                if p == INF:
-                    rows = absg @ w + np.array([self_cell_l1(m, w[i]) for i in idx])
-                else:
-                    rows = (absg * absg) @ w + np.array([self_cell_l2(m, w[i]) for i in idx])
-                    rows = np.sqrt(rows)
-                key = (m.kind, m.k, p)
-                best[key] = max(best[key], float(m.k**2 * rows.max()))
+    weights, which = np.unique(grid.weights, return_inverse=True)
+    absg = [partial(kernel_modulus, m) for m in modes]
+    sums = lattice_row_sums(grid, [f for a in absg for f in (a, lambda r, a=a: a(r) ** 2)])
+    best = {}
+    for m, l1, l2 in zip(modes, sums[0::2], sums[1::2]):
+        l1 += np.array([self_cell_l1(m, w) for w in weights])[which]
+        l2 += np.array([self_cell_l2(m, w) for w in weights])[which]
+        best[(m.kind, m.k, INF)] = float(m.k**2 * l1.max())
+        best[(m.kind, m.k, 2)] = float(m.k**2 * np.sqrt(l2).max())
     return best
 
 

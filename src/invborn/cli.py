@@ -213,18 +213,24 @@ def _available_memory() -> int | None:
     return None
 
 
-def _check_series_memory(config: ExperimentConfig, values: int) -> None:
-    """Refuse an order whose series arrays, ``values`` entries in all, exceed available memory.
+def _check_memory(config: ExperimentConfig, nodes: int, series: int) -> None:
+    """Refuse a run whose kernels and series arrays exceed available memory.
 
-    Checked before any kernel is formed.  An entry takes 8 bytes in real (diffuse)
-    arithmetic and 16 in complex (scalar); the kernels themselves are not counted.
+    ``nodes`` is the number of volume nodes the kernels span.  Three nodes x
+    nodes arrays are counted (a volume kernel, the matrix solved or decomposed,
+    and LAPACK's copy or eigenvectors), plus the S x nodes and nodes x D
+    boundary kernels and ``series`` entries of series arrays.  Checked before
+    any kernel is formed.  An entry takes 8 bytes in real (diffuse) arithmetic
+    and 16 in complex (scalar).
     """
+    values = 3 * nodes * nodes + (config.n_src + config.n_det) * nodes + series
     need = values * (8 if config.mode == "diffuse" else 16)
     available = _available_memory()
     if available is not None and need > available:
         raise ValueError(
-            f"order {config.order} needs about {need / 2**30:.3g} GiB for its series arrays, "
-            f"more than the {available / 2**30:.3g} GiB of available memory"
+            f"the kernels on {nodes} nodes and the series arrays of order {config.order} "
+            f"need about {need / 2**30:.3g} GiB, more than the {available / 2**30:.3g} GiB "
+            "of available memory"
         )
 
 
@@ -284,9 +290,9 @@ def cmd_forward(config: ExperimentConfig) -> tuple[dict, int]:
     """
     grid, boundary = _grids(config)
     eta = _config_phantom(grid, config)
-    # the terms, their stacked copy and the partial sums, each order x S x D
-    _check_series_memory(config, 3 * config.order * boundary.n_src * boundary.n_det)
     support = np.flatnonzero(eta)
+    # the terms, their stacked copy and the partial sums, each order x S x D
+    _check_memory(config, support.size, 3 * config.order * boundary.n_src * boundary.n_det)
     ops = assemble(config.wave_mode, grid.subset(support), boundary)
     eta = eta[support]
     phi = forward.solve_direct(ops, eta)
@@ -305,7 +311,7 @@ def cmd_invert(config: ExperimentConfig) -> tuple[dict, int]:
     """Generate data from the phantom by direct solve, invert, and report."""
     grid, boundary = _grids(config)
     # per order a V x D chain matrix, and a term, its stacked copy and a partial sum of V
-    _check_series_memory(config, config.order * grid.n_nodes * (boundary.n_det + 3))
+    _check_memory(config, grid.n_nodes, config.order * grid.n_nodes * (boundary.n_det + 3))
     ops = assemble(config.wave_mode, grid, boundary)
     eta_true = _config_phantom(grid, config)
     phi = forward.solve_direct(ops, eta_true)

@@ -195,6 +195,33 @@ def _pairwise_dist(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.sqrt(d2, out=d2)
 
 
+def lattice_row_sums(grid: Grid, kernels) -> list:
+    """Sums over j != i of f(|x_i - x_j|) w_j at every node, one array per radial f in kernels.
+
+    build_ball_grid and Grid.subset keep the nodes on one cubic lattice of pitch
+    grid.spacing, so each sum is a zero-padded FFT convolution of the weights
+    with f at the lattice offsets, and no V x V array is formed.
+    """
+    pos = (grid.centers - grid.centers.min(axis=0)) / grid.spacing
+    if np.abs(pos - np.rint(pos)).max() > 1e-9:
+        raise ValueError(f"grid nodes are off the lattice of spacing {grid.spacing}")
+    idx = tuple(np.rint(pos).astype(np.intp).T)
+    shape = tuple(2 * np.max(idx, axis=1) + 2)  # twice the extent: no offset wraps around
+    box = np.zeros(shape)
+    box[idx] = grid.weights
+    if np.count_nonzero(box) < grid.n_nodes:
+        raise ValueError("grid has coincident nodes")
+    box_hat = np.fft.rfftn(box)
+    r = grid.spacing * np.sqrt(sum(np.ix_(*(np.fft.fftfreq(n, 1.0 / n) ** 2 for n in shape))))
+    r[0, 0, 0] = 1.0  # placeholder, the zero offset is dropped below
+    sums = []
+    for f in kernels:
+        kern = f(r)
+        kern[0, 0, 0] = 0.0
+        sums.append(np.fft.irfftn(box_hat * np.fft.rfftn(kern), s=shape, axes=(0, 1, 2))[idx])
+    return sums
+
+
 # Rows of g_vv evaluated per pass: the distance and kernel temporaries of a
 # block stay at a few MB instead of several V x V arrays, and the cache-sized
 # passes run faster than one pass over the whole matrix.

@@ -160,13 +160,19 @@ def build_sphere_boundary(omega_radius: float, n_src: int, n_det: int) -> Bounda
         raise ValueError("omega_radius must be positive")
     if n_src < 1 or n_det < 1:
         raise ValueError(f"need at least one source and one detector, got {n_src}, {n_det}")
-    area = 4.0 * math.pi * omega_radius**2
+    radius = float(omega_radius)  # an int would square exactly, past the float range
+    try:  # a float power raises where its result overflows
+        area = 4.0 * math.pi * radius**2
+    except OverflowError:
+        area = math.inf
+    if not math.isfinite(area):
+        raise ValueError(f"the sphere area is not finite at omega_radius={omega_radius:g}")
     return BoundaryArray(
         sources=fibonacci_sphere(n_src, omega_radius),
         detectors=fibonacci_sphere(n_det, omega_radius),
         src_weight=area / n_src,
         det_weight=area / n_det,
-        omega_radius=float(omega_radius),
+        omega_radius=radius,
     )
 
 

@@ -20,8 +20,8 @@ from invborn import (
     mu_numeric_sweep,
     nu_bound,
 )
-from invborn.bounds import _row_representatives, compositions, forward_remainder_bounds
-from invborn.greens import _ROW_BLOCK, self_cell_l2
+from invborn.bounds import compositions, forward_remainder_bounds
+from invborn.greens import self_cell_l2
 from invborn.grid import Grid
 
 INF = math.inf
@@ -354,11 +354,29 @@ class TestHypotheses:
         assert got == pytest.approx([ratio * q**2 / (1 - q), ratio * q**3 / (1 - q)], rel=1e-14)
 
 
+def reweighted(grid, weights):
+    return Grid(centers=grid.centers, weights=weights, spacing=grid.spacing, radius_a=1.0)
+
+
 def jittered(grid):
-    """Copy of grid with one weight perturbed, which forces mu_numeric_sweep onto every row."""
+    """Copy of grid with one weight perturbed: two distinct self-cell terms, one node apart."""
     weights = grid.weights.copy()
     weights[0] *= 1.0 + 1e-13
-    return Grid(centers=grid.centers, weights=weights, spacing=grid.spacing, radius_a=1.0)
+    return reweighted(grid, weights)
+
+
+def dense_mu(mode, grid):
+    """(mu_inf, mu_2) from the rows of the assembled g_vv, for the positive diffuse kernel.
+
+    k^2 times the largest absolute row sum of g_vv is mu_inf by definition; off
+    the diagonal g_vv[i, j]^2 / w_j = |G_ij|^2 w_j gives the L2 rows.
+    """
+    g_vv = assemble(mode, grid, build_sphere_boundary(2.0, 2, 2)).g_vv
+    w = grid.weights
+    off = g_vv.copy()
+    np.fill_diagonal(off, 0.0)
+    l2_rows = (off**2 / w).sum(axis=1) + [self_cell_l2(mode, wi) for wi in w]
+    return mode.k**2 * np.abs(g_vv).sum(axis=1).max(), mode.k**2 * np.sqrt(l2_rows).max()
 
 
 class TestNumericMu:
@@ -380,35 +398,50 @@ class TestNumericMu:
         assert vals[0] > vals[1] > vals[2]
         assert vals[2] < 1e-3
 
-    def test_orbit_reduction_matches_full_scan(self):
-        grid = build_ball_grid(1.0, 0.3)
-        mode = WaveMode.diffuse(1.2)
-        v_sym = mu_numeric_sweep(grid, [mode])
-        v_all = mu_numeric_sweep(jittered(grid), [mode])
-        assert v_sym == pytest.approx(v_all, rel=1e-10)
+    @pytest.mark.parametrize("variant", ["random_weights", "subset"])
+    def test_matches_dense_rows_off_the_uniform_grid(self, variant):
+        # a varying weight or an irregular subset of the lattice breaks the ball's symmetry
+        grid = build_ball_grid(1.0, 0.25)
+        if variant == "random_weights":
+            rng = np.random.default_rng(7)
+            grid = reweighted(grid, grid.spacing**3 * rng.uniform(0.5, 2.0, grid.n_nodes))
+            assert np.unique(grid.weights).size == grid.n_nodes
+        else:
+            grid = grid.subset(np.arange(0, grid.n_nodes, 3))
+        for mode in (WaveMode.diffuse(1.2), WaveMode.diffuse(5.0)):
+            mu_inf, mu_2 = dense_mu(mode, grid)
+            vals = mu_numeric_sweep(grid, [mode])
+            assert vals[(mode.kind, mode.k, INF)] == pytest.approx(mu_inf, rel=1e-13, abs=0)
+            assert vals[(mode.kind, mode.k, 2)] == pytest.approx(mu_2, rel=1e-13, abs=0)
 
     @pytest.mark.parametrize("jitter", [False, True])
     def test_matches_assembled_operator_rows(self, jitter):
-        # k^2 times the largest absolute row sum of g_vv is mu_inf by definition;
-        # off the diagonal g_vv[i, j]^2 / w_j = |G_ij|^2 w_j gives the L2 rows
         grid = build_ball_grid(1.0, 0.25)
         if jitter:
             grid = jittered(grid)
-            assert _row_representatives(grid.centers, grid.weights).size > 2 * _ROW_BLOCK
+        assert grid.n_nodes == 280
         mode = WaveMode.diffuse(1.2)
-        ops = assemble(mode, grid, build_sphere_boundary(2.0, 2, 2))
-        assert ops.n_nodes == 280
-        w = grid.weights
-        off = ops.g_vv.copy()
-        np.fill_diagonal(off, 0.0)
-        l2_rows = (off**2 / w).sum(axis=1) + [self_cell_l2(mode, wi) for wi in w]
-        mu_inf = mode.k**2 * np.abs(ops.g_vv).sum(axis=1).max()
-        mu_2 = mode.k**2 * np.sqrt(l2_rows).max()
+        mu_inf, mu_2 = dense_mu(mode, grid)
         vals = mu_numeric_sweep(grid, [mode])
         assert vals[("diffuse", 1.2, INF)] == pytest.approx(mu_inf, rel=1e-13, abs=0)
         assert vals[("diffuse", 1.2, 2)] == pytest.approx(mu_2, rel=1e-13, abs=0)
 
-    def test_peak_memory_is_a_few_row_blocks(self):
+    def test_refuses_nodes_off_the_lattice(self):
+        grid = build_ball_grid(1.0, 0.25)
+        centers = grid.centers.copy()
+        centers[5, 2] += 1e-4 * grid.spacing
+        nudged = Grid(centers=centers, weights=grid.weights, spacing=grid.spacing, radius_a=1.0)
+        with pytest.raises(ValueError, match="off the lattice of spacing 0.25"):
+            mu_numeric_sweep(nudged, [WaveMode.diffuse(1.0)])
+
+    def test_refuses_coincident_nodes(self):
+        grid = build_ball_grid(1.0, 0.25)
+        doubled = grid.subset(np.r_[np.arange(grid.n_nodes), 0])
+        with pytest.raises(ValueError, match="coincident nodes"):
+            mu_numeric_sweep(doubled, [WaveMode.diffuse(1.0)])
+
+    def test_peak_memory_is_far_below_one_volume_kernel(self):
+        # 5 * 128 * V doubles: a few MB here, where one V x V kernel takes 416 MB
         grid = build_ball_grid(1.0, 1 / 12)
         tracemalloc.start()
         try:
@@ -416,7 +449,7 @@ class TestNumericMu:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 5 * _ROW_BLOCK * grid.n_nodes * 8
+        assert peak < 5 * 128 * grid.n_nodes * 8
 
 
 class TestOpticalConversion:

@@ -733,6 +733,21 @@ def test_cli_config_integer_too_large_for_a_float_is_named(tmp_path, capsys, key
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["forward", "invert"])
+@pytest.mark.parametrize("spelling", ["flag", "config"])
+def test_cli_refuses_omega_radius_whose_area_overflows(tmp_path, capsys, command, spelling):
+    config, out = tmp_path / "c.json", tmp_path / "o.json"
+    args = ["--omega-radius", "1e300"]
+    if spelling == "config":  # a JSON integer, which squares exactly past the float range
+        config.write_text('{"omega_radius": 1%s}' % ("0" * 300))
+        args = ["--config", config]
+    assert run_cli(tmp_path, command, *SMALL_ARGS, *args, "--output", out) == 1
+    err = capsys.readouterr().err
+    assert "error: the sphere area is not finite at omega_radius=1e+300" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_cli_refuses_negative_seed_before_assembly(tmp_path, capsys, monkeypatch):
     def assemble_not_reached(*args, **kwargs):
         raise AssertionError("assembled before the seed was checked")
@@ -776,23 +791,49 @@ def test_cli_overflowing_series_names_the_order(tmp_path, capsys, command, args,
     assert not out.exists()
 
 
+def assemble_not_reached(*args, **kwargs):
+    raise AssertionError("assembled before the memory was checked")
+
+
 @pytest.mark.parametrize(
     "command, gib", [("forward", "5.15e+07"), ("invert", "3.47e+08")]
 )
 def test_cli_refuses_order_whose_series_exceeds_memory(tmp_path, capsys, monkeypatch, command, gib):
-    def assemble_not_reached(*args, **kwargs):
-        raise AssertionError("assembled before the order was checked")
-
+    nodes = {"forward": 56, "invert": 912}[command]  # the phantom's support, the whole grid
     monkeypatch.setattr("invborn.cli.assemble", assemble_not_reached)
     monkeypatch.setattr("invborn.cli._available_memory", lambda: 8 * 2**30)
     out = tmp_path / "o.json"
     assert run_cli(tmp_path, command, "--order", "1000000000000", "--output", out) == 1
     err = capsys.readouterr().err
     assert (
-        f"error: order 1000000000000 needs about {gib} GiB for its series arrays, "
-        "more than the 8 GiB of available memory"
+        f"error: the kernels on {nodes} nodes and the series arrays of order 1000000000000 "
+        f"need about {gib} GiB, more than the 8 GiB of available memory"
     ) in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("mode, gib", [("diffuse", "25.3"), ("scalar", "50.5")])
+def test_cli_refuses_grid_whose_kernels_exceed_memory(tmp_path, capsys, monkeypatch, mode, gib):
+    # V = 33,552: g_vv, the Gram matrix and eigh's vectors take 3 V^2 entries, while
+    # the order-6 series arrays need only about 80 MB
+    monkeypatch.setattr("invborn.cli.assemble", assemble_not_reached)
+    monkeypatch.setattr("invborn.cli._available_memory", lambda: 8 * 2**30)
+    out = tmp_path / "o.json"
+    assert run_cli(tmp_path, "invert", "--mode", mode, "--h", "0.05", "--output", out) == 1
+    err = capsys.readouterr().err
+    assert (
+        f"error: the kernels on 33552 nodes and the series arrays of order 6 need about {gib} "
+        "GiB, more than the 8 GiB of available memory"
+    ) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, code", [("forward", 0), ("invert", 2)])
+def test_cli_default_runs_pass_the_memory_check(tmp_path, monkeypatch, command, code):
+    monkeypatch.setattr("invborn.cli._available_memory", lambda: 8 * 2**30)
+    out = tmp_path / "o.json"
+    assert run_cli(tmp_path, command, "--output", out) == code
+    assert out.exists()
 
 
 def test_cli_memory_check_skipped_where_meminfo_is_unreadable(tmp_path, monkeypatch):

@@ -13,7 +13,14 @@ from invborn import (
     mu_closed_form,
     self_cell_integral,
 )
-from invborn.greens import _ROW_BLOCK, _pairwise_dist, kernel_modulus, self_cell_l1, self_cell_l2
+from invborn.greens import (
+    _ROW_BLOCK,
+    _pairwise_dist,
+    kernel_modulus,
+    lattice_row_sums,
+    self_cell_l1,
+    self_cell_l2,
+)
 from invborn.grid import BoundaryArray, Grid
 
 INF = math.inf
@@ -395,3 +402,19 @@ def test_kernel_family_matches_per_mode_formulas_bit_for_bit(kind, k):
         assert _same_bits(self_cell_integral(mode, w), _per_mode_self_cell(mode, w))
         assert _same_bits(self_cell_l1(mode, w), _per_mode_self_cell_l1(mode, w))
         assert _same_bits(self_cell_l2(mode, w), _per_mode_self_cell_l2(mode, w))
+
+
+@pytest.mark.parametrize("h", [0.3, 0.25])
+def test_lattice_row_sums_match_dense_sums_on_a_subset(h):
+    grid = build_ball_grid(1.0, h)
+    grid = grid.subset(np.arange(1, grid.n_nodes, 2))
+    w = np.random.default_rng(5).uniform(0.5, 2.0, grid.n_nodes) * h**3
+    grid = Grid(centers=grid.centers, weights=w, spacing=h, radius_a=1.0)
+    kernels = [lambda r: 1.0 / r, lambda r: np.cos(r) * r**2]
+    r = _pairwise_dist(grid.centers, grid.centers)
+    np.fill_diagonal(r, 1.0)
+    for f, got in zip(kernels, lattice_row_sums(grid, kernels)):
+        dense = f(r)
+        np.fill_diagonal(dense, 0.0)
+        ref = dense @ w
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()

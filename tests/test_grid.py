@@ -104,6 +104,12 @@ def test_sphere_boundary_rejects_empty_family():
         build_sphere_boundary(2.0, 4, 0)
 
 
+@pytest.mark.parametrize("radius", [1e300, 10**300, 1e154, math.inf, math.nan])
+def test_sphere_boundary_refuses_radius_whose_area_is_not_finite(radius):
+    with pytest.raises(ValueError, match="the sphere area is not finite at omega_radius="):
+        build_sphere_boundary(radius, 4, 4)
+
+
 def test_sphere_boundary_weights_sum_and_radius():
     b = build_sphere_boundary(2.0, 100, 100)
     assert b.src_weight * b.n_src == pytest.approx(16 * math.pi, rel=1e-14)
