@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import bounds, forward, inverse
-from .greens import WaveMode, assemble
+from .greens import WaveMode, assemble, assemble_boundary, assemble_volume
 from .grid import build_ball_grid, build_sphere_boundary, data_norm
 
 __all__ = [
@@ -213,17 +213,13 @@ def _available_memory() -> int | None:
     return None
 
 
-def _check_memory(config: ExperimentConfig, nodes: int, series: int) -> None:
-    """Refuse a run whose kernels and series arrays exceed available memory.
+def _check_memory(config: ExperimentConfig, nodes: int, values: int) -> None:
+    """Refuse a run whose arrays, ``values`` entries at their peak, exceed available memory.
 
-    ``nodes`` is the number of volume nodes the kernels span.  Three nodes x
-    nodes arrays are counted (a volume kernel, the matrix solved or decomposed,
-    and LAPACK's copy or eigenvectors), plus the S x nodes and nodes x D
-    boundary kernels and ``series`` entries of series arrays.  Checked before
+    ``nodes`` is the number of volume nodes the kernels span.  Checked before
     any kernel is formed.  An entry takes 8 bytes in real (diffuse) arithmetic
     and 16 in complex (scalar).
     """
-    values = 3 * nodes * nodes + (config.n_src + config.n_det) * nodes + series
     need = values * (8 if config.mode == "diffuse" else 16)
     available = _available_memory()
     if available is not None and need > available:
@@ -232,6 +228,23 @@ def _check_memory(config: ExperimentConfig, nodes: int, series: int) -> None:
             f"need about {need / 2**30:.3g} GiB, more than the {available / 2**30:.3g} GiB "
             "of available memory"
         )
+
+
+def _invert_peak(config: ExperimentConfig, n: int, support: int) -> int:
+    """Entries invert holds at its peak on n grid nodes, support of them in the phantom.
+
+    The larger of the factorization stage (``inverse._factor_footprint``) and
+    the series stage: g_vv, the kept right singular vectors with the retained
+    factors of the pseudoinverse, the support solve (its block, the solved
+    matrix and LAPACK's copy) and per order a V x D chain matrix and three
+    volume fields.  The boundary kernels live throughout.
+    """
+    pairs = config.n_src * config.n_det
+    factor, rows = inverse._factor_footprint(n, pairs, config.tau)
+    series = (
+        n * n + rows * (3 * n + pairs) + 3 * support**2 + config.order * n * (config.n_det + 3)
+    )
+    return (config.n_src + config.n_det) * n + max(factor, series)
 
 
 def add_noise(phi: np.ndarray, amplitude: float, seed: int) -> np.ndarray:
@@ -291,8 +304,11 @@ def cmd_forward(config: ExperimentConfig) -> tuple[dict, int]:
     grid, boundary = _grids(config)
     eta = _config_phantom(grid, config)
     support = np.flatnonzero(eta)
-    # the terms, their stacked copy and the partial sums, each order x S x D
-    _check_memory(config, support.size, 3 * config.order * boundary.n_src * boundary.n_det)
+    # the support kernel, the solved matrix and LAPACK's copy of it, the boundary
+    # kernels, and the terms, their stacked copy and the partial sums, each order x S x D
+    n = support.size
+    kernels = 3 * n * n + (config.n_src + config.n_det) * n
+    _check_memory(config, n, kernels + 3 * config.order * config.n_src * config.n_det)
     ops = assemble(config.wave_mode, grid.subset(support), boundary)
     eta = eta[support]
     phi = forward.solve_direct(ops, eta)
@@ -308,17 +324,25 @@ def cmd_forward(config: ExperimentConfig) -> tuple[dict, int]:
 
 
 def cmd_invert(config: ExperimentConfig) -> tuple[dict, int]:
-    """Generate data from the phantom by direct solve, invert, and report."""
+    """Generate data from the phantom by direct solve, invert, and report.
+
+    The operator is factored and truncated from the boundary kernels before
+    g_vv is assembled, so no V x V volume kernel is alive while the Gram
+    matrix is.  The data solve reads the same support block of g_vv either way.
+    """
     grid, boundary = _grids(config)
-    # per order a V x D chain matrix, and a term, its stacked copy and a partial sum of V
-    _check_memory(config, grid.n_nodes, config.order * grid.n_nodes * (boundary.n_det + 3))
-    ops = assemble(config.wave_mode, grid, boundary)
     eta_true = _config_phantom(grid, config)
+    _check_memory(
+        config, grid.n_nodes, _invert_peak(config, grid.n_nodes, np.count_nonzero(eta_true))
+    )
+    kernels = assemble_boundary(config.wave_mode, grid, boundary)
+    kinv = inverse.regularize(
+        inverse.linearized_operator(kernels), rank=config.rank, tau=config.tau
+    )
+    ops = assemble_volume(kernels)
     phi = forward.solve_direct(ops, eta_true)
     if config.noise > 0:
         phi = add_noise(phi, config.noise, config.seed)
-    linop = inverse.linearized_operator(ops)
-    kinv = inverse.regularize(linop, rank=config.rank, tau=config.tau)
     result = inverse.inverse_series(kinv, ops, phi, config.order)
     constants = bounds.closed_form_constants(config.wave_mode, config.a, config.omega_radius)
     diag = inverse.diagnostics(result, kinv, constants, ops, phi, eta_true=eta_true)

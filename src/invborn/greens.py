@@ -25,12 +25,15 @@ from .grid import BoundaryArray, Grid
 
 __all__ = [
     "WaveMode",
+    "BoundaryKernels",
     "OperatorSet",
     "greens_kernel",
     "kernel_modulus",
     "self_cell_integral",
     "self_cell_l1",
     "self_cell_l2",
+    "assemble_boundary",
+    "assemble_volume",
     "assemble",
 ]
 
@@ -153,19 +156,17 @@ def self_cell_l2(mode: WaveMode, w: float) -> float:
 
 
 @dataclass(frozen=True)
-class OperatorSet:
-    """Assembled discrete kernels for one (mode, grid, boundary) triple.
+class BoundaryKernels:
+    """Source-volume and volume-detector kernels for one (mode, grid, boundary) triple.
 
-    g_vv[i, j] = G(|x_i - x_j|) * w_j off the diagonal, the self-cell integral
-    on it, so that (g_vv @ f)[i] approximates the volume integral of G f.
     g_sv[s, j] and g_vd[j, d] are plain kernel values; volume weights are
-    applied at application time on the volume side.
+    applied at application time on the volume side.  They are all the
+    linearized operator reads.
     """
 
     mode: WaveMode
     grid: Grid
     boundary: BoundaryArray
-    g_vv: np.ndarray
     g_sv: np.ndarray
     g_vd: np.ndarray
 
@@ -180,6 +181,17 @@ class OperatorSet:
     @property
     def n_det(self) -> int:
         return self.boundary.n_det
+
+
+@dataclass(frozen=True)
+class OperatorSet(BoundaryKernels):
+    """The boundary kernels together with the volume-volume kernel.
+
+    g_vv[i, j] = G(|x_i - x_j|) * w_j off the diagonal, the self-cell integral
+    on it, so that (g_vv @ f)[i] approximates the volume integral of G f.
+    """
+
+    g_vv: np.ndarray
 
 
 def _pairwise_dist(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -228,17 +240,24 @@ def lattice_row_sums(grid: Grid, kernels) -> list:
 _ROW_BLOCK = 128
 
 
-def assemble(mode: WaveMode, grid: Grid, boundary: BoundaryArray) -> OperatorSet:
-    """Assemble the volume-volume and boundary-volume kernels.
-
-    The kernels are float64 arrays in diffuse mode (the diagonal is the real
-    self-cell integral) and complex in scalar mode.
-    """
+def assemble_boundary(mode: WaveMode, grid: Grid, boundary: BoundaryArray) -> BoundaryKernels:
+    """Assemble the source-volume and volume-detector kernels (S x V and V x D)."""
     r_src = np.linalg.norm(boundary.sources, axis=1)
     r_det = np.linalg.norm(boundary.detectors, axis=1)
     if np.any(r_src <= grid.radius_a) or np.any(r_det <= grid.radius_a):
         raise ValueError("boundary points must lie strictly outside the support ball")
+    g_sv = greens_kernel(mode, _pairwise_dist(boundary.sources, grid.centers))
+    g_vd = greens_kernel(mode, _pairwise_dist(grid.centers, boundary.detectors))
+    return BoundaryKernels(mode=mode, grid=grid, boundary=boundary, g_sv=g_sv, g_vd=g_vd)
 
+
+def assemble_volume(kernels: BoundaryKernels) -> OperatorSet:
+    """Add the V x V volume-volume kernel to the boundary kernels.
+
+    The kernel is a float64 array in diffuse mode (the diagonal is the real
+    self-cell integral) and complex in scalar mode.
+    """
+    mode, grid = kernels.mode, kernels.grid
     x, n = grid.centers, grid.n_nodes
     g_vv = np.empty((n, n), dtype=np.result_type(mode.kappa))
     for start in range(0, n, _ROW_BLOCK):
@@ -250,7 +269,16 @@ def assemble(mode: WaveMode, grid: Grid, boundary: BoundaryArray) -> OperatorSet
     weights, which = np.unique(grid.weights, return_inverse=True)
     diag = np.array([self_cell_integral(mode, w) for w in weights])[which]
     np.fill_diagonal(g_vv, diag.real if mode.kind == "diffuse" else diag)
+    return OperatorSet(
+        mode=mode,
+        grid=grid,
+        boundary=kernels.boundary,
+        g_sv=kernels.g_sv,
+        g_vd=kernels.g_vd,
+        g_vv=g_vv,
+    )
 
-    g_sv = greens_kernel(mode, _pairwise_dist(boundary.sources, grid.centers))
-    g_vd = greens_kernel(mode, _pairwise_dist(grid.centers, boundary.detectors))
-    return OperatorSet(mode=mode, grid=grid, boundary=boundary, g_vv=g_vv, g_sv=g_sv, g_vd=g_vd)
+
+def assemble(mode: WaveMode, grid: Grid, boundary: BoundaryArray) -> OperatorSet:
+    """Assemble the boundary kernels and then the volume-volume kernel."""
+    return assemble_volume(assemble_boundary(mode, grid, boundary))

@@ -167,6 +167,12 @@ def build_sphere_boundary(omega_radius: float, n_src: int, n_det: int) -> Bounda
         area = math.inf
     if not math.isfinite(area):
         raise ValueError(f"the sphere area is not finite at omega_radius={omega_radius:g}")
+    # the data norms and the linearized operator weigh a pair by area^2 / (S * D)
+    if not math.isfinite((area / n_src) * (area / n_det)):
+        raise ValueError(
+            f"the source-detector pair weight area^2/(n_src*n_det) is not finite at "
+            f"omega_radius={omega_radius:g}, n_src={n_src}, n_det={n_det}"
+        )
     return BoundaryArray(
         sources=fibonacci_sphere(n_src, omega_radius),
         detectors=fibonacci_sphere(n_det, omega_radius),

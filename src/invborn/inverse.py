@@ -29,7 +29,7 @@ import numpy as np
 from . import bounds
 from .forward import BornSeries, _check_factor, _finite
 from .forward import born_term  # noqa: F401  bench/run.py traces invborn.inverse.born_term
-from .greens import _ROW_BLOCK, OperatorSet
+from .greens import _ROW_BLOCK, BoundaryKernels, OperatorSet
 from .grid import data_norm, field_norm
 
 __all__ = [
@@ -45,7 +45,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LinearizedOperator:
-    """Order-1 operator, held as its weighted right singular vectors.
+    """Order-1 operator, held as its leading weighted right singular vectors.
 
     Rows are (source, detector) pairs in row-major order, columns are voxels;
     volume weights are folded in so that ``matrix @ eta`` equals the order-1
@@ -55,14 +55,18 @@ class LinearizedOperator:
     between the weighted L2 spaces.  They come from the V x V Gram matrix
     A^H A rather than from an SVD of the (S*D) x V matrix: the columns of K
     are Khatri-Rao products of source and detector kernel columns, so A^H A
-    is the Hadamard product of the source and detector Gram matrices.  K is
-    not stored: ``regularize`` applies it to the retained right singular
-    vectors a detector block at a time, and ``matrix`` forms it on first
-    access (for tests and the selftest).  Diffuse kernels are real, so in
-    diffuse mode ``matrix``, ``svals`` and ``vh`` are real arrays.
+    is the Hadamard product of the source and detector Gram matrices.
+    ``svals`` holds the values the factorization resolved: all min(S*D, V)
+    of them from a dense eigendecomposition, or, from the block Lanczos
+    path, every value >= KRYLOV_FLOOR * sigma_max and the first one below
+    (``complete`` tells which).  K is not stored: ``regularize`` applies it to
+    the retained right singular vectors a detector block at a time, and
+    ``matrix`` forms it on first access (for tests and the selftest).
+    Diffuse kernels are real, so in diffuse mode ``matrix``, ``svals`` and
+    ``vh`` are real arrays.
     """
 
-    ops: OperatorSet
+    ops: BoundaryKernels
     svals: np.ndarray
     vh: np.ndarray
     row_scale: float
@@ -76,13 +80,30 @@ class LinearizedOperator:
     def n_nodes(self) -> int:
         return self.ops.n_nodes
 
+    @property
+    def complete(self) -> bool:
+        """Whether ``svals`` holds the whole spectrum, min(S*D, V) values."""
+        return self.svals.size == min(self.n_pairs, self.n_nodes)
+
+    @functools.cached_property
+    def energy(self) -> float:
+        """||A||_F^2 = sum_i sigma_i^2, the trace of the Gram matrix.
+
+        With c = alpha * row_scale it is c^2 * sum_j w_j ||g_sv[:, j]||^2 ||g_vd[j]||^2,
+        so it needs no singular value.
+        """
+        ops = self.ops
+        src = (np.abs(ops.g_sv) ** 2).sum(axis=0)
+        det = (np.abs(ops.g_vd) ** 2).sum(axis=1)
+        return float((ops.mode.alpha * self.row_scale) ** 2 * np.dot(self.col_scale**2 * src, det))
+
     @functools.cached_property
     def matrix(self) -> np.ndarray:
         """The dense (S*D) x V order-1 matrix K."""
         return _k_rows(self.ops, self.ops.g_vd.T).reshape(self.n_pairs, self.n_nodes)
 
 
-def _k_rows(ops: OperatorSet, g_dv: np.ndarray) -> np.ndarray:
+def _k_rows(ops: BoundaryKernels, g_dv: np.ndarray) -> np.ndarray:
     """The rows of K for every source and the detectors of g_dv (rows of g_vd^T), as (S, d, V)."""
     # entry for pair (s, d) and voxel j: -alpha * g_sv[s, j] * g_vd[j, d] * w_j
     rows = ops.g_sv[:, None, :] * g_dv[None, :, :]
@@ -91,23 +112,52 @@ def _k_rows(ops: OperatorSet, g_dv: np.ndarray) -> np.ndarray:
     return rows
 
 
-def linearized_operator(ops: OperatorSet) -> LinearizedOperator:
-    """Factor the order-1 operator through its weighted V x V Gram matrix.
+# Smallest sigma / sigma_max that the block Lanczos path resolves.  Its Ritz
+# pairs are accepted at a residual of V * eps * sigma_max^2, which is coarse
+# relative to sigma^2 far below sigma_max: against a dense SVD (V=912, 48 x 48
+# pairs) pinv(phi) deviates by 2.4e-11 at tau = 1e-3 (dense eigh 3.4e-11), but
+# by 1.5e-7 at tau = 1e-4 (dense eigh 4.2e-9).  A truncation reaching below the
+# floor therefore takes dense eigh.
+KRYLOV_FLOOR = 1e-3
+_KRYLOV_BLOCK = 48  # vectors per Lanczos block
+_KRYLOV_FIRST_CHECK = 4  # blocks before the first Rayleigh-Ritz step
+_KRYLOV_MAX_BASIS = 21 * _KRYLOV_BLOCK  # 1008 vectors: 58 MB at V = 7208
 
-    With c = -alpha * row_scale the weighted Gram matrix is
 
-        A^H A = c^2 * (G_sv^H G_sv) o (conj(G_vd) G_vd^T) o (col_scale col_scale^T)
+def _krylov_basis_limit(n_nodes: int) -> int:
+    """Largest Krylov basis the factorization builds on n_nodes voxels; 0 where it takes eigh.
 
-    (``o`` the entrywise product); one Hermitian eigendecomposition gives
-    sigma = sqrt(lambda) and the right singular vectors.  Squaring the spectrum
-    costs accuracy in singular values far below sigma_max, which ``regularize``
-    refuses to retain (``SVAL_FLOOR``).  Diffuse kernels are real arrays, so
-    diffuse mode runs in real arithmetic; scalar mode is complex.
+    The basis holds at most min(V / 2, 1008) vectors, and at least the
+    _KRYLOV_FIRST_CHECK blocks that precede the first Rayleigh-Ritz step.
+    """
+    limit = min(n_nodes // 2, _KRYLOV_MAX_BASIS) // _KRYLOV_BLOCK * _KRYLOV_BLOCK
+    return limit if limit >= _KRYLOV_FIRST_CHECK * _KRYLOV_BLOCK else 0
+
+
+def _factor_footprint(n_nodes: int, n_pairs: int, tau: float | None) -> tuple[int, int]:
+    """Entries the factorization holds at its peak, and the most rows of vh it keeps.
+
+    Block Lanczos, counted where the grid admits a basis of m vectors and
+    tau >= KRYLOV_FLOOR: the Gram matrix, the basis, the Ritz vectors, their
+    images and residuals (4 V m), and the projected matrix with eigh's copy,
+    workspace and vectors (5 m^2); it keeps at most m rows.  Dense eigh, which
+    a rank rule or a smaller tau may take: the Gram matrix, eigh's copy, its
+    2 V^2 workspace and the eigenvectors; it keeps min(S*D, V) rows.
+    """
+    v, m = n_nodes, _krylov_basis_limit(n_nodes)
+    if m and tau is not None and tau >= KRYLOV_FLOOR:
+        return v * v + 4 * v * m + 5 * m * m, m
+    return 5 * v * v, min(n_pairs, v)
+
+
+def _weighted_gram(ops: BoundaryKernels, row_scale: float, col_scale: np.ndarray) -> np.ndarray:
+    """A^H A = c^2 * (G_sv^H G_sv) o (conj(G_vd) G_vd^T) o (col_scale col_scale^T).
+
+    c = -alpha * row_scale and ``o`` is the entrywise product.  The detector
+    Gram matrix and the weights are multiplied in by row blocks, so the
+    result is the only V x V array formed.
     """
     mode = ops.mode
-    g_sv, g_vd = ops.g_sv, ops.g_vd
-    row_scale = math.sqrt(ops.boundary.pair_weight)
-    col_scale = np.sqrt(ops.grid.weights)
     try:
         scale = (mode.alpha * row_scale) ** 2
     except OverflowError:
@@ -115,19 +165,107 @@ def linearized_operator(ops: OperatorSet) -> LinearizedOperator:
             f"the order-2 Gram coefficient (alpha*row_scale)^2 of the linearized operator"
             f" overflows at k={mode.k:g}"
         ) from None
-    gram = g_sv.conj().T @ g_sv
-    gram *= g_vd.conj() @ g_vd.T
-    # scaled in place by row blocks, with no V x V outer-product temporary
+    gram = ops.g_sv.conj().T @ ops.g_sv
     for start in range(0, ops.n_nodes, _ROW_BLOCK):
         rows = slice(start, start + _ROW_BLOCK)
+        gram[rows] *= ops.g_vd[rows].conj() @ ops.g_vd.T
         gram[rows] *= scale * np.outer(col_scale[rows], col_scale)
-    lam, vecs = np.linalg.eigh(gram)
+    return gram
+
+
+def _leading_eigenpairs(gram: np.ndarray, n: int):
+    """Eigenpairs of the Gram matrix down to KRYLOV_FLOOR^2 * theta_0 and one past it.
+
+    Block Lanczos with full reorthogonalization from a fixed-seed start
+    block, and a Rayleigh-Ritz step after every block from the
+    _KRYLOV_FIRST_CHECK-th on.  Each new block is orthogonalized against the
+    basis twice (a Householder R, then a Cholesky one), and the coefficients
+    of the first pass are the new columns of the projected matrix.  The
+    result is accepted once every wanted Ritz pair (at most n) has residual
+    ||G x - theta x|| <= V * eps * theta_0: first as read from the Lanczos
+    relation, then computed from the products G x.  Returns
+    (theta, vectors) descending, or None where the basis would exceed
+    _krylov_basis_limit or an orthogonalization breaks down; the caller then
+    takes dense eigh.
+    """
+    v = gram.shape[0]
+    limit, b = _krylov_basis_limit(v), _KRYLOV_BLOCK
+    if not limit:
+        return None
+    basis = np.empty((v, limit), dtype=gram.dtype, order="F")  # block columns stay contiguous
+    proj = np.zeros((limit, limit), dtype=gram.dtype)  # basis^H gram basis, upper triangle
+    block = np.linalg.qr(np.random.default_rng(0).standard_normal((v, b)))[0]
+    tol = v * np.finfo(float).eps
+    try:
+        for m in range(b, limit + 1, b):
+            new = slice(m - b, m)
+            basis[:, new] = block
+            q = basis[:, :m]
+            image = gram @ block
+            proj[:m, new] = q.conj().T @ image
+            w = image - q @ proj[:m, new]
+            r_1 = np.linalg.qr(w, mode="r")
+            w = w @ np.linalg.inv(r_1)
+            w -= q @ (q.conj().T @ w)
+            r_2 = np.linalg.cholesky(w.conj().T @ w).conj().T
+            block = w @ np.linalg.inv(r_2)
+            if m < _KRYLOV_FIRST_CHECK * b:
+                continue
+            theta, y = np.linalg.eigh(proj[:m, :m], UPLO="U")
+            theta, y = theta[::-1], y[:, ::-1]
+            keep = min(int(np.count_nonzero(theta >= KRYLOV_FLOOR**2 * theta[0])) + 1, n)
+            y = y[:, :keep]
+            # gram q = q proj + block r_2 r_1 e_last^T, so the residuals read off the last rows
+            if np.all(np.linalg.norm(r_2 @ r_1 @ y[m - b :], axis=0) <= tol * theta[0]):
+                vecs = q @ y
+                resid = np.linalg.norm(gram @ vecs - vecs * theta[:keep], axis=0)
+                if np.all(resid <= tol * theta[0]):
+                    return theta[:keep], vecs
+    except np.linalg.LinAlgError:  # a block lost rank
+        pass
+    return None
+
+
+def _factor(ops: BoundaryKernels, dense: bool) -> LinearizedOperator:
+    """The factorization by block Lanczos (falling back to dense eigh) or by dense eigh."""
+    row_scale = math.sqrt(ops.boundary.pair_weight)
+    col_scale = np.sqrt(ops.grid.weights)
+    gram = _weighted_gram(ops, row_scale, col_scale)
     n = min(ops.n_src * ops.n_det, ops.n_nodes)  # the SVD of an (S*D) x V matrix has n triplets
-    svals = np.sqrt(np.clip(lam[::-1][:n], 0.0, None))
-    vh = vecs[:, ::-1][:, :n].conj().T
+    pairs = None if dense else _leading_eigenpairs(gram, n)
+    if pairs is None:
+        lam, vecs = np.linalg.eigh(gram)
+        pairs = lam[::-1][:n], vecs[:, ::-1][:, :n]
+    del gram
+    theta, vecs = pairs
     return LinearizedOperator(
-        ops=ops, svals=svals, vh=vh, row_scale=row_scale, col_scale=col_scale
+        ops=ops,
+        svals=np.sqrt(np.clip(theta, 0.0, None)),
+        vh=vecs.conj().T,
+        row_scale=row_scale,
+        col_scale=col_scale,
     )
+
+
+def linearized_operator(ops: BoundaryKernels) -> LinearizedOperator:
+    """Factor the order-1 operator through its weighted V x V Gram matrix.
+
+    With c = -alpha * row_scale the weighted Gram matrix is
+
+        A^H A = c^2 * (G_sv^H G_sv) o (conj(G_vd) G_vd^T) o (col_scale col_scale^T)
+
+    (``o`` the entrywise product); its eigenpairs give sigma = sqrt(lambda)
+    and the right singular vectors.  Where the grid is large enough, block
+    Lanczos resolves the values down to KRYLOV_FLOOR * sigma_max (and one
+    below); on small grids, or where it does not converge within its basis,
+    one dense Hermitian eigendecomposition gives all of them.  Squaring the
+    spectrum costs accuracy in singular values far below sigma_max, which
+    ``regularize`` refuses to retain (``SVAL_FLOOR``).  Only the boundary
+    kernels are read, so ``ops`` may be a BoundaryKernels without g_vv.
+    Diffuse kernels are real arrays, so diffuse mode runs in real
+    arithmetic; scalar mode is complex.
+    """
+    return _factor(ops, dense=False)
 
 
 # Detectors per pass of _apply_k: a block of K's rows holds S * 8 * V entries
@@ -135,7 +273,7 @@ def linearized_operator(ops: OperatorSet) -> LinearizedOperator:
 _DET_BLOCK = 8
 
 
-def _apply_k(ops: OperatorSet, x: np.ndarray) -> np.ndarray:
+def _apply_k(ops: BoundaryKernels, x: np.ndarray) -> np.ndarray:
     """K @ x for a V x r array x, forming K a block of detectors at a time.
 
     Each block holds the entries of the dense K row for row, so the result is
@@ -212,15 +350,19 @@ class RegularizedInverse:
 
         sigma_max and the smallest retained sigma_min, their ratio, and the
         share of the squared spectrum (Frobenius energy) left out by the
-        truncation, 1 - sum_{i<=r} sigma_i^2 / sum_i sigma_i^2.
+        truncation, 1 - sum_{i<=r} sigma_i^2 / ||A||_F^2, with ||A||_F^2 from
+        the trace of the Gram matrix (``LinearizedOperator.energy``), so the
+        unresolved tail of a block Lanczos factorization is counted too.
         """
         s = self.linop.svals
         sigma_max = float(s[0])
+        energy = self.linop.energy
+        kept = float(np.dot(s[: self.rank], s[: self.rank]))
         return {
             "sigma_max": sigma_max,
             "sigma_min": self.sigma_min,
             "condition": sigma_max / self.sigma_min,
-            "discarded_energy": float(np.dot(s[self.rank :], s[self.rank :]) / np.dot(s, s)),
+            "discarded_energy": max(energy - kept, 0.0) / energy,
         }
 
 
@@ -237,26 +379,31 @@ def regularize(
     """Truncate the factorization by rank or by relative singular-value cutoff.
 
     Exactly one rule must be given: keep the top ``rank`` triplets, or keep
-    singular values >= tau * sigma_max with tau in (0, 1].  A truncation that
-    retains a singular value below SVAL_FLOOR * sigma_max is refused.  The
-    retained left singular vectors U_r = row_scale * K (V_r / col_scale)
-    diag(1 / sigma) are computed without storing K.
+    singular values >= tau * sigma_max with tau in (0, 1].  Where the cut
+    reaches past the values a block Lanczos factorization resolved (below
+    KRYLOV_FLOOR * sigma_max), the operator is factored again by dense eigh
+    and ``linop`` of the result is that factorization.  A truncation that
+    retains a singular value below SVAL_FLOOR * sigma_max, or a spectrum that
+    is not finite, is refused.  The retained left singular vectors
+    U_r = row_scale * K (V_r / col_scale) diag(1 / sigma) are computed without
+    storing K.
     """
     if (rank is None) == (tau is None):
         raise ValueError("give exactly one of rank= or tau=")
+    if tau is not None and not 0 < tau <= 1:
+        raise ValueError(f"tau must be in (0, 1], got {tau}")
+    n = min(linop.n_pairs, linop.n_nodes)
+    if rank is not None and not 1 <= rank <= n:
+        raise ValueError(f"rank must be in [1, {n}], got {rank}")
     s = linop.svals
-    if s.size == 0 or s[0] == 0:
+    if not np.isfinite(s).all():
+        raise ValueError("the singular values of the linearized operator are not finite")
+    if s[0] == 0:
         raise ValueError("operator is identically zero; nothing to invert")
-    if tau is not None:
-        if not 0 < tau <= 1:
-            raise ValueError(f"tau must be in (0, 1], got {tau}")
-        r = int(np.count_nonzero(s >= tau * s[0]))
-        rule = f"tau={tau:g} (rank {r})"
-    else:
-        if not 1 <= rank <= s.size:
-            raise ValueError(f"rank must be in [1, {s.size}], got {rank}")
-        r = int(rank)
-        rule = f"rank={r}"
+    r = int(rank) if rank is not None else int(np.count_nonzero(s >= tau * s[0]))
+    if r >= s.size and not linop.complete:  # the cut reaches past the resolved values
+        return regularize(_factor(linop.ops, dense=True), rank=rank, tau=tau)
+    rule = f"rank={r}" if rank is not None else f"tau={tau:g} (rank {r})"
     s_r = s[:r]
     if s_r[-1] < SVAL_FLOOR * s[0]:
         raise ValueError(

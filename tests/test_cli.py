@@ -122,6 +122,12 @@ def run_cli(tmp_path, *args):
     return main([str(a) for a in args])
 
 
+def patch_kernel_builders(monkeypatch, fn):
+    """Replace every kernel builder the CLI calls: forward assembles at once, invert in halves."""
+    for name in ("assemble", "assemble_boundary", "assemble_volume"):
+        monkeypatch.setattr(f"invborn.cli.{name}", fn)
+
+
 def test_cli_radii_deterministic(tmp_path):
     out1 = tmp_path / "r1.csv"
     assert run_cli(tmp_path, "radii", "--ka", "1,5,25", "--output", out1) == 0
@@ -215,6 +221,22 @@ def test_cli_invert_byte_identical_rerun(tmp_path):
     first = out.read_bytes()
     assert run_cli(tmp_path, *args) == 2
     assert out.read_bytes() == first
+
+
+def test_cli_invert_factors_before_it_assembles_the_volume_kernel(tmp_path, monkeypatch):
+    # no V x V volume kernel is alive while the Gram matrix is factored
+    import invborn.cli
+    import invborn.inverse
+
+    calls = []
+    for module, name in ((invborn.cli, "assemble_volume"), (invborn.inverse, "regularize")):
+        def traced(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, traced)
+    assert run_cli(tmp_path, "invert", *SMALL_ARGS, "--output", tmp_path / "i.json") == 2
+    assert calls == ["regularize", "assemble_volume"]
 
 
 def test_cli_invert_reports_spectrum(tmp_path):
@@ -629,7 +651,7 @@ def test_cli_out_of_memory_exits_one_without_output(tmp_path, capsys, monkeypatc
     def out_of_memory(*args, **kwargs):
         raise MemoryError("Unable to allocate 8.39 GiB for an array with shape (33552, 33552)")
 
-    monkeypatch.setattr("invborn.cli.assemble", out_of_memory)
+    patch_kernel_builders(monkeypatch, out_of_memory)
     out = tmp_path / "o.json"
     assert run_cli(tmp_path, command, *SMALL_ARGS, "--output", out) == 1
     err = capsys.readouterr().err
@@ -748,11 +770,33 @@ def test_cli_refuses_omega_radius_whose_area_overflows(tmp_path, capsys, command
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["forward", "invert"])
+@pytest.mark.parametrize("spelling", ["flag", "config"])
+@pytest.mark.parametrize("exponent", [100, 150])
+def test_cli_refuses_omega_radius_whose_pair_weight_overflows(
+    tmp_path, capsys, command, spelling, exponent
+):
+    # the sphere area is finite; the pair weight area^2 / (S * D) is not
+    config, out = tmp_path / "c.json", tmp_path / "o.json"
+    args = ["--omega-radius", f"1e{exponent}"]
+    if spelling == "config":
+        config.write_text('{"omega_radius": 1%s}' % ("0" * exponent))
+        args = ["--config", config]
+    assert run_cli(tmp_path, command, *SMALL_ARGS, *args, "--output", out) == 1
+    err = capsys.readouterr().err
+    assert (
+        "error: the source-detector pair weight area^2/(n_src*n_det) is not finite at "
+        f"omega_radius=1e+{exponent}, n_src=6, n_det=6"
+    ) in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_cli_refuses_negative_seed_before_assembly(tmp_path, capsys, monkeypatch):
     def assemble_not_reached(*args, **kwargs):
         raise AssertionError("assembled before the seed was checked")
 
-    monkeypatch.setattr("invborn.cli.assemble", assemble_not_reached)
+    patch_kernel_builders(monkeypatch, assemble_not_reached)
     out = tmp_path / "i.json"
     code = run_cli(tmp_path, "invert", "--noise", "1e-3", "--seed", "-1", "--output", out)
     assert code == 1
@@ -800,7 +844,7 @@ def assemble_not_reached(*args, **kwargs):
 )
 def test_cli_refuses_order_whose_series_exceeds_memory(tmp_path, capsys, monkeypatch, command, gib):
     nodes = {"forward": 56, "invert": 912}[command]  # the phantom's support, the whole grid
-    monkeypatch.setattr("invborn.cli.assemble", assemble_not_reached)
+    patch_kernel_builders(monkeypatch, assemble_not_reached)
     monkeypatch.setattr("invborn.cli._available_memory", lambda: 8 * 2**30)
     out = tmp_path / "o.json"
     assert run_cli(tmp_path, command, "--order", "1000000000000", "--output", out) == 1
@@ -812,11 +856,11 @@ def test_cli_refuses_order_whose_series_exceeds_memory(tmp_path, capsys, monkeyp
     assert not out.exists()
 
 
-@pytest.mark.parametrize("mode, gib", [("diffuse", "25.3"), ("scalar", "50.5")])
+@pytest.mark.parametrize("mode, gib", [("diffuse", "9.46"), ("scalar", "18.9")])
 def test_cli_refuses_grid_whose_kernels_exceed_memory(tmp_path, capsys, monkeypatch, mode, gib):
-    # V = 33,552: g_vv, the Gram matrix and eigh's vectors take 3 V^2 entries, while
-    # the order-6 series arrays need only about 80 MB
-    monkeypatch.setattr("invborn.cli.assemble", assemble_not_reached)
+    # V = 33,552: the Gram matrix and the block Lanczos arrays, 1.13 V^2 entries at the
+    # factorization peak, exceed memory alone; the order-6 series arrays need about 80 MB
+    patch_kernel_builders(monkeypatch, assemble_not_reached)
     monkeypatch.setattr("invborn.cli._available_memory", lambda: 8 * 2**30)
     out = tmp_path / "o.json"
     assert run_cli(tmp_path, "invert", "--mode", mode, "--h", "0.05", "--output", out) == 1
@@ -824,6 +868,25 @@ def test_cli_refuses_grid_whose_kernels_exceed_memory(tmp_path, capsys, monkeypa
     assert (
         f"error: the kernels on 33552 nodes and the series arrays of order 6 need about {gib} "
         "GiB, more than the 8 GiB of available memory"
+    ) in err
+    assert not out.exists()
+
+
+def test_cli_invert_memory_check_counts_the_dense_eigh_peak(tmp_path, capsys, monkeypatch):
+    # V = 912: a tau below KRYLOV_FLOOR takes dense eigh, and the check counts that
+    # path's peak (7 V^2 entries here: eigh's arrays, then all V singular vectors
+    # beside g_vv); a count of 3 V^2 for every path (22.9 MB) let it through.  The
+    # default tau takes block Lanczos, counted at 4.1 V^2, which fits.
+    monkeypatch.setattr("invborn.cli._available_memory", lambda: 32 * 2**20)
+    out = tmp_path / "o.json"
+    assert run_cli(tmp_path, "invert", "--output", out) == 2
+    patch_kernel_builders(monkeypatch, assemble_not_reached)
+    out.unlink()
+    assert run_cli(tmp_path, "invert", "--tau", "1e-4", "--output", out) == 1
+    err = capsys.readouterr().err
+    assert (
+        "error: the kernels on 912 nodes and the series arrays of order 6 need about 0.0432 "
+        "GiB, more than the 0.0312 GiB of available memory"
     ) in err
     assert not out.exists()
 

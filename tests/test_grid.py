@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -108,6 +109,15 @@ def test_sphere_boundary_rejects_empty_family():
 def test_sphere_boundary_refuses_radius_whose_area_is_not_finite(radius):
     with pytest.raises(ValueError, match="the sphere area is not finite at omega_radius="):
         build_sphere_boundary(radius, 4, 4)
+
+
+@pytest.mark.parametrize("radius", [1e100, 1e150])
+def test_sphere_boundary_refuses_pair_weight_that_is_not_finite(radius):
+    # the area is finite, but area^2 / (S * D) overflows
+    message = f"not finite at omega_radius={radius:g}, n_src=48, n_det=48"
+    with pytest.raises(ValueError, match="pair weight .* " + re.escape(message)):
+        build_sphere_boundary(radius, 48, 48)
+    assert math.isfinite(build_sphere_boundary(1e75, 48, 48).pair_weight)
 
 
 def test_sphere_boundary_weights_sum_and_radius():

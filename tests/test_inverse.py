@@ -24,9 +24,10 @@ from invborn import (
     solve_direct,
     stability_probe,
 )
-from invborn.cli import build_phantom, validate_absorption
+from invborn.cli import ExperimentConfig, _grids, build_phantom, validate_absorption
 from invborn.grid import Grid
-from invborn.inverse import SVAL_FLOOR, _apply_k
+from invborn.greens import assemble_boundary
+from invborn.inverse import KRYLOV_FLOOR, SVAL_FLOOR, _apply_k, _factor
 
 from conftest import enumerated_inverse_series, make_ops
 
@@ -216,6 +217,105 @@ def test_invert_path_forms_no_dense_operator(kind):
     assert kinv.norm_inf == pytest.approx(np.abs(kinv.matrix).sum(axis=1).max(), rel=1e-15)
 
 
+@pytest.fixture(scope="module", params=["diffuse", "scalar"])
+def krylov_problem(request):
+    """912 voxels and 24 x 24 pairs: the factorization takes the block Lanczos path.
+
+    Returns (ops, the block Lanczos factorization, the dense eigh one, a dense
+    weighted SVD); in diffuse mode 95 values are resolved and 94 retained at
+    tau = 1e-3, in scalar mode 59 and 58.
+    """
+    ops = make_ops(kind=request.param, h=1 / 6, n_src=24, n_det=24)
+    linop = linearized_operator(ops)
+    return ops, linop, _factor(ops, dense=True), dense_weighted_svd(linop)
+
+
+class TestBlockLanczos:
+    def test_resolves_every_value_above_the_floor_and_one_below(self, krylov_problem):
+        ops, linop, dense, _ = krylov_problem
+        assert not linop.complete and dense.complete
+        count = int(np.count_nonzero(dense.svals >= KRYLOV_FLOOR * dense.svals[0]))
+        assert linop.svals.size == count + 1
+        assert linop.vh.shape == (count + 1, ops.n_nodes)
+        assert linop.svals[-1] < KRYLOV_FLOOR * linop.svals[0] <= linop.svals[-2]
+
+    def test_singular_values_match_dense_eigh(self, krylov_problem):
+        _, linop, dense, _ = krylov_problem
+        kinv, ref = regularize(linop, tau=1e-3), regularize(dense, tau=1e-3)
+        assert kinv.rank == ref.rank
+        assert kinv.linop is linop
+        s, s_ref = linop.svals, dense.svals[: linop.svals.size]
+        # both carry an absolute error of about eps * sigma_max^2 / sigma in sigma, so
+        # the edge of the retained range agrees to 3.2e-12 relative (measured)
+        assert np.all(np.abs(s - s_ref) <= 1e-12 * s_ref[0])
+        assert np.all(np.abs(s - s_ref) <= 1e-10 * s_ref)
+
+    def test_pseudoinverse_and_projector_match_dense_svd(self, krylov_problem):
+        ops, linop, _, (u, s, vh) = krylov_problem
+        kinv = regularize(linop, tau=1e-3)
+        r = kinv.rank
+        pinv = ((vh[:r].conj().T / linop.col_scale[:, None]) / s[:r]) @ u[:, :r].conj().T
+        pinv = pinv * linop.row_scale
+        eta = 0.05 * build_phantom(
+            ops.grid, [{"center": [0.1, 0.2, 0], "radius": 0.5, "amplitude": 1.0}]
+        )
+        phi = solve_direct(ops, eta)
+        ref = pinv @ phi.ravel()
+        tol = 1e-9 if ops.mode.kind == "diffuse" else 1e-8  # measured 2.4e-11, 1.2e-11
+        assert np.abs(kinv.apply(phi) - ref).max() <= tol * np.abs(ref).max()
+        v_r = vh[:r].conj().T
+        proj = (v_r @ v_r.conj().T) * (linop.col_scale[None, :] / linop.col_scale[:, None])
+        assert np.abs(kinv.projector_matrix() - proj).max() <= 1e-8
+
+    def test_truncation_below_the_floor_takes_the_dense_path(self, krylov_problem):
+        _, linop, dense, _ = krylov_problem
+        for rule in ({"tau": 1e-4}, {"rank": linop.svals.size}, {"rank": linop.svals.size + 5}):
+            kinv, ref = regularize(linop, **rule), regularize(dense, **rule)
+            assert kinv.rank == ref.rank
+            assert kinv.linop.complete
+            assert np.array_equal(kinv.linop.svals, dense.svals)
+            assert np.array_equal(kinv.linop.vh, dense.vh)
+            assert np.array_equal(kinv._left, ref._left)
+            assert np.array_equal(kinv._u_rh, ref._u_rh)
+
+    def test_reruns_are_bit_identical(self, krylov_problem):
+        ops, linop, _, _ = krylov_problem
+        again = linearized_operator(ops)
+        assert np.array_equal(again.svals, linop.svals)
+        assert np.array_equal(again.vh, linop.vh)
+
+    def test_discarded_energy_from_the_trace(self, krylov_problem):
+        _, linop, _, (_, s, _) = krylov_problem
+        kinv = regularize(linop, tau=1e-3)
+        ref = np.sum(s[kinv.rank :] ** 2) / np.sum(s**2)
+        assert kinv.spectrum()["discarded_energy"] == pytest.approx(ref, rel=1e-9)
+        assert linop.energy == pytest.approx(np.sum(s**2), rel=1e-13)
+
+
+def test_small_grids_take_dense_eigh(small_linop):
+    assert small_linop.complete
+    assert small_linop.svals.size == min(small_linop.n_pairs, small_linop.n_nodes)
+
+
+@pytest.mark.slow
+def test_fine_grid_factorization_fits_in_memory():
+    # h = 1/12, V = 7208: dense eigh needed 5 V^2 entries (2.1 GB); block Lanczos keeps
+    # the Gram matrix (415 MB) and a basis of at most 1008 vectors
+    config = ExperimentConfig(h=1 / 12)
+    grid, boundary = _grids(config)
+    assert grid.n_nodes == 7208
+    kernels = assemble_boundary(config.wave_mode, grid, boundary)
+    tracemalloc.start()
+    try:
+        kinv = regularize(linearized_operator(kernels), tau=config.tau)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not kinv.linop.complete
+    assert kinv.rank == 110
+    assert peak < 1.5e9
+
+
 class TestRegularize:
     def test_requires_exactly_one_rule(self, small_linop):
         with pytest.raises(ValueError):
@@ -286,6 +386,15 @@ class TestRegularize:
         with pytest.raises(ValueError, match=f"rank={size} .*SVAL_FLOOR"):
             regularize(linop, rank=size)
         assert regularize(linop, rank=size - 1).sigma_min >= SVAL_FLOOR * linop.svals[0]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_refuses_a_spectrum_that_is_not_finite(self, small_linop, bad):
+        svals = small_linop.svals.copy()
+        svals[0] = bad
+        linop = dataclasses.replace(small_linop, svals=svals)
+        for rule in ({"tau": 1e-3}, {"rank": 3}):
+            with pytest.raises(ValueError, match="singular values .* are not finite"):
+                regularize(linop, **rule)
 
     def test_rejects_empty_or_invalid_truncation(self, small_linop):
         with pytest.raises(ValueError):
