@@ -337,7 +337,7 @@ def cmd_invert(config: ExperimentConfig) -> tuple[dict, int]:
     )
     kernels = assemble_boundary(config.wave_mode, grid, boundary)
     kinv = inverse.regularize(
-        inverse.linearized_operator(kernels), rank=config.rank, tau=config.tau
+        inverse.linearized_operator(kernels, tau=config.tau), rank=config.rank, tau=config.tau
     )
     ops = assemble_volume(kernels)
     phi = forward.solve_direct(ops, eta_true)

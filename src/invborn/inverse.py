@@ -120,18 +120,25 @@ def _k_rows(ops: BoundaryKernels, g_dv: np.ndarray) -> np.ndarray:
 # floor therefore takes dense eigh.
 KRYLOV_FLOOR = 1e-3
 _KRYLOV_BLOCK = 48  # vectors per Lanczos block
-_KRYLOV_FIRST_CHECK = 4  # blocks before the first Rayleigh-Ritz step
+_KRYLOV_MIN_BLOCKS = 4  # the smallest basis worth a Krylov pass
 _KRYLOV_MAX_BASIS = 21 * _KRYLOV_BLOCK  # 1008 vectors: 58 MB at V = 7208
+# A Rayleigh-Ritz step is taken once the Frobenius norm of the block coupling
+# r_2 r_1 of the Lanczos relation falls to this many residual tolerances
+# V * eps * theta_0.  At the first block where the step accepts it measured 400
+# to 7450 tolerances, and one block earlier 1.5e4 to 8e4 (V = 912 to 3112,
+# 24 x 24 and 48 x 48 pairs, both modes).  A step taken too early costs an
+# eigh of the projected matrix; one taken a block late costs one block more.
+_KRYLOV_RITZ_GATE = 1e4
 
 
 def _krylov_basis_limit(n_nodes: int) -> int:
     """Largest Krylov basis the factorization builds on n_nodes voxels; 0 where it takes eigh.
 
-    The basis holds at most min(V / 2, 1008) vectors, and at least the
-    _KRYLOV_FIRST_CHECK blocks that precede the first Rayleigh-Ritz step.
+    The basis holds at most min(V / 2, 1008) vectors, and at least
+    _KRYLOV_MIN_BLOCKS blocks.
     """
     limit = min(n_nodes // 2, _KRYLOV_MAX_BASIS) // _KRYLOV_BLOCK * _KRYLOV_BLOCK
-    return limit if limit >= _KRYLOV_FIRST_CHECK * _KRYLOV_BLOCK else 0
+    return limit if limit >= _KRYLOV_MIN_BLOCKS * _KRYLOV_BLOCK else 0
 
 
 def _factor_footprint(n_nodes: int, n_pairs: int, tau: float | None) -> tuple[int, int]:
@@ -141,8 +148,9 @@ def _factor_footprint(n_nodes: int, n_pairs: int, tau: float | None) -> tuple[in
     tau >= KRYLOV_FLOOR: the Gram matrix, the basis, the Ritz vectors, their
     images and residuals (4 V m), and the projected matrix with eigh's copy,
     workspace and vectors (5 m^2); it keeps at most m rows.  Dense eigh, which
-    a rank rule or a smaller tau may take: the Gram matrix, eigh's copy, its
-    2 V^2 workspace and the eigenvectors; it keeps min(S*D, V) rows.
+    a smaller tau takes at once and a rank rule may fall back to: the Gram
+    matrix, eigh's copy, its 2 V^2 workspace and the eigenvectors; it keeps
+    min(S*D, V) rows.
     """
     v, m = n_nodes, _krylov_basis_limit(n_nodes)
     if m and tau is not None and tau >= KRYLOV_FLOOR:
@@ -173,20 +181,45 @@ def _weighted_gram(ops: BoundaryKernels, row_scale: float, col_scale: np.ndarray
     return gram
 
 
+def _cholesky_r(w: np.ndarray) -> np.ndarray:
+    """Upper triangular R with w^H w = R^H R, so w R^-1 has orthonormal columns.
+
+    Raises LinAlgError where w^H w is not numerically positive definite.
+    """
+    return np.linalg.cholesky(w.conj().T @ w).conj().T
+
+
+def _orthonormal_r(w: np.ndarray) -> np.ndarray:
+    """R of a QR factorization of w: Cholesky-QR, or Householder where that breaks down.
+
+    The Cholesky factor of the b x b Gram matrix costs one V b^2 product;
+    a block whose columns are numerically dependent (a Krylov space that
+    exhausts the range of a low-rank Gram matrix) takes Householder R.
+    """
+    try:
+        return _cholesky_r(w)
+    except np.linalg.LinAlgError:
+        return np.linalg.qr(w, mode="r")
+
+
 def _leading_eigenpairs(gram: np.ndarray, n: int):
     """Eigenpairs of the Gram matrix down to KRYLOV_FLOOR^2 * theta_0 and one past it.
 
-    Block Lanczos with full reorthogonalization from a fixed-seed start
-    block, and a Rayleigh-Ritz step after every block from the
-    _KRYLOV_FIRST_CHECK-th on.  Each new block is orthogonalized against the
-    basis twice (a Householder R, then a Cholesky one), and the coefficients
-    of the first pass are the new columns of the projected matrix.  The
-    result is accepted once every wanted Ritz pair (at most n) has residual
+    Block Lanczos with full reorthogonalization from a fixed-seed Gaussian
+    start block.  The start block and each new one are orthonormalized by a
+    first pass whose R is Cholesky-QR (Householder where the block's Gram
+    matrix is not positive definite); each new block is then orthogonalized
+    against the basis once more, with a Cholesky pass.  The coefficients of
+    the first pass are the new columns of the projected matrix T.  With the
+    block coupling B = r_2 r_1, gram Q = Q T + block B e_last^T, so a Ritz
+    pair's residual is ||B y_last||.  A Rayleigh-Ritz step is taken only once
+    ||B||_F <= _KRYLOV_RITZ_GATE * V * eps * theta_hat (theta_hat the largest
+    diagonal entry of T), and always at the basis limit.  The result is
+    accepted once every wanted Ritz pair (at most n) has residual
     ||G x - theta x|| <= V * eps * theta_0: first as read from the Lanczos
-    relation, then computed from the products G x.  Returns
-    (theta, vectors) descending, or None where the basis would exceed
-    _krylov_basis_limit or an orthogonalization breaks down; the caller then
-    takes dense eigh.
+    relation, then computed from the products G x.  Returns (theta, vectors)
+    descending, or None where the basis would exceed _krylov_basis_limit or
+    an orthogonalization breaks down; the caller then takes dense eigh.
     """
     v = gram.shape[0]
     limit, b = _krylov_basis_limit(v), _KRYLOV_BLOCK
@@ -194,7 +227,8 @@ def _leading_eigenpairs(gram: np.ndarray, n: int):
         return None
     basis = np.empty((v, limit), dtype=gram.dtype, order="F")  # block columns stay contiguous
     proj = np.zeros((limit, limit), dtype=gram.dtype)  # basis^H gram basis, upper triangle
-    block = np.linalg.qr(np.random.default_rng(0).standard_normal((v, b)))[0]
+    block = np.random.default_rng(0).standard_normal((v, b))
+    block = block @ np.linalg.inv(_orthonormal_r(block))
     tol = v * np.finfo(float).eps
     try:
         for m in range(b, limit + 1, b):
@@ -204,19 +238,20 @@ def _leading_eigenpairs(gram: np.ndarray, n: int):
             image = gram @ block
             proj[:m, new] = q.conj().T @ image
             w = image - q @ proj[:m, new]
-            r_1 = np.linalg.qr(w, mode="r")
+            r_1 = _orthonormal_r(w)
             w = w @ np.linalg.inv(r_1)
             w -= q @ (q.conj().T @ w)
-            r_2 = np.linalg.cholesky(w.conj().T @ w).conj().T
+            r_2 = _cholesky_r(w)
             block = w @ np.linalg.inv(r_2)
-            if m < _KRYLOV_FIRST_CHECK * b:
+            coupling = r_2 @ r_1  # gram q = q proj + block coupling e_last^T
+            gate = _KRYLOV_RITZ_GATE * tol * proj.diagonal().real.max()
+            if m < limit and np.linalg.norm(coupling) > gate:
                 continue
             theta, y = np.linalg.eigh(proj[:m, :m], UPLO="U")
             theta, y = theta[::-1], y[:, ::-1]
             keep = min(int(np.count_nonzero(theta >= KRYLOV_FLOOR**2 * theta[0])) + 1, n)
             y = y[:, :keep]
-            # gram q = q proj + block r_2 r_1 e_last^T, so the residuals read off the last rows
-            if np.all(np.linalg.norm(r_2 @ r_1 @ y[m - b :], axis=0) <= tol * theta[0]):
+            if np.all(np.linalg.norm(coupling @ y[m - b :], axis=0) <= tol * theta[0]):
                 vecs = q @ y
                 resid = np.linalg.norm(gram @ vecs - vecs * theta[:keep], axis=0)
                 if np.all(resid <= tol * theta[0]):
@@ -247,7 +282,7 @@ def _factor(ops: BoundaryKernels, dense: bool) -> LinearizedOperator:
     )
 
 
-def linearized_operator(ops: BoundaryKernels) -> LinearizedOperator:
+def linearized_operator(ops: BoundaryKernels, tau: float | None = None) -> LinearizedOperator:
     """Factor the order-1 operator through its weighted V x V Gram matrix.
 
     With c = -alpha * row_scale the weighted Gram matrix is
@@ -257,15 +292,18 @@ def linearized_operator(ops: BoundaryKernels) -> LinearizedOperator:
     (``o`` the entrywise product); its eigenpairs give sigma = sqrt(lambda)
     and the right singular vectors.  Where the grid is large enough, block
     Lanczos resolves the values down to KRYLOV_FLOOR * sigma_max (and one
-    below); on small grids, or where it does not converge within its basis,
-    one dense Hermitian eigendecomposition gives all of them.  Squaring the
-    spectrum costs accuracy in singular values far below sigma_max, which
-    ``regularize`` refuses to retain (``SVAL_FLOOR``).  Only the boundary
-    kernels are read, so ``ops`` may be a BoundaryKernels without g_vv.
-    Diffuse kernels are real arrays, so diffuse mode runs in real
-    arithmetic; scalar mode is complex.
+    below), with a Rayleigh-Ritz step only once the Lanczos relation shows
+    it can converge; on small grids, or where it does not converge within
+    its basis, one dense Hermitian eigendecomposition gives all of them.
+    ``tau``, when given, is the cutoff ``regularize`` will truncate at: one
+    below KRYLOV_FLOOR reaches past what block Lanczos resolves, so it takes
+    dense eigh at once.  Squaring the spectrum costs accuracy in singular
+    values far below sigma_max, which ``regularize`` refuses to retain
+    (``SVAL_FLOOR``).  Only the boundary kernels are read, so ``ops`` may be
+    a BoundaryKernels without g_vv.  Diffuse kernels are real arrays, so
+    diffuse mode runs in real arithmetic; scalar mode is complex.
     """
-    return _factor(ops, dense=False)
+    return _factor(ops, dense=tau is not None and tau < KRYLOV_FLOOR)
 
 
 # Detectors per pass of _apply_k: a block of K's rows holds S * 8 * V entries
@@ -382,7 +420,8 @@ def regularize(
     singular values >= tau * sigma_max with tau in (0, 1].  Where the cut
     reaches past the values a block Lanczos factorization resolved (below
     KRYLOV_FLOOR * sigma_max), the operator is factored again by dense eigh
-    and ``linop`` of the result is that factorization.  A truncation that
+    and ``linop`` of the result is that factorization; ``linearized_operator``
+    given the same tau takes dense eigh at once instead.  A truncation that
     retains a singular value below SVAL_FLOOR * sigma_max, or a spectrum that
     is not finite, is refused.  The retained left singular vectors
     U_r = row_scale * K (V_r / col_scale) diag(1 / sigma) are computed without

@@ -239,6 +239,26 @@ def test_cli_invert_factors_before_it_assembles_the_volume_kernel(tmp_path, monk
     assert calls == ["regularize", "assemble_volume"]
 
 
+def test_cli_invert_tau_below_the_krylov_floor_factors_once(tmp_path, monkeypatch):
+    # V = 912: a tau below KRYLOV_FLOOR goes to dense eigh at once, with one Gram
+    # matrix and no Krylov basis; the factorization regularize keeps is that one
+    import invborn.inverse
+
+    calls = []
+    for name in ("_weighted_gram", "_leading_eigenpairs", "linearized_operator", "regularize"):
+        def traced(*args, _fn=getattr(invborn.inverse, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(invborn.inverse, name, traced)
+    args = ("--order", "2", "--output", tmp_path / "i.json")
+    assert run_cli(tmp_path, "invert", "--tau", "1e-4", *args) == 2
+    assert calls == ["linearized_operator", "_weighted_gram", "regularize"]
+    calls.clear()
+    assert run_cli(tmp_path, "invert", "--tau", "1e-3", *args) == 2
+    assert calls == ["linearized_operator", "_weighted_gram", "_leading_eigenpairs", "regularize"]
+
+
 def test_cli_invert_reports_spectrum(tmp_path):
     out = tmp_path / "i.json"
     assert run_cli(tmp_path, "invert", *SMALL_ARGS, "--output", out) == 2

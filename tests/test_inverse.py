@@ -27,7 +27,14 @@ from invborn import (
 from invborn.cli import ExperimentConfig, _grids, build_phantom, validate_absorption
 from invborn.grid import Grid
 from invborn.greens import assemble_boundary
-from invborn.inverse import KRYLOV_FLOOR, SVAL_FLOOR, _apply_k, _factor
+from invborn.inverse import (
+    KRYLOV_FLOOR,
+    SVAL_FLOOR,
+    _apply_k,
+    _factor,
+    _leading_eigenpairs,
+    _weighted_gram,
+)
 
 from conftest import enumerated_inverse_series, make_ops
 
@@ -290,6 +297,67 @@ class TestBlockLanczos:
         ref = np.sum(s[kinv.rank :] ** 2) / np.sum(s**2)
         assert kinv.spectrum()["discarded_energy"] == pytest.approx(ref, rel=1e-9)
         assert linop.energy == pytest.approx(np.sum(s**2), rel=1e-13)
+
+
+def eigh_orders(monkeypatch):
+    """The order of every matrix np.linalg.eigh factors from here on, in call order."""
+    orders = []
+    eigh = np.linalg.eigh
+
+    def traced(a, *args, **kwargs):
+        orders.append(a.shape[0])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", traced)
+    return orders
+
+
+def check_returned_ritz_pairs(ops, monkeypatch):
+    """Check the Ritz pairs block Lanczos returns for ops; return its eigh orders."""
+    gram = _weighted_gram(ops, math.sqrt(ops.boundary.pair_weight), np.sqrt(ops.grid.weights))
+    orders = eigh_orders(monkeypatch)
+    theta, vecs = _leading_eigenpairs(gram, min(ops.n_src * ops.n_det, ops.n_nodes))
+    # measured 2.2e-15; the residuals 0.005 to 0.11 of the tolerance
+    assert np.abs(vecs.conj().T @ vecs - np.eye(theta.size)).max() <= 1e-13
+    resid = np.linalg.norm(gram @ vecs - vecs * theta, axis=0)
+    assert np.all(resid <= ops.n_nodes * np.finfo(float).eps * theta[0])
+    assert max(orders) < ops.n_nodes
+    return orders
+
+
+def test_krylov_ritz_pairs_are_orthonormal_with_small_residuals(krylov_problem, monkeypatch):
+    check_returned_ritz_pairs(krylov_problem[0], monkeypatch)
+
+
+@pytest.mark.parametrize("kind", ["diffuse", "scalar"])
+def test_bench_geometry_takes_at_most_two_rayleigh_ritz_steps(kind, monkeypatch):
+    # 912 voxels and 48 x 48 pairs, the invert-default geometry: the coupling gate
+    # leaves one Rayleigh-Ritz step in each mode, where one after every block from
+    # the fourth on takes four (diffuse) and two (scalar)
+    ops = make_ops(kind=kind, h=1 / 6, n_src=48, n_det=48)
+    assert len(check_returned_ritz_pairs(ops, monkeypatch)) <= 2
+
+
+@pytest.mark.parametrize("pairs, resolved", [(2, 4), (4, 11), (6, 22)])
+def test_rank_deficient_sensor_sets_stay_on_the_krylov_path(pairs, resolved, monkeypatch):
+    # the Gram rank S*D is below one 48-vector block, so the first block's own
+    # Gram matrix is singular; without its Householder fallback, Cholesky-QR
+    # sends each of these sensor sets to dense eigh
+    ops = make_ops(h=1 / 6, n_src=pairs, n_det=pairs)
+    orders = eigh_orders(monkeypatch)
+    linop = linearized_operator(ops)
+    assert max(orders) < ops.n_nodes
+    assert linop.svals.size == resolved
+    assert linop.complete == (resolved == pairs * pairs)
+    monkeypatch.undo()
+    dense = _factor(ops, dense=True)
+    # the values above the floor; the one past it sits at rounding level
+    count = int(np.count_nonzero(dense.svals >= KRYLOV_FLOOR * dense.svals[0]))
+    assert np.all(np.abs(linop.svals[:count] - dense.svals[:count]) <= 1e-12 * dense.svals[0])
+    kinv, ref = regularize(linop, tau=1e-3), regularize(dense, tau=1e-3)
+    assert kinv.rank == ref.rank == count
+    assert kinv.linop is linop
+    assert np.abs(kinv.projector_matrix() - ref.projector_matrix()).max() <= 1e-8
 
 
 def test_small_grids_take_dense_eigh(small_linop):
