@@ -83,6 +83,7 @@ class ExperimentConfig:
         # h, n_src and n_det are range-checked where the grids are built: radii builds none
         if (self.tau is None) == (self.rank is None):
             raise ValueError("give exactly one of tau or rank")
+        inverse._check_truncation(self.tau)
         if self.order < 1:
             raise ValueError("order must be >= 1")
         if self.noise < 0:
@@ -217,8 +218,9 @@ def _check_memory(config: ExperimentConfig, nodes: int, values: int) -> None:
     """Refuse a run whose arrays, ``values`` entries at their peak, exceed available memory.
 
     ``nodes`` is the number of volume nodes the kernels span.  Checked before
-    any kernel is formed.  An entry takes 8 bytes in real (diffuse) arithmetic
-    and 16 in complex (scalar).
+    any kernel is formed, with ``values`` from ``forward.peak_entries`` or
+    ``inverse.peak_entries``.  An entry takes 8 bytes in real (diffuse)
+    arithmetic and 16 in complex (scalar).
     """
     need = values * (8 if config.mode == "diffuse" else 16)
     available = _available_memory()
@@ -228,23 +230,6 @@ def _check_memory(config: ExperimentConfig, nodes: int, values: int) -> None:
             f"need about {need / 2**30:.3g} GiB, more than the {available / 2**30:.3g} GiB "
             "of available memory"
         )
-
-
-def _invert_peak(config: ExperimentConfig, n: int, support: int) -> int:
-    """Entries invert holds at its peak on n grid nodes, support of them in the phantom.
-
-    The larger of the factorization stage (``inverse._factor_footprint``) and
-    the series stage: g_vv, the kept right singular vectors with the retained
-    factors of the pseudoinverse, the support solve (its block, the solved
-    matrix and LAPACK's copy) and per order a V x D chain matrix and three
-    volume fields.  The boundary kernels live throughout.
-    """
-    pairs = config.n_src * config.n_det
-    factor, rows = inverse._factor_footprint(n, pairs, config.tau)
-    series = (
-        n * n + rows * (3 * n + pairs) + 3 * support**2 + config.order * n * (config.n_det + 3)
-    )
-    return (config.n_src + config.n_det) * n + max(factor, series)
 
 
 def add_noise(phi: np.ndarray, amplitude: float, seed: int) -> np.ndarray:
@@ -304,17 +289,14 @@ def cmd_forward(config: ExperimentConfig) -> tuple[dict, int]:
     grid, boundary = _grids(config)
     eta = _config_phantom(grid, config)
     support = np.flatnonzero(eta)
-    # the support kernel, the solved matrix and LAPACK's copy of it, the boundary
-    # kernels, and the terms, their stacked copy and the partial sums, each order x S x D
     n = support.size
-    kernels = 3 * n * n + (config.n_src + config.n_det) * n
-    _check_memory(config, n, kernels + 3 * config.order * config.n_src * config.n_det)
+    _check_memory(config, n, forward.peak_entries(n, config.n_src, config.n_det, config.order))
     ops = assemble(config.wave_mode, grid.subset(support), boundary)
     eta = eta[support]
     phi = forward.solve_direct(ops, eta)
     certificate = forward.residual_certificate(ops, eta, config.order, phi=phi)
     result = {
-        "config": config.to_dict(),
+        "config": {key: getattr(config, key) for key in _FORWARD_KEYS},
         "grid_nodes": grid.n_nodes,
         "data_norms": {label: data_norm(boundary, phi, p) for p, label in bounds.P_NORMS},
         "certificate": certificate,
@@ -332,9 +314,12 @@ def cmd_invert(config: ExperimentConfig) -> tuple[dict, int]:
     """
     grid, boundary = _grids(config)
     eta_true = _config_phantom(grid, config)
-    _check_memory(
-        config, grid.n_nodes, _invert_peak(config, grid.n_nodes, np.count_nonzero(eta_true))
+    inverse._check_truncation(None, config.rank, min(config.n_src * config.n_det, grid.n_nodes))
+    peak = inverse.peak_entries(
+        grid.n_nodes, config.n_src, config.n_det, np.count_nonzero(eta_true), config.order,
+        config.tau,
     )
+    _check_memory(config, grid.n_nodes, peak)
     kernels = assemble_boundary(config.wave_mode, grid, boundary)
     kinv = inverse.regularize(
         inverse.linearized_operator(kernels, tau=config.tau), rank=config.rank, tau=config.tau
@@ -596,8 +581,8 @@ _CONFIG_FLAGS = {
     "output": {"help": "output file path"},
 }
 _RADII_KEYS = ("mode", "a", "omega_radius", "output")  # the only keys radii reads
-# forward reads neither the truncation rank nor the data noise; it keeps --tau,
-# which bench/run.py passes to every workload
+# the keys forward takes and echoes: it reads neither the truncation rank nor the
+# data noise; it keeps --tau, which bench/run.py passes to every workload
 _FORWARD_KEYS = tuple(key for key in _CONFIG_FLAGS if key not in ("rank", "noise", "seed"))
 
 

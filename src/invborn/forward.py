@@ -87,6 +87,16 @@ def _finite(values: np.ndarray, series: str, m: int) -> np.ndarray:
     return values
 
 
+def peak_entries(support: int, n_src: int, n_det: int, order: int) -> int:
+    """Entries ``invborn forward`` holds at its peak: its memory estimate.
+
+    On the phantom's ``support`` nodes, the support kernel, the solved matrix
+    and LAPACK's copy of it, the boundary kernels, and per order the terms,
+    their stacked copy and the partial sums (S x D each).
+    """
+    return 3 * support**2 + (n_src + n_det) * support + 3 * order * n_src * n_det
+
+
 def solve_direct(ops: OperatorSet, eta: np.ndarray) -> np.ndarray:
     """Scattering data phi = u_i - u from the dense direct solve, all sources at once.
 

@@ -141,21 +141,27 @@ def _krylov_basis_limit(n_nodes: int) -> int:
     return limit if limit >= _KRYLOV_MIN_BLOCKS * _KRYLOV_BLOCK else 0
 
 
-def _factor_footprint(n_nodes: int, n_pairs: int, tau: float | None) -> tuple[int, int]:
-    """Entries the factorization holds at its peak, and the most rows of vh it keeps.
+def peak_entries(
+    n_nodes: int, n_src: int, n_det: int, support: int, order: int, tau: float | None
+) -> int:
+    """Entries ``invborn invert`` holds at its peak: its memory estimate.
 
-    Block Lanczos, counted where the grid admits a basis of m vectors and
-    tau >= KRYLOV_FLOOR: the Gram matrix, the basis, the Ritz vectors, their
-    images and residuals (4 V m), and the projected matrix with eigh's copy,
-    workspace and vectors (5 m^2); it keeps at most m rows.  Dense eigh, which
-    a smaller tau takes at once and a rank rule may fall back to: the Gram
-    matrix, eigh's copy, its 2 V^2 workspace and the eigenvectors; it keeps
-    min(S*D, V) rows.
+    The boundary kernels, (S + D) V, and the larger of two stages.  The
+    factorization: block Lanczos, counted where the grid admits a basis of m
+    vectors and tau >= KRYLOV_FLOOR, holds the Gram matrix, the basis, the
+    Ritz vectors, their images and residuals, and the projected matrix with
+    eigh's copy, workspace and vectors; dense eigh the Gram matrix, eigh's
+    copy, its 2 V^2 workspace and the eigenvectors.  The series: g_vv, the
+    kept rows of vh with the pseudoinverse factors, the data solve on the
+    ``support`` nodes, and per order a V x D chain matrix and three fields.
     """
-    v, m = n_nodes, _krylov_basis_limit(n_nodes)
+    v, pairs, m = n_nodes, n_src * n_det, _krylov_basis_limit(n_nodes)
     if m and tau is not None and tau >= KRYLOV_FLOOR:
-        return v * v + 4 * v * m + 5 * m * m, m
-    return 5 * v * v, min(n_pairs, v)
+        factor, rows = v * v + 4 * v * m + 5 * m * m, m
+    else:
+        factor, rows = 5 * v * v, min(pairs, v)
+    series = v * v + rows * (3 * v + pairs) + 3 * support**2 + order * v * (n_det + 3)
+    return (n_src + n_det) * v + max(factor, series)
 
 
 def _weighted_gram(ops: BoundaryKernels, row_scale: float, col_scale: np.ndarray) -> np.ndarray:
@@ -306,24 +312,10 @@ def linearized_operator(ops: BoundaryKernels, tau: float | None = None) -> Linea
     return _factor(ops, dense=tau is not None and tau < KRYLOV_FLOOR)
 
 
-# Detectors per pass of _apply_k: a block of K's rows holds S * 8 * V entries
+# Detectors per pass of regularize's sweep over K: a block of K's rows, and
+# the matching columns of the pseudoinverse, hold S * 8 * V entries each
 # (2.8 MB at V=912) where K holds S * D * V.
 _DET_BLOCK = 8
-
-
-def _apply_k(ops: BoundaryKernels, x: np.ndarray) -> np.ndarray:
-    """K @ x for a V x r array x, forming K a block of detectors at a time.
-
-    Each block holds the entries of the dense K row for row, so the result is
-    ``K @ x`` up to the order in which the BLAS sums.
-    """
-    n_src, n_det, r = ops.n_src, ops.n_det, x.shape[1]
-    g_dv = np.ascontiguousarray(ops.g_vd.T)  # contiguous detector rows build blocks faster
-    out = np.empty((n_src, n_det, r), dtype=np.result_type(ops.g_sv, ops.g_vd, x))
-    for start in range(0, n_det, _DET_BLOCK):
-        rows = _k_rows(ops, g_dv[start : start + _DET_BLOCK]).reshape(-1, ops.n_nodes)
-        out[:, start : start + _DET_BLOCK] = (rows @ x).reshape(n_src, -1, r)
-    return out.reshape(n_src * n_det, r)
 
 
 @dataclass(frozen=True)
@@ -336,7 +328,8 @@ class RegularizedInverse:
     tests and the selftest); it is real in diffuse mode.  norm2 =
     1/sigma_min of the retained triplets is the weighted-L2 operator norm;
     norm_inf is the max absolute row sum of the pseudoinverse (the exact
-    discrete sup-norm), taken over row blocks of the product.
+    discrete sup-norm), summed by ``regularize`` over the detector blocks of
+    its sweep over K.
     """
 
     linop: LinearizedOperator
@@ -411,6 +404,14 @@ class RegularizedInverse:
 SVAL_FLOOR = 1e-5
 
 
+def _check_truncation(tau: float | None, rank: int | None = None, n: int = 0) -> None:
+    """Refuse a tau outside (0, 1] or a rank outside [1, n], n = min(S*D, V)."""
+    if tau is not None and not 0 < tau <= 1:
+        raise ValueError(f"tau must be in (0, 1], got {tau}")
+    if rank is not None and not 1 <= rank <= n:
+        raise ValueError(f"rank must be in [1, {n}], got {rank}")
+
+
 def regularize(
     linop: LinearizedOperator, rank: int | None = None, tau: float | None = None
 ) -> RegularizedInverse:
@@ -423,17 +424,15 @@ def regularize(
     and ``linop`` of the result is that factorization; ``linearized_operator``
     given the same tau takes dense eigh at once instead.  A truncation that
     retains a singular value below SVAL_FLOOR * sigma_max, or a spectrum that
-    is not finite, is refused.  The retained left singular vectors
-    U_r = row_scale * K (V_r / col_scale) diag(1 / sigma) are computed without
-    storing K.
+    is not finite, is refused.  One sweep over K, a block of _DET_BLOCK
+    detectors at a time, gives the retained left singular vectors
+    U_r = row_scale * K (V_r / col_scale) diag(1 / sigma) and, from the
+    matching columns of the pseudoinverse, its absolute row sums, whose max
+    is norm_inf; K is never stored whole.
     """
     if (rank is None) == (tau is None):
         raise ValueError("give exactly one of rank= or tau=")
-    if tau is not None and not 0 < tau <= 1:
-        raise ValueError(f"tau must be in (0, 1], got {tau}")
-    n = min(linop.n_pairs, linop.n_nodes)
-    if rank is not None and not 1 <= rank <= n:
-        raise ValueError(f"rank must be in [1, {n}], got {rank}")
+    _check_truncation(tau, rank, min(linop.n_pairs, linop.n_nodes))
     s = linop.svals
     if not np.isfinite(s).all():
         raise ValueError("the singular values of the linearized operator are not finite")
@@ -450,24 +449,28 @@ def regularize(
             f"{SVAL_FLOOR:g}, where the Gram factorization is inaccurate; use a larger tau "
             "or a smaller rank"
         )
+    ops, v = linop.ops, linop.n_nodes
     v_r = linop.vh[:r].conj().T
     gain = (linop.row_scale / s_r)[None, :]
     scaled_v = v_r / linop.col_scale[:, None]
-    u_rh = (_apply_k(linop.ops, scaled_v) * gain).conj().T
     left = scaled_v * gain
-    norm_inf = max(
-        np.abs(left[start : start + _ROW_BLOCK] @ u_rh).sum(axis=1).max()
-        for start in range(0, linop.n_nodes, _ROW_BLOCK)
-    )
+    g_dv = np.ascontiguousarray(ops.g_vd.T)  # contiguous detector rows build blocks faster
+    u_r = np.empty((ops.n_src, ops.n_det, r), dtype=np.result_type(ops.g_sv, ops.g_vd, v_r))
+    row_sums = np.zeros(v)  # absolute row sums of the pseudoinverse
+    for start in range(0, ops.n_det, _DET_BLOCK):
+        dets = slice(start, start + _DET_BLOCK)
+        block = (_k_rows(ops, g_dv[dets]).reshape(-1, v) @ scaled_v) * gain  # rows of U_r
+        u_r[:, dets] = block.reshape(ops.n_src, -1, r)
+        row_sums += np.abs(left @ block.conj().T).sum(axis=1)  # columns of the pseudoinverse
     return RegularizedInverse(
         linop=linop,
         rank=r,
         sigma_min=float(s_r[-1]),
         norm2=float(1.0 / s_r[-1]),
-        norm_inf=float(norm_inf),
+        norm_inf=float(row_sums.max()),
         _v_r=v_r,
         _left=left,
-        _u_rh=u_rh,
+        _u_rh=u_r.reshape(-1, r).conj().T,
     )
 
 

@@ -80,3 +80,13 @@ def test_every_traced_call_resolves():
     assert traced
     for module, attr, _ in traced:
         assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
+
+
+def test_readme_library_example_runs():
+    # the fenced block under "Library example", with README's own claim about its error
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library example", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    assert namespace["report"]["p"]["2"]["measured_error"][-1] < 1e-6

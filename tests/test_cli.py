@@ -23,6 +23,7 @@ from invborn import (
 )
 from invborn.cli import (
     DEFAULT_PHANTOM,
+    _FORWARD_KEYS,
     ExperimentConfig,
     add_noise,
     build_phantom,
@@ -754,6 +755,16 @@ def test_cli_forward_keeps_tau_and_config_file_may_hold_every_key(tmp_path, caps
     assert run_cli(tmp_path, "forward", *SMALL_ARGS, "--tau", "1e-3", "--output", out) == 0
 
 
+def test_cli_forward_echoes_only_the_keys_it_reads(tmp_path):
+    # the config file may hold invert's keys, but forward's output does not echo them
+    config, out = tmp_path / "c.json", tmp_path / "f.json"
+    config.write_text(json.dumps({"noise": 0.5, "seed": 3, "rank": 7}))
+    assert run_cli(tmp_path, "forward", "--config", config, *SMALL_ARGS, "--output", out) == 0
+    echoed = json.loads(out.read_text())["config"]
+    assert list(echoed) == list(_FORWARD_KEYS)
+    assert not {"rank", "noise", "seed"} & set(echoed)
+
+
 @pytest.mark.parametrize("text, kind", [("[1, 2]", "list"), ('"abc"', "str"), ("3", "int")])
 def test_cli_config_file_must_hold_an_object(tmp_path, capsys, text, kind):
     config, out = tmp_path / "c.json", tmp_path / "f.json"
@@ -926,3 +937,69 @@ def test_cli_memory_check_skipped_where_meminfo_is_unreadable(tmp_path, monkeypa
         assert _available_memory() > 0
     monkeypatch.setattr("invborn.cli._available_memory", lambda: None)
     assert run_cli(tmp_path, "forward", *SMALL_ARGS, "--output", tmp_path / "f.json") == 0
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--tau", "0", "tau must be in (0, 1], got 0.0"),
+        ("--tau", "2", "tau must be in (0, 1], got 2.0"),
+        ("--rank", "0", "rank must be in [1, 912], got 0"),
+        ("--rank", "100000", "rank must be in [1, 912], got 100000"),
+    ],
+)
+def test_cli_refuses_truncation_out_of_range_before_assembly(
+    tmp_path, capsys, monkeypatch, flag, value, message
+):
+    # rank is bounded by min(S*D, V), so it is checked once the grids exist
+    patch_kernel_builders(monkeypatch, assemble_not_reached)
+    out = tmp_path / "i.json"
+    assert run_cli(tmp_path, "invert", flag, value, "--output", out) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+MEMORY_BALL = '[{"center": [0.2, 0, 0], "radius": 0.4, "amplitude": 0.3}]'
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["invert", "--tau", "1e-3"],
+        ["invert", "--tau", "1e-4"],
+        ["invert", "--rank", "50"],
+        ["invert", "--rank", "200"],  # past the block Lanczos values: dense eigh again
+        ["invert", "--mode", "scalar", "--h", "0.25", "--order", "10"],
+        ["forward"],
+        ["forward", "--h", str(1 / 9), "--order", "8"],
+    ],
+)
+def test_cli_memory_estimate_bounds_the_traced_peak(tmp_path, monkeypatch, args):
+    """The entries a run is checked at, times their itemsize, bound what it then allocates.
+
+    The peak is counted from the memory check on: the argument parser, the grid
+    and the phantom exist before it and are not part of the estimate (0.09 MiB
+    at the forward default, whose estimate is 0.43 MiB).  tracemalloc counts
+    numpy's arrays, not LAPACK's workspace, so the eigh and solve workspace
+    that the estimates include is not seen here.
+    """
+    from invborn import cli
+
+    check_memory, seen = cli._check_memory, {}
+
+    def check(config, nodes, values):
+        seen["estimate"] = values * (8 if config.mode == "diffuse" else 16)
+        seen["before"] = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        return check_memory(config, nodes, values)
+
+    monkeypatch.setattr("invborn.cli._check_memory", check)
+    out = tmp_path / "o.json"
+    tracemalloc.start()
+    try:
+        code = run_cli(tmp_path, *args, "--phantom", MEMORY_BALL, "--output", out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code in (0, 2)
+    assert peak - seen["before"] <= seen["estimate"]
