@@ -91,10 +91,11 @@ def peak_entries(support: int, n_src: int, n_det: int, order: int) -> int:
     """Entries ``invborn forward`` holds at its peak: its memory estimate.
 
     On the phantom's ``support`` nodes, the support kernel, the solved matrix
-    and LAPACK's copy of it, the boundary kernels, and per order the terms,
+    and LAPACK's copy of it, the boundary kernels, the direct-solve data phi,
+    which ``cmd_forward`` holds through the series, and per order the terms,
     their stacked copy and the partial sums (S x D each).
     """
-    return 3 * support**2 + (n_src + n_det) * support + 3 * order * n_src * n_det
+    return 3 * support**2 + (n_src + n_det) * support + (3 * order + 1) * n_src * n_det
 
 
 def solve_direct(ops: OperatorSet, eta: np.ndarray) -> np.ndarray:

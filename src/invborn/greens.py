@@ -255,16 +255,22 @@ def assemble_volume(kernels: BoundaryKernels) -> OperatorSet:
     """Add the V x V volume-volume kernel to the boundary kernels.
 
     The kernel is a float64 array in diffuse mode (the diagonal is the real
-    self-cell integral) and complex in scalar mode.
+    self-cell integral) and complex in scalar mode.  Distances are exactly
+    symmetric (``_pairwise_dist``), so each pair of nodes is evaluated once:
+    a row block against the nodes from its first row on fills its rows and,
+    transposed, its columns, each scaled by its column weights.
     """
     mode, grid = kernels.mode, kernels.grid
-    x, n = grid.centers, grid.n_nodes
+    x, n, w = grid.centers, grid.n_nodes, grid.weights
     g_vv = np.empty((n, n), dtype=np.result_type(mode.kappa))
     for start in range(0, n, _ROW_BLOCK):
-        r = _pairwise_dist(x[start : start + _ROW_BLOCK], x)
-        rows = np.arange(r.shape[0])
-        r[rows, start + rows] = 1.0  # placeholder, diagonal overwritten below
-        np.multiply(greens_kernel(mode, r), grid.weights, out=g_vv[start : start + len(rows)])
+        stop = min(start + _ROW_BLOCK, n)
+        r = _pairwise_dist(x[start:stop], x[start:])
+        rows = np.arange(stop - start)
+        r[rows, rows] = 1.0  # placeholder, diagonal overwritten below
+        g = greens_kernel(mode, r)
+        np.multiply(g, w[start:], out=g_vv[start:stop, start:])
+        np.multiply(g.T, w[start:stop], out=g_vv[start:, start:stop])
     # one self-cell integral per distinct weight: a uniform lattice has one
     weights, which = np.unique(grid.weights, return_inverse=True)
     diag = np.array([self_cell_integral(mode, w) for w in weights])[which]

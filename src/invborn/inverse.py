@@ -100,13 +100,14 @@ class LinearizedOperator:
     @functools.cached_property
     def matrix(self) -> np.ndarray:
         """The dense (S*D) x V order-1 matrix K."""
-        return _k_rows(self.ops, self.ops.g_vd.T).reshape(self.n_pairs, self.n_nodes)
+        ops = self.ops
+        return _k_rows(ops, ops.g_sv, ops.g_vd.T).reshape(self.n_pairs, self.n_nodes)
 
 
-def _k_rows(ops: BoundaryKernels, g_dv: np.ndarray) -> np.ndarray:
-    """The rows of K for every source and the detectors of g_dv (rows of g_vd^T), as (S, d, V)."""
+def _k_rows(ops: BoundaryKernels, g_sv: np.ndarray, g_dv: np.ndarray) -> np.ndarray:
+    """K's rows for the sources of g_sv and the detectors of g_dv (rows of g_vd^T), as (s, d, V)."""
     # entry for pair (s, d) and voxel j: -alpha * g_sv[s, j] * g_vd[j, d] * w_j
-    rows = ops.g_sv[:, None, :] * g_dv[None, :, :]
+    rows = g_sv[:, None, :] * g_dv[None, :, :]
     rows *= -ops.mode.alpha
     rows *= ops.grid.weights
     return rows
@@ -164,12 +165,25 @@ def peak_entries(
     return (n_src + n_det) * v + max(factor, series)
 
 
+def _reciprocal(ops: BoundaryKernels) -> bool:
+    """Whether g_vd equals g_sv^T entry for entry, so pairs (s, d) and (d, s) carry equal data.
+
+    Sources and detectors at the same points give this bit for bit, since the
+    Green's function is reciprocal: build_sphere_boundary with n_src == n_det.
+    K's rows for (s, d) and (d, s) are then equal.
+    """
+    return np.array_equal(ops.g_vd, ops.g_sv.T)
+
+
 def _weighted_gram(ops: BoundaryKernels, row_scale: float, col_scale: np.ndarray) -> np.ndarray:
     """A^H A = c^2 * (G_sv^H G_sv) o (conj(G_vd) G_vd^T) o (col_scale col_scale^T).
 
     c = -alpha * row_scale and ``o`` is the entrywise product.  The detector
     Gram matrix and the weights are multiplied in by row blocks, so the
-    result is the only V x V array formed.
+    result is the only V x V array formed.  On reciprocal kernels
+    (``_reciprocal``) the detector Gram matrix is the source one, which is
+    then squared entrywise instead of formed again; the result is the same
+    bit for bit.
     """
     mode = ops.mode
     try:
@@ -180,9 +194,10 @@ def _weighted_gram(ops: BoundaryKernels, row_scale: float, col_scale: np.ndarray
             f" overflows at k={mode.k:g}"
         ) from None
     gram = ops.g_sv.conj().T @ ops.g_sv
+    reciprocal = _reciprocal(ops)
     for start in range(0, ops.n_nodes, _ROW_BLOCK):
         rows = slice(start, start + _ROW_BLOCK)
-        gram[rows] *= ops.g_vd[rows].conj() @ ops.g_vd.T
+        gram[rows] *= gram[rows] if reciprocal else ops.g_vd[rows].conj() @ ops.g_vd.T
         gram[rows] *= scale * np.outer(col_scale[rows], col_scale)
     return gram
 
@@ -313,8 +328,8 @@ def linearized_operator(ops: BoundaryKernels, tau: float | None = None) -> Linea
 
 
 # Detectors per pass of regularize's sweep over K: a block of K's rows, and
-# the matching columns of the pseudoinverse, hold S * 8 * V entries each
-# (2.8 MB at V=912) where K holds S * D * V.
+# the matching columns of the pseudoinverse, hold at most S * 8 * V entries
+# each (2.8 MB at V=912) where K holds S * D * V.
 _DET_BLOCK = 8
 
 
@@ -329,7 +344,9 @@ class RegularizedInverse:
     1/sigma_min of the retained triplets is the weighted-L2 operator norm;
     norm_inf is the max absolute row sum of the pseudoinverse (the exact
     discrete sup-norm), summed by ``regularize`` over the detector blocks of
-    its sweep over K.
+    its sweep over K.  On reciprocal kernels (``_reciprocal``) that sweep
+    covers the distinct pairs and u_rh holds each row of U_r for both (s, d)
+    and (d, s), so its shape is r x S*D either way.
     """
 
     linop: LinearizedOperator
@@ -428,7 +445,12 @@ def regularize(
     detectors at a time, gives the retained left singular vectors
     U_r = row_scale * K (V_r / col_scale) diag(1 / sigma) and, from the
     matching columns of the pseudoinverse, its absolute row sums, whose max
-    is norm_inf; K is never stored whole.
+    is norm_inf; K is never stored whole, and a block of its rows is freed
+    before the pseudoinverse columns are formed.  On reciprocal kernels
+    (``_reciprocal``) K's rows for (s, d) and (d, s) are equal, so a block
+    takes only the sources s below its last detector, about S(S+1)/2 pairs
+    in all: the rows with s < start are mirrored into U_r and counted twice
+    in the row sums, and the block's own square of pairs is formed whole.
     """
     if (rank is None) == (tau is None):
         raise ValueError("give exactly one of rank= or tau=")
@@ -455,13 +477,21 @@ def regularize(
     scaled_v = v_r / linop.col_scale[:, None]
     left = scaled_v * gain
     g_dv = np.ascontiguousarray(ops.g_vd.T)  # contiguous detector rows build blocks faster
+    reciprocal = _reciprocal(ops)
     u_r = np.empty((ops.n_src, ops.n_det, r), dtype=np.result_type(ops.g_sv, ops.g_vd, v_r))
     row_sums = np.zeros(v)  # absolute row sums of the pseudoinverse
     for start in range(0, ops.n_det, _DET_BLOCK):
-        dets = slice(start, start + _DET_BLOCK)
-        block = (_k_rows(ops, g_dv[dets]).reshape(-1, v) @ scaled_v) * gain  # rows of U_r
-        u_r[:, dets] = block.reshape(ops.n_src, -1, r)
-        row_sums += np.abs(left @ block.conj().T).sum(axis=1)  # columns of the pseudoinverse
+        stop = min(start + _DET_BLOCK, ops.n_det)
+        n_s = stop if reciprocal else ops.n_src  # reciprocal: the pairs with s < stop
+        # K's rows are a temporary, freed before the pseudoinverse columns are formed
+        block = (_k_rows(ops, ops.g_sv[:n_s], g_dv[start:stop]).reshape(-1, v) @ scaled_v) * gain
+        pairs = block.reshape(n_s, -1, r)  # rows of U_r
+        count = np.ones((n_s, stop - start))
+        if reciprocal:  # a pair (s, d) with s < start <= d stands for (d, s) too
+            u_r[start:stop, :start] = pairs[:start].transpose(1, 0, 2)
+            count[:start] = 2.0
+        u_r[:n_s, start:stop] = pairs
+        row_sums += np.abs(left @ block.conj().T) @ count.ravel()  # columns of the pseudoinverse
     return RegularizedInverse(
         linop=linop,
         rank=r,

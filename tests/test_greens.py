@@ -199,6 +199,29 @@ def test_assemble_row_blocks_match_whole_matrix(kind):
 
 
 @pytest.mark.parametrize("kind", ["diffuse", "scalar"])
+@pytest.mark.parametrize("variant", ["random_weights", "nudged"])
+def test_assemble_volume_matches_unblocked_reference_off_the_uniform_grid(variant, kind):
+    # each pair of nodes is evaluated once and mirrored, scaled by its own column
+    # weight; V = 912 spans several row blocks
+    grid = build_ball_grid(1.0, 1 / 6)
+    centers, weights = grid.centers, grid.weights
+    if variant == "random_weights":
+        weights = grid.spacing**3 * np.random.default_rng(7).uniform(0.5, 2.0, grid.n_nodes)
+    else:
+        centers = centers.copy()
+        centers[5, 2] += 1e-4 * grid.spacing
+    grid = Grid(centers=centers, weights=weights, spacing=grid.spacing, radius_a=1.0)
+    mode = WaveMode(kind, 1.3)
+    ops = assemble(mode, grid, build_sphere_boundary(2.0, 3, 3))
+    r = _pairwise_dist(centers, centers)
+    np.fill_diagonal(r, 1.0)
+    ref = greens_kernel(mode, r) * weights
+    diag = np.array([self_cell_integral(mode, w) for w in weights])
+    np.fill_diagonal(ref, diag.real if kind == "diffuse" else diag)
+    assert np.array_equal(ops.g_vv, ref)
+
+
+@pytest.mark.parametrize("kind", ["diffuse", "scalar"])
 def test_subset_assembly_is_bit_equal_to_full_matrix(kind):
     # 400 of V = 912 nodes: the subset itself spans several row blocks
     grid = build_ball_grid(1.0, 1 / 6)

@@ -25,13 +25,14 @@ from invborn import (
     stability_probe,
 )
 from invborn.cli import ExperimentConfig, _grids, build_phantom, validate_absorption
-from invborn.grid import Grid
+from invborn.grid import Grid, build_ball_grid
 from invborn.greens import assemble_boundary
 from invborn.inverse import (
     KRYLOV_FLOOR,
     SVAL_FLOOR,
     _factor,
     _leading_eigenpairs,
+    _reciprocal,
     _weighted_gram,
 )
 
@@ -363,6 +364,114 @@ def test_rank_deficient_sensor_sets_stay_on_the_krylov_path(pairs, resolved, mon
 def test_small_grids_take_dense_eigh(small_linop):
     assert small_linop.complete
     assert small_linop.svals.size == min(small_linop.n_pairs, small_linop.n_nodes)
+
+
+def check_against_dense_svd(ops, linop, svd):
+    """regularize at tau = 1e-3 against a dense SVD, within TestBlockLanczos's tolerances.
+
+    Checks the pseudoinverse's matrix, its application to data, its
+    sup-norm and the projection onto the retained subspace.
+    """
+    u, s, vh = svd
+    kinv = regularize(linop, tau=1e-3)
+    r = kinv.rank
+    assert r == np.count_nonzero(s >= 1e-3 * s[0])
+    v_r = vh[:r].conj().T
+    pinv = ((v_r / linop.col_scale[:, None]) / s[:r]) @ u[:, :r].conj().T * linop.row_scale
+    tol = 1e-9 if ops.mode.kind == "diffuse" else 1e-8
+    assert np.abs(kinv.matrix - pinv).max() <= tol * np.abs(pinv).max()
+    assert kinv.norm_inf == pytest.approx(np.abs(pinv).sum(axis=1).max(), rel=tol)
+    eta = 0.05 * build_phantom(
+        ops.grid, [{"center": [0.1, 0.2, 0], "radius": 0.5, "amplitude": 1.0}]
+    )
+    phi = solve_direct(ops, eta)
+    ref = pinv @ phi.ravel()
+    assert np.abs(kinv.apply(phi) - ref).max() <= tol * np.abs(ref).max()
+    proj = (v_r @ v_r.conj().T) * (linop.col_scale[None, :] / linop.col_scale[:, None])
+    assert np.abs(kinv.project(eta) - proj @ eta).max() <= 1e-8 * np.abs(eta).max()
+
+
+@pytest.fixture(
+    scope="module",
+    params=[("diffuse", 0.25), ("scalar", 0.25), ("diffuse", 1 / 6), ("scalar", 1 / 6)],
+    ids=["diffuse-eigh", "scalar-eigh", "diffuse-krylov", "scalar-krylov"],
+)
+def reciprocal_problem(request):
+    """24 x 24 pairs, sources and detectors at the same points, on V = 280 (dense
+    eigh) or V = 912 (block Lanczos).  Returns (ops, factorization, dense weighted SVD).
+    """
+    kind, h = request.param
+    ops = make_ops(kind=kind, h=h, n_src=24, n_det=24)
+    linop = linearized_operator(ops)
+    assert linop.complete == (ops.n_nodes < 384)
+    return ops, linop, dense_weighted_svd(linop)
+
+
+def test_reciprocal_pairs_match_dense_svd(reciprocal_problem):
+    ops, linop, svd = reciprocal_problem
+    assert _reciprocal(ops)
+    check_against_dense_svd(ops, linop, svd)
+
+
+def test_general_pair_sweep_agrees_with_the_reciprocal_one(reciprocal_problem, monkeypatch):
+    import invborn.inverse as inverse_module
+
+    ops, linop, _ = reciprocal_problem
+    k_rows, rows = inverse_module._k_rows, []
+
+    def counted(ops, g_sv, g_dv):
+        rows.append(g_sv.shape[0] * g_dv.shape[0])
+        return k_rows(ops, g_sv, g_dv)
+
+    monkeypatch.setattr(inverse_module, "_k_rows", counted)
+    kinv = regularize(linop, tau=1e-3)
+    # detector blocks of 8: the sources s < 8, 16 and 24, against 24 for every block
+    assert rows == [64, 128, 192]
+    rows.clear()
+    check_general_sweep_agrees(kinv, monkeypatch)
+    assert rows == [192, 192, 192]
+
+
+def check_general_sweep_agrees(kinv, monkeypatch):
+    """The sweep over all S*D pairs gives kinv's U_r and norm_inf to 1e-12 relative."""
+    monkeypatch.setattr("invborn.inverse._reciprocal", lambda ops: False)
+    general = regularize(kinv.linop, tau=1e-3)
+    assert kinv.rank == general.rank
+    ref = general._u_rh
+    assert np.abs(kinv._u_rh - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert kinv.norm_inf == pytest.approx(general.norm_inf, rel=1e-12)
+
+
+@pytest.mark.parametrize("pairs", [1, 10])
+def test_general_pair_sweep_agrees_on_partial_detector_blocks(pairs, monkeypatch):
+    # 10 x 10 pairs: a block of 8 detectors and one of 2; 1 x 1: a single pair
+    ops, linop = make_problem(kind="scalar", h=0.35, n_src=pairs, n_det=pairs)
+    assert _reciprocal(ops)
+    check_general_sweep_agrees(regularize(linop, tau=1e-3), monkeypatch)
+
+
+def test_reciprocal_gram_is_the_two_product_formula_bit_for_bit(reciprocal_problem, monkeypatch):
+    ops, linop, _ = reciprocal_problem
+    gram = _weighted_gram(ops, linop.row_scale, linop.col_scale)
+    monkeypatch.setattr("invborn.inverse._reciprocal", lambda ops: False)
+    assert np.array_equal(gram, _weighted_gram(ops, linop.row_scale, linop.col_scale))
+
+
+@pytest.mark.parametrize("kind", ["diffuse", "scalar"])
+def test_rotated_detectors_take_the_general_pair_sweep(kind):
+    # as many detectors as sources, but turned about the z axis: g_vd is not g_sv^T.
+    # V = 280 takes dense eigh.  On V = 912 block Lanczos leaves pinv(phi) 4.3e-9
+    # from the SVD in diffuse mode (dense eigh 3e-11): its residual tolerance
+    # V * eps * theta_0 fixes the retained subspace only to about that tolerance over
+    # sigma_r^2 - sigma_r+1^2, and there sigma_r+1 sits 2.3 % below sigma_r
+    boundary = build_sphere_boundary(2.0, 24, 24)
+    c, s = math.cos(0.3), math.sin(0.3)
+    rotation = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    boundary = dataclasses.replace(boundary, detectors=boundary.detectors @ rotation.T)
+    ops = assemble(WaveMode(kind, 1.0), build_ball_grid(1.0, 0.25), boundary)
+    assert not _reciprocal(ops)
+    linop = linearized_operator(ops)
+    check_against_dense_svd(ops, linop, dense_weighted_svd(linop))
 
 
 @pytest.mark.slow
