@@ -261,7 +261,7 @@ def assemble_volume(kernels: BoundaryKernels) -> OperatorSet:
     transposed, its columns, each scaled by its column weights.
     """
     mode, grid = kernels.mode, kernels.grid
-    x, n, w = grid.centers, grid.n_nodes, grid.weights
+    x, n = grid.centers, grid.n_nodes
     g_vv = np.empty((n, n), dtype=np.result_type(mode.kappa))
     for start in range(0, n, _ROW_BLOCK):
         stop = min(start + _ROW_BLOCK, n)
@@ -269,8 +269,8 @@ def assemble_volume(kernels: BoundaryKernels) -> OperatorSet:
         rows = np.arange(stop - start)
         r[rows, rows] = 1.0  # placeholder, diagonal overwritten below
         g = greens_kernel(mode, r)
-        np.multiply(g, w[start:], out=g_vv[start:stop, start:])
-        np.multiply(g.T, w[start:stop], out=g_vv[start:, start:stop])
+        np.multiply(g, grid.weights[start:], out=g_vv[start:stop, start:])
+        np.multiply(g.T, grid.weights[start:stop], out=g_vv[start:, start:stop])
     # one self-cell integral per distinct weight: a uniform lattice has one
     weights, which = np.unique(grid.weights, return_inverse=True)
     diag = np.array([self_cell_integral(mode, w) for w in weights])[which]
