@@ -56,12 +56,11 @@ class LinearizedOperator:
     A^H A rather than from an SVD of the (S*D) x V matrix: the columns of K
     are Khatri-Rao products of source and detector kernel columns, so A^H A
     is the Hadamard product of the source and detector Gram matrices.
-    ``svals`` holds the values the factorization resolved: all min(S*D, V)
-    of them from a dense eigendecomposition, or, from the block Lanczos
-    path, every value >= KRYLOV_FLOOR * sigma_max and the first one below
-    (``complete`` tells which).  K is not stored: ``regularize`` applies it to
-    the retained right singular vectors a detector block at a time, and
-    ``matrix`` forms it on first access (for tests and the selftest).
+    ``svals`` holds the values the factorization resolved on the route
+    ``_krylov_basis_limit`` picked; ``complete`` tells whether that is all
+    min(S*D, V).  K is not stored: ``regularize`` applies it to the retained
+    right singular vectors a detector block at a time, and ``matrix`` forms
+    it on first access (for tests and the selftest).
     Diffuse kernels are real, so in diffuse mode ``matrix``, ``svals`` and
     ``vh`` are real arrays.
     """
@@ -132,12 +131,15 @@ _KRYLOV_MAX_BASIS = 21 * _KRYLOV_BLOCK  # 1008 vectors: 58 MB at V = 7208
 _KRYLOV_RITZ_GATE = 1e4
 
 
-def _krylov_basis_limit(n_nodes: int) -> int:
-    """Largest Krylov basis the factorization builds on n_nodes voxels; 0 where it takes eigh.
+def _krylov_basis_limit(n_nodes: int, tau: float | None = None) -> int:
+    """The route rule: the largest Krylov basis the factorization builds, or 0 for dense eigh.
 
     The basis holds at most min(V / 2, 1008) vectors, and at least
-    _KRYLOV_MIN_BLOCKS blocks.
+    _KRYLOV_MIN_BLOCKS blocks; a smaller grid takes eigh.  So does a cutoff
+    ``tau`` below KRYLOV_FLOOR, which reaches past what block Lanczos resolves.
     """
+    if tau is not None and tau < KRYLOV_FLOOR:
+        return 0
     limit = min(n_nodes // 2, _KRYLOV_MAX_BASIS) // _KRYLOV_BLOCK * _KRYLOV_BLOCK
     return limit if limit >= _KRYLOV_MIN_BLOCKS * _KRYLOV_BLOCK else 0
 
@@ -148,16 +150,17 @@ def peak_entries(
     """Entries ``invborn invert`` holds at its peak: its memory estimate.
 
     The boundary kernels, (S + D) V, and the larger of two stages.  The
-    factorization: block Lanczos, counted where the grid admits a basis of m
-    vectors and tau >= KRYLOV_FLOOR, holds the Gram matrix, the basis, the
-    Ritz vectors, their images and residuals, and the projected matrix with
-    eigh's copy, workspace and vectors; dense eigh the Gram matrix, eigh's
-    copy, its 2 V^2 workspace and the eigenvectors.  The series: g_vv, the
-    kept rows of vh with the pseudoinverse factors, the data solve on the
-    ``support`` nodes, and per order a V x D chain matrix and three fields.
+    factorization on the route of ``_krylov_basis_limit`` (a rank rule counts
+    eigh, which ``regularize`` may take): block Lanczos with m basis vectors
+    holds the Gram matrix, the basis, the Ritz vectors, their images and
+    residuals, and the projected matrix with eigh's copy, workspace and
+    vectors; dense eigh the Gram matrix, eigh's copy, its 2 V^2 workspace and
+    the eigenvectors.  The series: g_vv, the kept rows of vh with the
+    pseudoinverse factors, the data solve on the ``support`` nodes, and per
+    order a V x D chain matrix and three fields.
     """
-    v, pairs, m = n_nodes, n_src * n_det, _krylov_basis_limit(n_nodes)
-    if m and tau is not None and tau >= KRYLOV_FLOOR:
+    v, pairs = n_nodes, n_src * n_det
+    if tau is not None and (m := _krylov_basis_limit(v, tau)):
         factor, rows = v * v + 4 * v * m + 5 * m * m, m
     else:
         factor, rows = 5 * v * v, min(pairs, v)
@@ -223,7 +226,7 @@ def _orthonormal_r(w: np.ndarray) -> np.ndarray:
         return np.linalg.qr(w, mode="r")
 
 
-def _leading_eigenpairs(gram: np.ndarray, n: int):
+def _leading_eigenpairs(gram: np.ndarray, n: int, limit: int):
     """Eigenpairs of the Gram matrix down to KRYLOV_FLOOR^2 * theta_0 and one past it.
 
     Block Lanczos with full reorthogonalization from a fixed-seed Gaussian
@@ -239,13 +242,10 @@ def _leading_eigenpairs(gram: np.ndarray, n: int):
     accepted once every wanted Ritz pair (at most n) has residual
     ||G x - theta x|| <= V * eps * theta_0: first as read from the Lanczos
     relation, then computed from the products G x.  Returns (theta, vectors)
-    descending, or None where the basis would exceed _krylov_basis_limit or
-    an orthogonalization breaks down; the caller then takes dense eigh.
+    descending, or None where the basis would exceed ``limit`` vectors or an
+    orthogonalization breaks down; the caller then takes dense eigh.
     """
-    v = gram.shape[0]
-    limit, b = _krylov_basis_limit(v), _KRYLOV_BLOCK
-    if not limit:
-        return None
+    v, b = gram.shape[0], _KRYLOV_BLOCK
     basis = np.empty((v, limit), dtype=gram.dtype, order="F")  # block columns stay contiguous
     proj = np.zeros((limit, limit), dtype=gram.dtype)  # basis^H gram basis, upper triangle
     block = np.random.default_rng(0).standard_normal((v, b))
@@ -282,13 +282,13 @@ def _leading_eigenpairs(gram: np.ndarray, n: int):
     return None
 
 
-def _factor(ops: BoundaryKernels, dense: bool) -> LinearizedOperator:
-    """The factorization by block Lanczos (falling back to dense eigh) or by dense eigh."""
+def _factor(ops: BoundaryKernels, limit: int) -> LinearizedOperator:
+    """Block Lanczos within ``limit`` basis vectors, else (and at limit 0) dense eigh."""
     row_scale = math.sqrt(ops.boundary.pair_weight)
     col_scale = np.sqrt(ops.grid.weights)
     gram = _weighted_gram(ops, row_scale, col_scale)
     n = min(ops.n_src * ops.n_det, ops.n_nodes)  # the SVD of an (S*D) x V matrix has n triplets
-    pairs = None if dense else _leading_eigenpairs(gram, n)
+    pairs = _leading_eigenpairs(gram, n, limit) if limit else None
     if pairs is None:
         lam, vecs = np.linalg.eigh(gram)
         pairs = lam[::-1][:n], vecs[:, ::-1][:, :n]
@@ -311,20 +311,17 @@ def linearized_operator(ops: BoundaryKernels, tau: float | None = None) -> Linea
         A^H A = c^2 * (G_sv^H G_sv) o (conj(G_vd) G_vd^T) o (col_scale col_scale^T)
 
     (``o`` the entrywise product); its eigenpairs give sigma = sqrt(lambda)
-    and the right singular vectors.  Where the grid is large enough, block
-    Lanczos resolves the values down to KRYLOV_FLOOR * sigma_max (and one
-    below), with a Rayleigh-Ritz step only once the Lanczos relation shows
-    it can converge; on small grids, or where it does not converge within
-    its basis, one dense Hermitian eigendecomposition gives all of them.
-    ``tau``, when given, is the cutoff ``regularize`` will truncate at: one
-    below KRYLOV_FLOOR reaches past what block Lanczos resolves, so it takes
-    dense eigh at once.  Squaring the spectrum costs accuracy in singular
+    and the right singular vectors.  ``_krylov_basis_limit`` picks the route
+    from the grid and ``tau``, the cutoff ``regularize`` will truncate at:
+    block Lanczos resolves the values down to KRYLOV_FLOOR * sigma_max (and
+    one below), and falls back to eigh where its basis does not converge;
+    eigh resolves them all.  Squaring the spectrum costs accuracy in singular
     values far below sigma_max, which ``regularize`` refuses to retain
     (``SVAL_FLOOR``).  Only the boundary kernels are read, so ``ops`` may be
     a BoundaryKernels without g_vv.  Diffuse kernels are real arrays, so
     diffuse mode runs in real arithmetic; scalar mode is complex.
     """
-    return _factor(ops, dense=tau is not None and tau < KRYLOV_FLOOR)
+    return _factor(ops, _krylov_basis_limit(ops.n_nodes, tau))
 
 
 # Detectors per pass of regularize's sweep over K: a block of K's rows, and
@@ -436,12 +433,11 @@ def regularize(
 
     Exactly one rule must be given: keep the top ``rank`` triplets, or keep
     singular values >= tau * sigma_max with tau in (0, 1].  Where the cut
-    reaches past the values a block Lanczos factorization resolved (below
-    KRYLOV_FLOOR * sigma_max), the operator is factored again by dense eigh
-    and ``linop`` of the result is that factorization; ``linearized_operator``
-    given the same tau takes dense eigh at once instead.  A truncation that
-    retains a singular value below SVAL_FLOOR * sigma_max, or a spectrum that
-    is not finite, is refused.  One sweep over K, a block of _DET_BLOCK
+    reaches past the values ``linop`` resolved, the operator is factored
+    again by dense eigh, and ``linop`` of the result is that factorization;
+    ``_krylov_basis_limit`` sends a tau below KRYLOV_FLOOR to eigh at once.
+    A truncation that retains a singular value below SVAL_FLOOR * sigma_max,
+    or a spectrum that is not finite, is refused.  One sweep over K, a block of _DET_BLOCK
     detectors at a time, gives the retained left singular vectors
     U_r = row_scale * K (V_r / col_scale) diag(1 / sigma) and, from the
     matching columns of the pseudoinverse, its absolute row sums, whose max
@@ -462,7 +458,7 @@ def regularize(
         raise ValueError("operator is identically zero; nothing to invert")
     r = int(rank) if rank is not None else int(np.count_nonzero(s >= tau * s[0]))
     if r >= s.size and not linop.complete:  # the cut reaches past the resolved values
-        return regularize(_factor(linop.ops, dense=True), rank=rank, tau=tau)
+        return regularize(_factor(linop.ops, 0), rank=rank, tau=tau)
     rule = f"rank={r}" if rank is not None else f"tau={tau:g} (rank {r})"
     s_r = s[:r]
     if s_r[-1] < SVAL_FLOOR * s[0]:

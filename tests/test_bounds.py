@@ -240,6 +240,22 @@ class TestDilog:
             assert err <= 4 * math.ulp(float(want)), x
 
 
+@pytest.mark.parametrize(
+    "a, p, message",
+    [
+        (0.0, 2, "a must be positive"),
+        (-1.0, INF, "a must be positive"),
+        (1.0, 3, "closed forms are available for p in"),
+    ],
+)
+def test_closed_forms_refuse_a_non_positive_radius_and_other_p(a, p, message):
+    mode = WaveMode.diffuse(1.0)
+    with pytest.raises(ValueError, match=message):
+        mu_closed_form(mode, a, p)
+    with pytest.raises(ValueError, match=message):
+        nu_bound(mode, a, 2.0, p)
+
+
 class TestSeriesConstant:
     def test_simple_bound_at_half(self):
         c_simple, _ = CertifiedBounds(0.25, 0.25, 1.0).series_constants  # q = 0.5
@@ -258,6 +274,13 @@ class TestSeriesConstant:
     def test_outside_region_raises(self):
         with pytest.raises(ValueError, match="outside convergence region"):
             CertifiedBounds(0.5, 0.5, 1.0).series_constants
+
+    def test_zero_q_has_no_refined_constant(self):
+        assert CertifiedBounds(0.0, 0.0, 1.0).series_constants == (math.e, 0.0)
+
+    def test_negative_q_raises(self):
+        with pytest.raises(ValueError, match="inputs must be nonnegative"):
+            CertifiedBounds(-0.25, 0.0, 1.0).series_constants
 
     @pytest.mark.parametrize("half_q", [0.4995, 0.49999])
     def test_overflow_inside_region_names_q(self, half_q):

@@ -1,3 +1,4 @@
+import functools
 import io
 import json
 import math
@@ -30,6 +31,7 @@ from invborn.cli import (
     cmd_forward,
     cmd_radii,
     cmd_selftest,
+    dump_json,
     main,
     radii_csv,
 )
@@ -70,6 +72,26 @@ def test_cli_config_file_with_removed_p_key_exits_one(tmp_path, capsys):
     assert main(["forward", "--config", str(path), *SMALL_ARGS, "--output", str(out)]) == 1
     assert "unknown config keys: ['p']" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_dump_json_converts_each_non_json_value():
+    payload = {
+        "array": np.array([[1.5, 2.0]]),
+        "count": np.int64(3),
+        "value": np.float64(0.25),
+        "bounds": (math.inf, 1.0),
+        "z": 1.0 - 2.0j,
+    }
+    assert dump_json(payload) == json.dumps(
+        {
+            "array": [[1.5, 2.0]],
+            "count": 3,
+            "value": 0.25,
+            "bounds": ["inf", 1.0],
+            "z": {"re": 1.0, "im": -2.0},
+        },
+        indent=2,
+    ) + "\n"
 
 
 def test_phantom_sampling():
@@ -344,6 +366,44 @@ def test_every_selftest_check_detects_its_fault():
     for name, check in _selftest_checks():
         ok, detail = check(True)
         assert not ok, f"fault injection did not flip {name} ({detail})"
+
+
+def test_selftest_counts_a_crashed_check_and_runs_the_rest(monkeypatch):
+    ran = []
+
+    def crash(fault):
+        ran.append("crash")
+        raise ZeroDivisionError("division by zero")
+
+    def fine(fault):
+        ran.append("fine")
+        return True, "ok"
+
+    checks = [("crash", crash), ("fine", fine)]
+    monkeypatch.setattr("invborn.cli._selftest_checks", lambda: checks)
+    buf = io.StringIO()
+    assert cmd_selftest(out=buf) == 1
+    assert ran == ["crash", "fine"]
+    assert buf.getvalue().splitlines() == [
+        "FAIL  crash (exception: division by zero)",
+        "PASS  fine (ok)",
+        "1/2 checks passed",
+    ]
+
+
+def test_cli_selftest_in_process(monkeypatch):
+    # cmd_selftest's default stream is the sys.stdout of import time, which
+    # capsys does not capture, so the report goes to a buffer
+    buf = io.StringIO()
+    monkeypatch.setattr("invborn.cli.cmd_selftest", functools.partial(cmd_selftest, out=buf))
+    assert main(["selftest"]) == 0
+    assert buf.getvalue().endswith("15/15 checks passed\n")
+    buf.seek(0)
+    buf.truncate()
+    assert main(["selftest", "--inject-fault", "grid-volume"]) == 1
+    assert [line.split()[1] for line in buf.getvalue().splitlines() if line.startswith("FAIL")] == [
+        "grid-volume"
+    ]
 
 
 def test_selftest_unknown_fault_name():
@@ -940,6 +1000,28 @@ def test_cli_memory_check_skipped_where_meminfo_is_unreadable(tmp_path, monkeypa
 
 
 @pytest.mark.parametrize(
+    "meminfo",
+    [
+        OSError("no /proc/meminfo"),
+        "MemTotal:       8000000 kB\n",  # no MemAvailable line
+        "MemAvailable:   many kB\n",
+        "MemAvailable:\n",
+    ],
+)
+def test_available_memory_is_none_where_meminfo_cannot_be_read(monkeypatch, meminfo):
+    from invborn.cli import _available_memory
+
+    def fake_open(path, *args, **kwargs):
+        assert path == "/proc/meminfo"
+        if isinstance(meminfo, OSError):
+            raise meminfo
+        return io.StringIO(meminfo)
+
+    monkeypatch.setattr("invborn.cli.open", fake_open, raising=False)
+    assert _available_memory() is None
+
+
+@pytest.mark.parametrize(
     "flag, value, message",
     [
         ("--tau", "0", "tau must be in (0, 1], got 0.0"),
@@ -957,6 +1039,33 @@ def test_cli_refuses_truncation_out_of_range_before_assembly(
     assert run_cli(tmp_path, "invert", flag, value, "--output", out) == 1
     assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--order", "0"], "order must be >= 1"),
+        (["--noise", "-1"], "noise must be nonnegative"),
+        (["--k", "0"], "k and a must be positive"),
+        (["--omega-radius", "0.5"], "omega_radius must exceed a"),
+        ({"mode": "x"}, "mode must be diffuse or scalar, got 'x'"),
+        ({"phantom": {}}, "phantom must be a list of {center, radius, amplitude} balls"),
+        ({"phantom": [1]}, "phantom[0] must be an object with center, radius and amplitude"),
+        (
+            ["--k", "400", "--h", "0.45", "--n-src", "6", "--n-det", "6"],
+            "operator is identically zero; nothing to invert",
+        ),
+    ],
+)
+def test_cli_invert_refusals_exit_one_and_write_no_file(tmp_path, capsys, args, message):
+    written = []
+    if isinstance(args, dict):  # a config file holding these keys
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(args))
+        args, written = ["--config", config], ["c.json"]
+    assert run_cli(tmp_path, "invert", *args, "--output", tmp_path / "i.json") == 1
+    assert f"error: {message}\n" in capsys.readouterr().err
+    assert sorted(path.name for path in tmp_path.iterdir()) == written
 
 
 MEMORY_BALL = '[{"center": [0.2, 0, 0], "radius": 0.4, "amplitude": 0.3}]'

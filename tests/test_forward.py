@@ -246,6 +246,11 @@ def test_partial_sums_recompute_exactly(small_ops):
     assert np.array_equal(series.partial_sums[-1], recomputed)
 
 
+def test_series_refuses_order_zero(small_ops):
+    with pytest.raises(ValueError, match="order must be >= 1"):
+        born_series(small_ops, np.zeros(small_ops.n_nodes), 0)
+
+
 def test_partial_sum_that_overflows_names_its_order():
     # both terms are finite; their sum is not
     series = BornSeries([np.full(3, 1.0), np.full(3, 1e308), np.full(3, 1e308)])

@@ -91,6 +91,24 @@ def test_grid_type_rejects_bad_input():
         Grid(centers=np.zeros((1, 3)), weights=np.array([-1.0]), spacing=1.0, radius_a=1.0)
 
 
+@pytest.mark.parametrize(
+    "centers, weights, message",
+    [
+        (np.zeros((2, 2)), np.ones(2), re.escape("centers must be (n, 3), got (2, 2)")),
+        (np.zeros((2, 2, 3)), np.ones(2), re.escape("centers must be (n, 3), got (2, 2, 3)")),
+        (np.zeros((2, 3)), np.ones(3), "one weight per node required"),
+    ],
+)
+def test_grid_type_checks_shapes(centers, weights, message):
+    with pytest.raises(ValueError, match=message):
+        Grid(centers=centers, weights=weights, spacing=1.0, radius_a=1.0)
+
+
+def test_ball_grid_rejects_a_non_positive_radius():
+    with pytest.raises(ValueError, match="ball radius must be positive, got 0"):
+        build_ball_grid(0, 0.25)
+
+
 def test_sphere_boundary_single_point():
     b = build_sphere_boundary(2.0, 1, 1)
     assert b.n_src == b.n_det == 1
@@ -153,6 +171,31 @@ def test_boundary_type_rejects_off_sphere_points():
         )
 
 
+@pytest.mark.parametrize("family", ["sources", "detectors"])
+def test_boundary_type_checks_point_shapes(family):
+    points = {"sources": np.array([[2.0, 0, 0]]), "detectors": np.array([[0, 0, 2.0]])}
+    points[family] = np.array([[2.0, 0.0]])
+    with pytest.raises(ValueError, match=re.escape(f"{family} must be (n, 3)")):
+        BoundaryArray(**points, src_weight=1.0, det_weight=1.0, omega_radius=2.0)
+
+
+@pytest.mark.parametrize("src_weight, det_weight", [(0.0, 1.0), (1.0, -1.0)])
+def test_boundary_type_rejects_non_positive_weights(src_weight, det_weight):
+    with pytest.raises(ValueError, match="surface weights must be positive"):
+        BoundaryArray(
+            sources=np.array([[2.0, 0, 0]]),
+            detectors=np.array([[0, 0, 2.0]]),
+            src_weight=src_weight,
+            det_weight=det_weight,
+            omega_radius=2.0,
+        )
+
+
+def test_sphere_boundary_rejects_a_non_positive_radius():
+    with pytest.raises(ValueError, match="omega_radius must be positive"):
+        build_sphere_boundary(0, 1, 1)
+
+
 def test_lp_norm_constant_field():
     grid = build_ball_grid(1.0, 0.25)
     val = field_norm(grid, np.ones(grid.n_nodes), 2)
@@ -187,6 +230,18 @@ def test_lp_norm_of_non_finite_field_stays_non_finite():
 def test_lp_norm_rejects_p_below_two():
     with pytest.raises(ValueError):
         lp_norm(np.ones(3), np.ones(3), 1.5)
+
+
+@pytest.mark.parametrize("weights", [np.array([1.0, 0.0, 1.0]), -1.0])
+def test_lp_norm_rejects_non_positive_weights(weights):
+    with pytest.raises(ValueError, match="weights must be positive"):
+        lp_norm(np.ones(3), weights, 2)
+
+
+def test_field_norm_rejects_a_field_of_the_wrong_shape():
+    grid = build_ball_grid(1.0, 1.0)
+    with pytest.raises(ValueError, match=re.escape("field shape (7,) does not match grid (8,)")):
+        field_norm(grid, np.ones(7), 2)
 
 
 @pytest.mark.parametrize("p", [2, 3.5, INF])

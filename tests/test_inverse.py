@@ -31,9 +31,11 @@ from invborn.inverse import (
     KRYLOV_FLOOR,
     SVAL_FLOOR,
     _factor,
+    _krylov_basis_limit,
     _leading_eigenpairs,
     _reciprocal,
     _weighted_gram,
+    peak_entries,
 )
 
 from conftest import enumerated_inverse_series, make_ops
@@ -235,7 +237,7 @@ def krylov_problem(request):
     """
     ops = make_ops(kind=request.param, h=1 / 6, n_src=24, n_det=24)
     linop = linearized_operator(ops)
-    return ops, linop, _factor(ops, dense=True), dense_weighted_svd(linop)
+    return ops, linop, _factor(ops, 0), dense_weighted_svd(linop)
 
 
 class TestBlockLanczos:
@@ -317,7 +319,8 @@ def check_returned_ritz_pairs(ops, monkeypatch):
     """Check the Ritz pairs block Lanczos returns for ops; return its eigh orders."""
     gram = _weighted_gram(ops, math.sqrt(ops.boundary.pair_weight), np.sqrt(ops.grid.weights))
     orders = eigh_orders(monkeypatch)
-    theta, vecs = _leading_eigenpairs(gram, min(ops.n_src * ops.n_det, ops.n_nodes))
+    n = min(ops.n_src * ops.n_det, ops.n_nodes)
+    theta, vecs = _leading_eigenpairs(gram, n, _krylov_basis_limit(ops.n_nodes))
     # measured 2.2e-15; the residuals 0.005 to 0.11 of the tolerance
     assert np.abs(vecs.conj().T @ vecs - np.eye(theta.size)).max() <= 1e-13
     resid = np.linalg.norm(gram @ vecs - vecs * theta, axis=0)
@@ -351,7 +354,7 @@ def test_rank_deficient_sensor_sets_stay_on_the_krylov_path(pairs, resolved, mon
     assert linop.svals.size == resolved
     assert linop.complete == (resolved == pairs * pairs)
     monkeypatch.undo()
-    dense = _factor(ops, dense=True)
+    dense = _factor(ops, 0)
     # the values above the floor; the one past it sits at rounding level
     count = int(np.count_nonzero(dense.svals >= KRYLOV_FLOOR * dense.svals[0]))
     assert np.all(np.abs(linop.svals[:count] - dense.svals[:count]) <= 1e-12 * dense.svals[0])
@@ -364,6 +367,68 @@ def test_rank_deficient_sensor_sets_stay_on_the_krylov_path(pairs, resolved, mon
 def test_small_grids_take_dense_eigh(small_linop):
     assert small_linop.complete
     assert small_linop.svals.size == min(small_linop.n_pairs, small_linop.n_nodes)
+
+
+@pytest.mark.parametrize(
+    "n_nodes, tau, limit",
+    [
+        (280, None, 0),  # 140 vectors hold fewer than four 48-vector blocks
+        (383, None, 0),
+        (384, None, 192),
+        (912, None, 432),
+        (912, KRYLOV_FLOOR, 432),
+        (912, 1e-4, 0),  # a tau below the floor
+        (7208, 1e-4, 0),
+        (7208, None, 1008),
+    ],
+)
+def test_route_rule(n_nodes, tau, limit):
+    assert _krylov_basis_limit(n_nodes, tau) == limit
+
+
+def test_peak_entries_counts_the_route_of_the_rule():
+    # V = 912 and 48 x 48 pairs: a rank rule counts dense eigh, which regularize may take
+    krylov, dense = (peak_entries(912, 48, 48, 912, 6, tau) for tau in (KRYLOV_FLOOR, 1e-4))
+    assert krylov < dense == peak_entries(912, 48, 48, 912, 6, None)
+    # a small grid counts dense eigh for every rule
+    small = (peak_entries(280, 48, 48, 280, 6, tau) for tau in (KRYLOV_FLOOR, None))
+    assert len(set(small)) == 1
+
+
+def check_dense_fallback(ops, limit):
+    """_factor within a basis of ``limit`` vectors gives dense eigh's factorization bit for bit."""
+    linop, dense = _factor(ops, limit), _factor(ops, 0)
+    assert linop.complete and dense.complete
+    assert np.array_equal(linop.svals, dense.svals)
+    assert np.array_equal(linop.vh, dense.vh)
+
+
+def test_a_basis_that_runs_out_falls_back_to_dense_eigh(monkeypatch):
+    # 912 voxels and 48 x 48 pairs converge within 336 basis vectors; the
+    # Rayleigh-Ritz step at a limit of 96 does not accept
+    ops = make_ops(h=1 / 6, n_src=48, n_det=48)
+    gram = _weighted_gram(ops, math.sqrt(ops.boundary.pair_weight), np.sqrt(ops.grid.weights))
+    orders = eigh_orders(monkeypatch)
+    assert _leading_eigenpairs(gram, ops.n_nodes, 96) is None
+    assert orders == [96]
+    monkeypatch.undo()
+    check_dense_fallback(ops, 96)
+
+
+def test_an_orthogonalization_breakdown_falls_back_to_dense_eigh(monkeypatch):
+    # at k = 400 every diffuse kernel entry underflows, so the Gram matrix is zero:
+    # the first block's image is zero, Cholesky-QR fails on it, and the Householder
+    # R it falls back to is singular, so inverting it raises before any Ritz step
+    ops = make_ops(k=400, h=1 / 6)
+    limit = _krylov_basis_limit(ops.n_nodes)
+    assert limit
+    gram = _weighted_gram(ops, math.sqrt(ops.boundary.pair_weight), np.sqrt(ops.grid.weights))
+    assert not gram.any()
+    orders = eigh_orders(monkeypatch)
+    assert _leading_eigenpairs(gram, ops.n_src * ops.n_det, limit) is None
+    assert orders == []
+    monkeypatch.undo()
+    check_dense_fallback(ops, limit)
 
 
 def check_against_dense_svd(ops, linop, svd):
@@ -544,6 +609,12 @@ class TestRegularize:
         recovered = kinv.apply(small_linop.matrix @ eta)
         assert np.abs(recovered - eta).max() <= 1e-10 * np.abs(eta).max()
 
+    def test_norm_is_computed_for_two_and_inf_only(self, small_linop):
+        kinv = regularize(small_linop, rank=5)
+        assert (kinv.norm(2), kinv.norm(INF)) == (kinv.norm2, kinv.norm_inf)
+        with pytest.raises(ValueError, match=r"norms are computed for p in \{2, inf\}"):
+            kinv.norm(3)
+
     def test_norm_inf_is_matrix_row_sum(self, small_linop):
         kinv = regularize(small_linop, rank=5)
         assert kinv.norm_inf == pytest.approx(np.abs(kinv.matrix).sum(axis=1).max(), rel=1e-15)
@@ -585,6 +656,11 @@ class TestRegularize:
 
 
 class TestSeriesRecursion:
+    def test_refuses_order_zero(self, small_ops, small_linop):
+        kinv = regularize(small_linop, tau=1e-2)
+        with pytest.raises(ValueError, match="order must be >= 1"):
+            inverse_series(kinv, small_ops, np.zeros((small_ops.n_src, small_ops.n_det)), 0)
+
     def test_zero_data_gives_zero_terms(self, small_ops, small_linop):
         kinv = regularize(small_linop, tau=1e-2)
         res = inverse_series(kinv, small_ops, np.zeros((small_ops.n_src, small_ops.n_det)), 4)
