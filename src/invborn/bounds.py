@@ -59,7 +59,7 @@ def _ball_volume(a: float) -> float:
 
 
 def _check_p(p: float):
-    if p < 2:
+    if not p >= 2:
         raise ValueError(f"p must be in [2, inf], got {p}")
 
 
@@ -70,7 +70,7 @@ def mu_closed_form(mode: WaveMode, a: float, p: float) -> float:
              (both evaluated without cancellation as ka -> 0)
     scalar:  mu_inf = (ka)^2 / 2,            mu_2 = k^2 (a / (4 pi))^(1/2)
     """
-    if a <= 0:
+    if not a > 0:
         raise ValueError("a must be positive")
     if p not in (2, INF):
         raise ValueError("closed forms are available for p in {2, inf}; interpolate otherwise")
@@ -90,7 +90,7 @@ def nu_bound(mode: WaveMode, a: float, omega_radius: float, p: float) -> float:
              nu_2   <= k^2 |S| |B|^(1/2) e^{-2kd} / (4 pi d)^2
     scalar:  the same expressions without the exponential factor.
     """
-    if a <= 0:
+    if not a > 0:
         raise ValueError("a must be positive")
     if not math.isfinite(omega_radius):
         raise ValueError(f"omega_radius must be finite, got {omega_radius}")
@@ -243,7 +243,7 @@ def dilog(x: float) -> float:
 
     Landen's identity maps [-1, 0), and the reflection formula (1/2, 1), onto that interval.
     """
-    if abs(x) > 1:
+    if not abs(x) <= 1:
         raise ValueError(f"dilog requires |x| <= 1, got {x}")
     if x == 1.0:
         return math.pi**2 / 6.0
@@ -422,6 +422,6 @@ class CertifiedBounds:
 
 def k_from_optical(mu_a_bar: float, mu_s_prime: float) -> float:
     """Diffuse wave number from background absorption and reduced scattering."""
-    if mu_a_bar <= 0 or mu_s_prime <= 0:
-        raise ValueError("optical coefficients must be positive (k must be positive)")
+    if not (0 < mu_a_bar < INF and 0 < mu_s_prime < INF):
+        raise ValueError("optical coefficients must be positive and finite (k must be positive)")
     return math.sqrt(3.0 * mu_a_bar * mu_s_prime)

@@ -539,12 +539,11 @@ def _selftest_checks():
     ]
 
 
-def cmd_selftest(inject_fault: str | None = None, out=sys.stdout) -> int:
+def cmd_selftest(inject_fault: str | None = None) -> int:
     checks = _selftest_checks()
     names = [name for name, _ in checks]
     if inject_fault is not None and inject_fault not in names:
-        print(f"unknown check name {inject_fault!r}; known: {', '.join(names)}", file=out)
-        return 1
+        raise ValueError(f"unknown check name {inject_fault!r}; known: {', '.join(names)}")
     failures = 0
     for name, check in checks:
         try:
@@ -554,8 +553,8 @@ def cmd_selftest(inject_fault: str | None = None, out=sys.stdout) -> int:
         status = "PASS" if ok else "FAIL"
         if not ok:
             failures += 1
-        print(f"{status}  {name} ({detail})", file=out)
-    print(f"{len(checks) - failures}/{len(checks)} checks passed", file=out)
+        print(f"{status}  {name} ({detail})")
+    print(f"{len(checks) - failures}/{len(checks)} checks passed")
     return 0 if failures == 0 else 1
 
 

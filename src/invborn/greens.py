@@ -83,7 +83,7 @@ def greens_kernel(mode: WaveMode, r):
     Real in diffuse mode, complex in scalar mode.
     """
     r = np.asarray(r, dtype=float)
-    if np.any(r <= 0):
+    if not np.all(r > 0):
         raise ValueError("greens_kernel requires r > 0; use self_cell_integral at coincident points")
     vals = np.exp(-mode.kappa * r)
     vals /= 4.0 * math.pi * r
@@ -92,7 +92,7 @@ def greens_kernel(mode: WaveMode, r):
 
 def kernel_modulus(mode: WaveMode, r: np.ndarray) -> np.ndarray:
     """|G| = exp(-Re(kappa) r) / (4 pi r) at an array of distances r > 0, as float64."""
-    if np.any(r <= 0):
+    if not np.all(r > 0):
         raise ValueError("kernel_modulus requires r > 0; use self_cell_l1 at coincident points")
     vals = np.exp(-mode.kappa.real * r)
     vals /= 4.0 * math.pi * r
@@ -138,7 +138,7 @@ def self_cell_integral(mode: WaveMode, w: float) -> complex:
     which tends to r_c^2 / 2 as kappa r_c -> 0; it is evaluated as r_c^2 times
     _ball_factor(kappa r_c), which does not cancel there.
     """
-    if w <= 0:
+    if not w > 0:
         raise ValueError("voxel weight must be positive")
     rc = _cell_radius(w)
     return complex(rc**2 * _ball_factor(mode.kappa * rc))

@@ -100,7 +100,7 @@ class BoundaryArray:
             if np.any(np.abs(r - self.omega_radius) > 1e-12 * self.omega_radius):
                 raise ValueError(f"{name} not on the sphere of radius {self.omega_radius}")
             object.__setattr__(self, name, pts)
-        if self.src_weight <= 0 or self.det_weight <= 0:
+        if not (self.src_weight > 0 and self.det_weight > 0):
             raise ValueError("surface weights must be positive")
 
     @property
@@ -190,14 +190,14 @@ def lp_norm(values: np.ndarray, weights, p: float) -> float:
     sum overflows (|f|^p beyond the float range) is summed again rescaled by
     max |f|, so its norm is finite wherever it is representable.
     """
-    if p < 2:
+    if not p >= 2:
         raise ValueError(f"p must be in [2, inf], got {p}")
     values = np.asarray(values)
     mags = np.abs(values.ravel())
     if math.isinf(p):
         return float(mags.max(initial=0.0))
     w = np.broadcast_to(np.asarray(weights, dtype=float), values.shape).ravel()
-    if np.any(w <= 0):
+    if not np.all(w > 0):
         raise ValueError("weights must be positive")
     with np.errstate(over="ignore"):
         total = (w * mags**p).sum()

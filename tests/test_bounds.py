@@ -205,6 +205,10 @@ class TestPartitions:
         for j in (1, 3, 6):
             assert list(compositions(j, 1)) == [(j,)]
 
+    def test_no_compositions_into_zero_parts_or_more_parts_than_the_total(self):
+        assert list(compositions(3, 0)) == []
+        assert list(compositions(2, 3)) == []
+
     def test_diagram_count(self):
         # the inverse recursion sums 2^(j-1) - 1 compositions with m >= 2 parts at order j
         for j in range(2, 10):

@@ -1,4 +1,4 @@
-import functools
+import contextlib
 import io
 import json
 import math
@@ -347,16 +347,14 @@ def test_cli_error_paths(tmp_path, capsys):
     assert main(["forward", "--config", str(bad)]) == 1
 
 
-def test_selftest_passes_and_fault_injection_fails():
-    buf = io.StringIO()
-    assert cmd_selftest(out=buf) == 0
-    text = buf.getvalue()
+def test_selftest_passes_and_fault_injection_fails(capsys):
+    assert cmd_selftest() == 0
+    text = capsys.readouterr().out
     assert "FAIL" not in text
     assert text.strip().endswith("checks passed")
 
-    buf = io.StringIO()
-    assert cmd_selftest(inject_fault="kernel-value", out=buf) == 1
-    lines = [l for l in buf.getvalue().splitlines() if l.startswith("FAIL")]
+    assert cmd_selftest(inject_fault="kernel-value") == 1
+    lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("FAIL")]
     assert len(lines) == 1 and "kernel-value" in lines[0]
 
 
@@ -368,7 +366,7 @@ def test_every_selftest_check_detects_its_fault():
         assert not ok, f"fault injection did not flip {name} ({detail})"
 
 
-def test_selftest_counts_a_crashed_check_and_runs_the_rest(monkeypatch):
+def test_selftest_counts_a_crashed_check_and_runs_the_rest(monkeypatch, capsys):
     ran = []
 
     def crash(fault):
@@ -381,35 +379,39 @@ def test_selftest_counts_a_crashed_check_and_runs_the_rest(monkeypatch):
 
     checks = [("crash", crash), ("fine", fine)]
     monkeypatch.setattr("invborn.cli._selftest_checks", lambda: checks)
-    buf = io.StringIO()
-    assert cmd_selftest(out=buf) == 1
+    assert cmd_selftest() == 1
     assert ran == ["crash", "fine"]
-    assert buf.getvalue().splitlines() == [
+    assert capsys.readouterr().out.splitlines() == [
         "FAIL  crash (exception: division by zero)",
         "PASS  fine (ok)",
         "1/2 checks passed",
     ]
 
 
-def test_cli_selftest_in_process(monkeypatch):
-    # cmd_selftest's default stream is the sys.stdout of import time, which
-    # capsys does not capture, so the report goes to a buffer
+def test_cli_selftest_in_process(capsys):
+    # the report goes to the sys.stdout of the call, so a redirect captures it
     buf = io.StringIO()
-    monkeypatch.setattr("invborn.cli.cmd_selftest", functools.partial(cmd_selftest, out=buf))
-    assert main(["selftest"]) == 0
+    with contextlib.redirect_stdout(buf):
+        assert main(["selftest"]) == 0
+    assert len([line for line in buf.getvalue().splitlines() if line.startswith("PASS  ")]) == 15
     assert buf.getvalue().endswith("15/15 checks passed\n")
-    buf.seek(0)
-    buf.truncate()
     assert main(["selftest", "--inject-fault", "grid-volume"]) == 1
-    assert [line.split()[1] for line in buf.getvalue().splitlines() if line.startswith("FAIL")] == [
+    out = capsys.readouterr().out
+    assert [line.split()[1] for line in out.splitlines() if line.startswith("FAIL")] == [
         "grid-volume"
     ]
 
 
 def test_selftest_unknown_fault_name():
-    buf = io.StringIO()
-    assert cmd_selftest(inject_fault="no-such-check", out=buf) == 1
-    assert "unknown check" in buf.getvalue()
+    with pytest.raises(ValueError, match="unknown check"):
+        cmd_selftest(inject_fault="no-such-check")
+
+
+def test_cli_selftest_refuses_an_unknown_fault_name(capsys):
+    assert main(["selftest", "--inject-fault", "no-such-check"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: unknown check name 'no-such-check'; known: grid-volume")
 
 
 def test_validate_absorption_physicality():
