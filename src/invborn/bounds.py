@@ -32,7 +32,7 @@ from .greens import (
     self_cell_l1,
     self_cell_l2,
 )
-from .grid import Grid
+from .grid import Grid, _check_p
 
 __all__ = [
     "ConstantSet",
@@ -56,11 +56,6 @@ P_NORMS = ((2, "2"), (INF, "inf"))  # (p, label) pairs reported by every diagnos
 
 def _ball_volume(a: float) -> float:
     return 4.0 * math.pi * a**3 / 3.0
-
-
-def _check_p(p: float):
-    if not p >= 2:
-        raise ValueError(f"p must be in [2, inf], got {p}")
 
 
 def mu_closed_form(mode: WaveMode, a: float, p: float) -> float:
@@ -203,6 +198,8 @@ def numeric_constants(ops) -> ConstantSet:
 def interpolate_constants(mu2, mu_inf, nu2, nu_inf, p: float):
     """Riesz-Thorin interpolation: x_p = x_2^(2/p) * x_inf^(1-2/p), log-linear in 2/p."""
     _check_p(p)
+    if not all(c >= 0 for c in (mu2, mu_inf, nu2, nu_inf)):
+        raise ValueError(f"constants must be nonnegative, got {(mu2, mu_inf, nu2, nu_inf)}")
     t = 0.0 if math.isinf(p) else 2.0 / p
     mu_p = mu2**t * mu_inf ** (1.0 - t)
     nu_p = nu2**t * nu_inf ** (1.0 - t)
@@ -264,6 +261,8 @@ def forward_remainder_bounds(constants: ConstantSet, p: float, eta_norm: float, 
 
     None outside the forward region q < 1 (||eta||_p below the forward radius 1/mu_p).
     """
+    if eta_norm < 0:
+        raise ValueError(f"eta_norm must be nonnegative, got {eta_norm}")
     mu_p, nu_p = constants.mu_nu(p)
     q = mu_p * eta_norm
     if _violation("mu_p * eta_norm", q):
@@ -277,13 +276,16 @@ class CertifiedBounds:
     All three estimates share q = (mu_p + nu_p) * ||pinv||_p < 1 through the
     coefficient constant and add a data or state smallness hypothesis.  Each
     estimate raises ValueError naming the violated inequality outside its
-    region; the ``*_report`` methods give None there instead.
+    region; the ``*_report`` methods give None there instead.  A negative input
+    raises ValueError at construction; a NaN one is kept and fails each hypothesis it enters.
     """
 
     def __init__(self, mu_p: float, nu_p: float, pinv_norm: float):
         self.mu_p = float(mu_p)
         self.nu_p = float(nu_p)
         self.pinv_norm = float(pinv_norm)
+        if any(v < 0 for v in (self.mu_p, self.nu_p, self.pinv_norm)):
+            raise ValueError("inputs must be nonnegative")
 
     @classmethod
     def from_constants(cls, constants: ConstantSet, p: float, pinv_norm: float):
@@ -337,8 +339,6 @@ class CertifiedBounds:
         the two throughout (0, 1).  The estimates below use c_simple.
         """
         q = self.q
-        if q < 0:
-            raise ValueError("inputs must be nonnegative")
         if self.operator_violation():
             raise ValueError(f"outside convergence region: {self.operator_violation()}")
         try:  # the refined exponent is the smaller one, so only c_simple can overflow
@@ -422,6 +422,7 @@ class CertifiedBounds:
 
 def k_from_optical(mu_a_bar: float, mu_s_prime: float) -> float:
     """Diffuse wave number from background absorption and reduced scattering."""
-    if not (0 < mu_a_bar < INF and 0 < mu_s_prime < INF):
+    k2 = 3.0 * mu_a_bar * mu_s_prime
+    if not (0 < mu_a_bar and 0 < mu_s_prime and k2 < INF):  # so each is finite too
         raise ValueError("optical coefficients must be positive and finite (k must be positive)")
-    return math.sqrt(3.0 * mu_a_bar * mu_s_prime)
+    return math.sqrt(k2)

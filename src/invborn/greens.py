@@ -101,6 +101,8 @@ def kernel_modulus(mode: WaveMode, r: np.ndarray) -> np.ndarray:
 
 def _cell_radius(w: float) -> float:
     """Radius of the ball with the same volume as a voxel of weight w."""
+    if not w > 0:
+        raise ValueError("voxel weight must be positive")
     return (3.0 * w / (4.0 * math.pi)) ** (1.0 / 3.0)
 
 
@@ -138,8 +140,6 @@ def self_cell_integral(mode: WaveMode, w: float) -> complex:
     which tends to r_c^2 / 2 as kappa r_c -> 0; it is evaluated as r_c^2 times
     _ball_factor(kappa r_c), which does not cancel there.
     """
-    if not w > 0:
-        raise ValueError("voxel weight must be positive")
     rc = _cell_radius(w)
     return complex(rc**2 * _ball_factor(mode.kappa * rc))
 

@@ -182,6 +182,11 @@ def build_sphere_boundary(omega_radius: float, n_src: int, n_det: int) -> Bounda
     )
 
 
+def _check_p(p: float):
+    if not p >= 2:
+        raise ValueError(f"p must be in [2, inf], got {p}")
+
+
 def lp_norm(values: np.ndarray, weights, p: float) -> float:
     """Weighted discrete p-norm (sum_i w_i |f_i|^p)^(1/p); max |f_i| for p=inf.
 
@@ -190,8 +195,7 @@ def lp_norm(values: np.ndarray, weights, p: float) -> float:
     sum overflows (|f|^p beyond the float range) is summed again rescaled by
     max |f|, so its norm is finite wherever it is representable.
     """
-    if not p >= 2:
-        raise ValueError(f"p must be in [2, inf], got {p}")
+    _check_p(p)
     values = np.asarray(values)
     mags = np.abs(values.ravel())
     if math.isinf(p):

@@ -14,6 +14,7 @@ import pytest
 
 import invborn
 from invborn import (
+    CertifiedBounds,
     WaveMode,
     build_sphere_boundary,
     closed_form_constants,
@@ -27,7 +28,8 @@ from invborn import (
     nu_bound,
     self_cell_integral,
 )
-from invborn.greens import kernel_modulus
+from invborn.bounds import forward_remainder_bounds
+from invborn.greens import kernel_modulus, self_cell_l1, self_cell_l2
 
 MODULES = ["bounds", "cli", "forward", "greens", "grid", "inverse"]
 
@@ -120,6 +122,7 @@ NAN = math.nan
     "call",
     [
         pytest.param(lambda: interpolate_constants(0.3, 0.5, 0.1, 0.2, NAN), id="interpolate-p"),
+        pytest.param(lambda: interpolate_constants(NAN, 0.5, 0.1, 0.2, 4), id="interpolate-mu2"),
         pytest.param(lambda: closed_form_constants(_MODE, 1.0, 2.0).mu_nu(NAN), id="mu_nu-p"),
         pytest.param(
             lambda: convergence_radii(closed_form_constants(_MODE, 1.0, 2.0), NAN), id="radii-p"
@@ -131,6 +134,8 @@ NAN = math.nan
         pytest.param(lambda: mu_closed_form(_MODE, NAN, 2), id="mu_closed_form-a"),
         pytest.param(lambda: nu_bound(_MODE, NAN, 2.0, 2), id="nu_bound-a"),
         pytest.param(lambda: self_cell_integral(_MODE, NAN), id="self_cell_integral-w"),
+        pytest.param(lambda: self_cell_l1(_MODE, NAN), id="self_cell_l1-w"),
+        pytest.param(lambda: self_cell_l2(_MODE, NAN), id="self_cell_l2-w"),
         pytest.param(lambda: greens_kernel(_MODE, NAN), id="greens_kernel-r"),
         pytest.param(lambda: kernel_modulus(_MODE, np.array([1.0, NAN])), id="kernel_modulus-r"),
         pytest.param(lambda: dilog(NAN), id="dilog-x"),
@@ -142,6 +147,32 @@ NAN = math.nan
 def test_range_checks_refuse_nan(call):
     # each check states the values it accepts, so NaN, which compares false, fails it
     with pytest.raises(ValueError):
+        call()
+
+
+@pytest.mark.parametrize(
+    ("call", "message"),
+    [
+        *(
+            pytest.param(lambda f=f, w=w: f(_MODE, w), "voxel weight", id=f"{f.__name__}-{w}")
+            for f in (self_cell_l1, self_cell_l2)
+            for w in (-1.0, 0.0)
+        ),
+        pytest.param(lambda: CertifiedBounds(0.1, 0.1, -1.0), "inputs must", id="bounds-pinv"),
+        pytest.param(lambda: CertifiedBounds(-0.1, -0.1, -1.0), "inputs must", id="bounds-all"),
+        pytest.param(lambda: k_from_optical(1e200, 1e200), "optical", id="k_from_optical-overflow"),
+        pytest.param(
+            lambda: interpolate_constants(-0.3, 0.5, 0.1, 0.2, 4), "constants must", id="interpolate"
+        ),
+        pytest.param(
+            lambda: forward_remainder_bounds(closed_form_constants(_MODE, 1.0, 2.0), 2, -1.0, 3),
+            "eta_norm must",
+            id="forward_remainder_bounds-eta",
+        ),
+    ],
+)
+def test_range_checks_refuse_values_outside_the_domain(call, message):
+    with pytest.raises(ValueError, match=message):
         call()
 
 

@@ -375,6 +375,7 @@ class TestHypotheses:
         radius = convergence_radii(cs, INF)[0]
         assert forward_remainder_bounds(cs, INF, 0.0, 3) == [0.0, 0.0, 0.0]
         assert forward_remainder_bounds(cs, INF, radius * (1 + 1e-12), 3) is None
+        assert forward_remainder_bounds(cs, INF, math.nan, 3) is None  # NaN is outside the region
         q = 0.5
         got = forward_remainder_bounds(cs, INF, q * radius, 2)
         ratio = cs.nu_inf / cs.mu_inf
