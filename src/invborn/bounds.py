@@ -198,8 +198,10 @@ def numeric_constants(ops) -> ConstantSet:
 def interpolate_constants(mu2, mu_inf, nu2, nu_inf, p: float):
     """Riesz-Thorin interpolation: x_p = x_2^(2/p) * x_inf^(1-2/p), log-linear in 2/p."""
     _check_p(p)
-    if not all(c >= 0 for c in (mu2, mu_inf, nu2, nu_inf)):
-        raise ValueError(f"constants must be nonnegative, got {(mu2, mu_inf, nu2, nu_inf)}")
+    if not all(0 <= c < INF for c in (mu2, mu_inf, nu2, nu_inf)):
+        raise ValueError(
+            f"constants must be nonnegative and finite, got {(mu2, mu_inf, nu2, nu_inf)}"
+        )
     t = 0.0 if math.isinf(p) else 2.0 / p
     mu_p = mu2**t * mu_inf ** (1.0 - t)
     nu_p = nu2**t * nu_inf ** (1.0 - t)
@@ -423,6 +425,6 @@ class CertifiedBounds:
 def k_from_optical(mu_a_bar: float, mu_s_prime: float) -> float:
     """Diffuse wave number from background absorption and reduced scattering."""
     k2 = 3.0 * mu_a_bar * mu_s_prime
-    if not (0 < mu_a_bar and 0 < mu_s_prime and k2 < INF):  # so each is finite too
+    if not (0 < mu_a_bar and 0 < mu_s_prime and 0 < k2 < INF):  # so each is finite too
         raise ValueError("optical coefficients must be positive and finite (k must be positive)")
     return math.sqrt(k2)

@@ -647,7 +647,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def main(argv=None) -> int:
+def _build_parser() -> _Parser:
     parser = _Parser(
         prog="invborn",
         description="Born and inverse Born series experiments with convergence certificates",
@@ -672,8 +672,16 @@ def main(argv=None) -> int:
 
     p_self = sub.add_parser("selftest", help="run the invariant checks")
     p_self.add_argument("--inject-fault", help="perturb the named check (must then fail)")
+    return parser
 
-    args = parser.parse_args(argv)
+
+# built once, at import: parse_args leaves the parser unchanged, so every in-process
+# call of main reuses it
+_PARSER = _build_parser()
+
+
+def main(argv=None) -> int:
+    args = _PARSER.parse_args(argv)
     try:
         if args.command == "selftest":
             return cmd_selftest(args.inject_fault)

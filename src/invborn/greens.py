@@ -101,8 +101,8 @@ def kernel_modulus(mode: WaveMode, r: np.ndarray) -> np.ndarray:
 
 def _cell_radius(w: float) -> float:
     """Radius of the ball with the same volume as a voxel of weight w."""
-    if not w > 0:
-        raise ValueError("voxel weight must be positive")
+    if not 0 < w < math.inf:
+        raise ValueError("voxel weight must be positive and finite")
     return (3.0 * w / (4.0 * math.pi)) ** (1.0 / 3.0)
 
 

@@ -160,9 +160,21 @@ def test_range_checks_refuse_nan(call):
         ),
         pytest.param(lambda: CertifiedBounds(0.1, 0.1, -1.0), "inputs must", id="bounds-pinv"),
         pytest.param(lambda: CertifiedBounds(-0.1, -0.1, -1.0), "inputs must", id="bounds-all"),
+        *(
+            pytest.param(lambda f=f: f(_MODE, math.inf), "voxel weight", id=f"{f.__name__}-inf")
+            for f in (self_cell_integral, self_cell_l1, self_cell_l2)
+        ),
         pytest.param(lambda: k_from_optical(1e200, 1e200), "optical", id="k_from_optical-overflow"),
         pytest.param(
+            lambda: k_from_optical(5e-324, 5e-324), "optical", id="k_from_optical-underflow"
+        ),
+        pytest.param(
             lambda: interpolate_constants(-0.3, 0.5, 0.1, 0.2, 4), "constants must", id="interpolate"
+        ),
+        pytest.param(
+            lambda: interpolate_constants(math.inf, 0.5, 0.1, 0.2, 2),
+            "^constants must",
+            id="interpolate-inf",
         ),
         pytest.param(
             lambda: forward_remainder_bounds(closed_form_constants(_MODE, 1.0, 2.0), 2, -1.0, 3),

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -547,6 +548,28 @@ def test_cli_usage_errors_exit_one(capsys, argv, message):
         main(argv)
     assert exc.value.code == 1
     assert message in capsys.readouterr().err
+
+
+def test_cli_main_builds_no_parser(tmp_path, monkeypatch):
+    # the parser is built once, at import; a call of main only parses with it
+    calls = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
+    assert main(["radii", "--ka", "1", "--output", str(tmp_path / "r.csv")]) == 0
+    assert main(["forward", *SMALL_ARGS, "--output", str(tmp_path / "f.json")]) in (0, 2)
+    assert main(["invert", *SMALL_ARGS, "--output", str(tmp_path / "i.json")]) in (0, 2)
+    assert main(["selftest"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["invert", "--bogus", "1"])
+    assert exc.value.code == 1
+    assert calls == []
+    invborn.cli._build_parser()  # the counter sees the calls a build makes
+    assert len(calls) > 40
 
 
 def test_cli_help_exits_zero(capsys):
