@@ -317,7 +317,7 @@ def cmd_invert(config: ExperimentConfig) -> tuple[dict, int]:
     inverse._check_truncation(None, config.rank, min(config.n_src * config.n_det, grid.n_nodes))
     peak = inverse.peak_entries(
         grid.n_nodes, config.n_src, config.n_det, np.count_nonzero(eta_true), config.order,
-        config.tau,
+        config.tau, real=config.mode == "diffuse",
     )
     _check_memory(config, grid.n_nodes, peak)
     kernels = assemble_boundary(config.wave_mode, grid, boundary)

@@ -23,6 +23,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -119,51 +120,104 @@ def _k_rows(ops: BoundaryKernels, g_sv: np.ndarray, g_dv: np.ndarray) -> np.ndar
 # by 1.5e-7 at tau = 1e-4 (dense eigh 4.2e-9).  A truncation reaching below the
 # floor therefore takes dense eigh.
 KRYLOV_FLOOR = 1e-3
-_KRYLOV_BLOCK = 48  # vectors per Lanczos block
-_KRYLOV_MIN_BLOCKS = 4  # the smallest basis worth a Krylov pass
-_KRYLOV_MAX_BASIS = 21 * _KRYLOV_BLOCK  # 1008 vectors: 58 MB at V = 7208
-# A Rayleigh-Ritz step is taken once the Frobenius norm of the block coupling
-# r_2 r_1 of the Lanczos relation falls to this many residual tolerances
-# V * eps * theta_0.  At the first block where the step accepts it measured 400
-# to 7450 tolerances, and one block earlier 1.5e4 to 8e4 (V = 912 to 3112,
-# 24 x 24 and 48 x 48 pairs, both modes).  A step taken too early costs an
-# eigh of the projected matrix; one taken a block late costs one block more.
-_KRYLOV_RITZ_GATE = 1e4
 
 
-def _krylov_basis_limit(n_nodes: int, tau: float | None = None) -> int:
+class _KrylovBlock(NamedTuple):
+    """Block Lanczos settings for one range of grid sizes (see _KRYLOV_BLOCKS)."""
+
+    size: int  # vectors per block
+    gate: float  # Ritz gate, in residual tolerances V * eps * theta_0
+    margin: int  # basis vectors an accepted pass holds beyond its wanted values
+
+
+# Block Lanczos settings by grid size, smallest V first, from a sweep over both
+# modes, 24 x 24 and 48 x 48 pairs and V = 280 to 912 (k = 1, a = 1).  The
+# margin: a pass accepted once its basis held the count of values above the
+# floor plus 62 (b = 8), 88 (b = 16) or 181 (b = 48) vectors or more.  The
+# block: the wanted sets (91 to 110 values diffuse, 56 to 59 scalar) plus what
+# a pass needs beyond them (up to 192, 240 and 336 vectors in all) fit V / 2
+# from V = 384 (b = 8), 480 (b = 16) and 672 (b = 48); 48-vector blocks start
+# at V = 912, where invert-default's one Rayleigh-Ritz step stays as it was.
+# The gate: a Rayleigh-Ritz step is taken once the Frobenius norm of the block
+# coupling r_2 r_1 of the Lanczos relation falls to this many residual
+# tolerances.  At the block where a step accepted it measured 6.4e4 to 5.2e5
+# (b = 8), 9.5e3 to 1e5 (b = 16) and 360 to 7800 (b = 48), and one block
+# earlier two to ten times that.  A step taken too early costs an eigh of the
+# projected matrix; one taken a block late costs one block more.
+_KRYLOV_BLOCKS = (
+    (0, _KrylovBlock(8, 4e5, 60)),
+    (480, _KrylovBlock(16, 1e5, 84)),
+    (912, _KrylovBlock(48, 1e4, 180)),
+)
+_KRYLOV_MAX_BASIS = 1008  # vectors: 58 MB at V = 7208
+# Real (diffuse) Gram matrices take eigh below this many nodes.  Their eigh costs
+# about a quarter of a complex one (V = 280: 6.1-6.7 ms against 22-24 ms), and
+# their wanted sets are larger (93 to 106 values at 24 x 24 and 48 x 48 pairs
+# against 58 and 59), so below V = 384 a pass ends in the early exit or at its
+# limit: 7.8-8.6 ms at V = 280 and 19.3 ms at V = 360 against 6.1-11.5 ms for
+# eigh.  At V = 432 it accepts in 13.6 ms against 17.9 ms.
+_KRYLOV_MIN_REAL = 384
+# A Ritz pair set is accepted once the Davis-Kahan bound ||R|| / delta on the
+# sine of the angle between its subspace and the exact one is at most this,
+# for a real and a complex Gram matrix, where R is the residual of the Ritz
+# vectors above the floor and delta the Ritz gap at the floor.  Against a
+# dense SVD, pinv deviated by at most 0.09 times the bound (V = 280 to 912,
+# both modes), so the targets hold pinv to about 1e-9 (real) and 1e-8
+# (complex), the accuracy the tests ask of block Lanczos.  Residuals alone
+# accepted rotated detectors (V = 912, 24 x 24 pairs, diffuse) at a bound of
+# 1.7e-6, where pinv deviated 9.9e-9; one block more gave 3.5e-11 and 8e-12.
+_KRYLOV_SUBSPACE_TOL = (1e-8, 1e-7)
+
+
+def _krylov_block(n_nodes: int) -> _KrylovBlock:
+    """The block Lanczos settings for a grid of ``n_nodes`` nodes."""
+    return next(block for least, block in reversed(_KRYLOV_BLOCKS) if n_nodes >= least)
+
+
+def _krylov_basis_limit(n_nodes: int, tau: float | None = None, real: bool = False) -> int:
     """The route rule: the largest Krylov basis the factorization builds, or 0 for dense eigh.
 
-    The basis holds at most min(V / 2, 1008) vectors, and at least
-    _KRYLOV_MIN_BLOCKS blocks; a smaller grid takes eigh.  So does a cutoff
-    ``tau`` below KRYLOV_FLOOR, which reaches past what block Lanczos resolves.
+    The basis holds whole blocks of ``_krylov_block(V).size`` vectors, at most
+    min(V / 2, _KRYLOV_MAX_BASIS).  A grid whose limit does not exceed the
+    block's margin takes eigh (V < 128), and so does a real (diffuse) Gram
+    matrix below _KRYLOV_MIN_REAL nodes.  So does a cutoff ``tau`` below
+    KRYLOV_FLOOR, which reaches past what block Lanczos resolves.
     """
-    if tau is not None and tau < KRYLOV_FLOOR:
+    if (tau is not None and tau < KRYLOV_FLOOR) or (real and n_nodes < _KRYLOV_MIN_REAL):
         return 0
-    limit = min(n_nodes // 2, _KRYLOV_MAX_BASIS) // _KRYLOV_BLOCK * _KRYLOV_BLOCK
-    return limit if limit >= _KRYLOV_MIN_BLOCKS * _KRYLOV_BLOCK else 0
+    b, _, margin = _krylov_block(n_nodes)
+    limit = min(n_nodes // 2, _KRYLOV_MAX_BASIS) // b * b
+    return limit if limit > margin else 0
 
 
 def peak_entries(
-    n_nodes: int, n_src: int, n_det: int, support: int, order: int, tau: float | None
+    n_nodes: int,
+    n_src: int,
+    n_det: int,
+    support: int,
+    order: int,
+    tau: float | None,
+    real: bool = False,
 ) -> int:
     """Entries ``invborn invert`` holds at its peak: its memory estimate.
 
     The boundary kernels, (S + D) V, and the larger of two stages.  The
-    factorization on the route of ``_krylov_basis_limit`` (a rank rule counts
-    eigh, which ``regularize`` may take): block Lanczos with m basis vectors
-    holds the Gram matrix, the basis, the Ritz vectors, their images and
-    residuals, and the projected matrix with eigh's copy, workspace and
-    vectors; dense eigh the Gram matrix, eigh's copy, its 2 V^2 workspace and
+    factorization on the route of ``_krylov_basis_limit`` for a real
+    (diffuse) or complex Gram matrix (a rank rule counts eigh, which
+    ``regularize`` may take): block Lanczos with m basis vectors, m the
+    rule's limit, holds the Gram matrix, the basis, the Ritz vectors, their
+    images and residuals, and the projected matrix with eigh's copy,
+    workspace and vectors; dense eigh the Gram matrix, eigh's copy, its 2 V^2 workspace and
     the eigenvectors.  The series: g_vv, the kept rows of vh with the
     pseudoinverse factors, the data solve on the ``support`` nodes, and per
     order a V x D chain matrix and three fields.  Known gap: the block
     Lanczos route leaves out the dense eigh that ``_factor`` falls back to
-    where the basis runs out or breaks down; at V = 12,160 (``invert --h
-    0.07``) it counts 1.51 GiB, where the dense route is counted at 5.52 GiB.
+    where the basis runs out, stops early or breaks down; at V = 12,160
+    (``invert --h 0.07``, m = 1008) it counts 1.51 GiB, where the dense route
+    is counted at 5.52 GiB.
     """
     v, pairs = n_nodes, n_src * n_det
-    if tau is not None and (m := _krylov_basis_limit(v, tau)):
+    if tau is not None and (m := _krylov_basis_limit(v, tau, real)):
         factor, rows = v * v + 4 * v * m + 5 * m * m, m
     else:
         factor, rows = 5 * v * v, min(pairs, v)
@@ -229,30 +283,52 @@ def _orthonormal_r(w: np.ndarray) -> np.ndarray:
         return np.linalg.qr(w, mode="r")
 
 
+def _count_above_floor(theta: np.ndarray) -> int:
+    """How many of the eigenvalues ``theta`` lie at or above KRYLOV_FLOOR^2 times the largest."""
+    return int(np.count_nonzero(theta >= KRYLOV_FLOOR**2 * theta.max()))
+
+
 def _leading_eigenpairs(gram: np.ndarray, n: int, limit: int):
     """Eigenpairs of the Gram matrix down to KRYLOV_FLOOR^2 * theta_0 and one past it.
 
     Block Lanczos with full reorthogonalization from a fixed-seed Gaussian
-    start block.  The start block and each new one are orthonormalized by a
+    start block, in blocks of ``_krylov_block(V)`` (the rule that sets
+    ``limit``).  The start block and each new one are orthonormalized by a
     first pass whose R is Cholesky-QR (Householder where the block's Gram
     matrix is not positive definite); each new block is then orthogonalized
     against the basis once more, with a Cholesky pass.  The coefficients of
     the first pass are the new columns of the projected matrix T.  With the
     block coupling B = r_2 r_1, gram Q = Q T + block B e_last^T, so a Ritz
     pair's residual is ||B y_last||.  A Rayleigh-Ritz step is taken only once
-    ||B||_F <= _KRYLOV_RITZ_GATE * V * eps * theta_hat (theta_hat the largest
-    diagonal entry of T), and always at the basis limit.  The result is
-    accepted once every wanted Ritz pair (at most n) has a computed residual
-    ||G x - theta x|| <= V * eps * theta_0.  Returns (theta, vectors)
-    descending, or None where the basis would exceed ``limit`` vectors or an
-    orthogonalization breaks down; the caller then takes dense eigh.
+    ||B||_F <= gate * V * eps * theta_hat (theta_hat the largest diagonal
+    entry of T, gate the block's), and always at the basis limit.  The result
+    is accepted once the Ritz vectors Y above the floor satisfy the
+    Davis-Kahan test ||B Y_last||_F <= target * (theta_r - theta_r+1), with
+    the gap at the floor and the _KRYLOV_SUBSPACE_TOL target for the Gram
+    matrix's arithmetic, and every wanted Ritz pair (at most n) has a
+    computed residual ||G x - theta x|| <= V * eps * theta_0.
+
+    The pass stops early once c + margin > limit, c the count of Ritz values
+    above the floor: Ritz values rise toward the eigenvalues as the basis
+    grows, so c only grows with it, and the wanted set cannot fit in the
+    basis.  c is counted by eigvalsh of T only where that test could hold.
+    By Cauchy interlacing c rises by at most one per basis vector since it
+    was last counted, and T has at least as many eigenvalues below the floor
+    as its trailing block from row limit - margin - b on has below
+    KRYLOV_FLOOR^2 * theta_hat; either may rule the exit out.  Returns
+    (theta, vectors) descending, or None where the pass stops early, reaches
+    ``limit`` vectors unaccepted or an orthogonalization breaks down; the
+    caller then takes dense eigh.
     """
-    v, b = gram.shape[0], _KRYLOV_BLOCK
+    v = gram.shape[0]
+    b, gate, margin = _krylov_block(v)
     basis = np.empty((v, limit), dtype=gram.dtype, order="F")  # block columns stay contiguous
     proj = np.zeros((limit, limit), dtype=gram.dtype)  # basis^H gram basis, upper triangle
     block = np.random.default_rng(0).standard_normal((v, b))
     block = block @ np.linalg.inv(_orthonormal_r(block))
     tol = v * np.finfo(float).eps
+    subspace_tol = _KRYLOV_SUBSPACE_TOL[np.iscomplexobj(gram)]
+    count, counted_at = 0, 0  # the last count of values above the floor, and its basis size
     try:
         for m in range(b, limit + 1, b):
             new = slice(m - b, m)
@@ -267,16 +343,30 @@ def _leading_eigenpairs(gram: np.ndarray, n: int, limit: int):
             r_2 = _cholesky_r(w)
             block = w @ np.linalg.inv(r_2)
             coupling = r_2 @ r_1  # gram q = q proj + block coupling e_last^T
-            gate = _KRYLOV_RITZ_GATE * tol * proj.diagonal().real.max()
-            if m < limit and np.linalg.norm(coupling) > gate:
-                continue
-            theta, y = np.linalg.eigh(proj[:m, :m], UPLO="U")
-            theta, y = theta[::-1], y[:, ::-1]
-            keep = min(int(np.count_nonzero(theta >= KRYLOV_FLOOR**2 * theta[0])) + 1, n)
-            vecs = q @ y[:, :keep]
-            resid = np.linalg.norm(gram @ vecs - vecs * theta[:keep], axis=0)
-            if np.all(resid <= tol * theta[0]):
-                return theta[:keep], vecs
+            if m == limit or np.linalg.norm(coupling) <= gate * tol * proj.diagonal().real.max():
+                theta, y = np.linalg.eigh(proj[:m, :m], UPLO="U")
+                theta, y = theta[::-1], y[:, ::-1]
+                count = _count_above_floor(theta)
+                keep = min(count + 1, n)
+                gap = theta[count - 1] - (theta[count] if count < m else 0.0)
+                resid_above = np.linalg.norm(coupling @ y[-b:, :count])  # ||R||, Davis-Kahan
+                if keep <= m and resid_above <= subspace_tol * gap:
+                    vecs = q @ y[:, :keep]
+                    resid = np.linalg.norm(gram @ vecs - vecs * theta[:keep], axis=0)
+                    if np.all(resid <= tol * theta[0]):
+                        return theta[:keep], vecs
+            elif count + m - counted_at + margin <= limit:
+                continue  # the count cannot have grown enough for the exit
+            else:
+                tail = slice(max(limit - margin - b, 0), m)
+                trailing = np.linalg.eigvalsh(proj[tail, tail], UPLO="U")
+                below = np.count_nonzero(trailing < KRYLOV_FLOOR**2 * proj.diagonal().real.max())
+                if m - below + margin <= limit:
+                    continue  # as many values of T lie below the floor
+                count = _count_above_floor(np.linalg.eigvalsh(proj[:m, :m], UPLO="U"))
+            if count + margin > limit:
+                return None  # the wanted set cannot fit in the basis
+            counted_at = m
     except np.linalg.LinAlgError:  # a block lost rank
         pass
     return None
@@ -312,16 +402,18 @@ def linearized_operator(ops: BoundaryKernels, tau: float | None = None) -> Linea
 
     (``o`` the entrywise product); its eigenpairs give sigma = sqrt(lambda)
     and the right singular vectors.  ``_krylov_basis_limit`` picks the route
-    from the grid and ``tau``, the cutoff ``regularize`` will truncate at:
-    block Lanczos resolves the values down to KRYLOV_FLOOR * sigma_max (and
-    one below), and falls back to eigh where its basis does not converge;
-    eigh resolves them all.  Squaring the spectrum costs accuracy in singular
-    values far below sigma_max, which ``regularize`` refuses to retain
-    (``SVAL_FLOOR``).  Only the boundary kernels are read, so ``ops`` may be
-    a BoundaryKernels without g_vv.  Diffuse kernels are real arrays, so
-    diffuse mode runs in real arithmetic; scalar mode is complex.
+    from the grid, its arithmetic (real in diffuse mode) and ``tau``, the
+    cutoff ``regularize`` will truncate at: block Lanczos resolves the values
+    down to KRYLOV_FLOOR * sigma_max (and one below), and falls back to eigh
+    where its basis does not converge; eigh resolves them all.  Squaring the
+    spectrum costs accuracy in singular values far below sigma_max, which
+    ``regularize`` refuses to retain (``SVAL_FLOOR``).  Only the boundary
+    kernels are read, so ``ops`` may be a BoundaryKernels without g_vv.
+    Diffuse kernels are real arrays, so diffuse mode runs in real arithmetic;
+    scalar mode is complex.
     """
-    return _factor(ops, _krylov_basis_limit(ops.n_nodes, tau))
+    real = ops.mode.kind == "diffuse"
+    return _factor(ops, _krylov_basis_limit(ops.n_nodes, tau, real))
 
 
 # Detectors per pass of regularize's sweep over K: a block of K's rows, and

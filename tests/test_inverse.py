@@ -32,6 +32,7 @@ from invborn.inverse import (
     SVAL_FLOOR,
     _factor,
     _krylov_basis_limit,
+    _krylov_block,
     _leading_eigenpairs,
     _reciprocal,
     _weighted_gram,
@@ -365,6 +366,8 @@ def test_rank_deficient_sensor_sets_stay_on_the_krylov_path(pairs, resolved, mon
 
 
 def test_small_grids_take_dense_eigh(small_linop):
+    # 56 nodes: a basis of V/2 vectors cannot exceed the 60-vector margin of 8-vector blocks
+    assert _krylov_basis_limit(small_linop.n_nodes) == 0
     assert small_linop.complete
     assert small_linop.svals.size == min(small_linop.n_pairs, small_linop.n_nodes)
 
@@ -372,10 +375,10 @@ def test_small_grids_take_dense_eigh(small_linop):
 @pytest.mark.parametrize(
     "n_nodes, tau, limit",
     [
-        (280, None, 0),  # 140 vectors hold fewer than four 48-vector blocks
-        (383, None, 0),
+        (280, None, 136),  # 17 blocks of 8 within V/2
+        (383, None, 184),
         (384, None, 192),
-        (912, None, 432),
+        (912, None, 432),  # 9 blocks of 48
         (912, KRYLOV_FLOOR, 432),
         (912, 1e-4, 0),  # a tau below the floor
         (7208, 1e-4, 0),
@@ -386,13 +389,32 @@ def test_route_rule(n_nodes, tau, limit):
     assert _krylov_basis_limit(n_nodes, tau) == limit
 
 
+@pytest.mark.parametrize(
+    "n_nodes, real, limit",
+    [
+        (127, False, 0),  # 56 vectors of 8 do not exceed the 60-vector margin
+        (128, False, 64),
+        (280, True, 0),  # real Gram matrices take eigh below 384 nodes
+        (383, True, 0),
+        (384, True, 192),
+        (479, False, 232),
+        (480, False, 240),  # 15 blocks of 16
+        (911, True, 448),  # 28 blocks of 16
+        (3112, True, 1008),
+    ],
+)
+def test_route_rule_sets_the_block_from_the_grid(n_nodes, real, limit):
+    assert _krylov_basis_limit(n_nodes, None, real) == limit
+    assert limit % _krylov_block(n_nodes).size == 0
+
+
 def test_peak_entries_counts_the_route_of_the_rule():
     # V = 912 and 48 x 48 pairs: a rank rule counts dense eigh, which regularize may take
     krylov, dense = (peak_entries(912, 48, 48, 912, 6, tau) for tau in (KRYLOV_FLOOR, 1e-4))
     assert krylov < dense == peak_entries(912, 48, 48, 912, 6, None)
-    # a small grid counts dense eigh for every rule
-    small = (peak_entries(280, 48, 48, 280, 6, tau) for tau in (KRYLOV_FLOOR, None))
-    assert len(set(small)) == 1
+    # V = 280: a complex Gram matrix takes block Lanczos, a real one dense eigh
+    complex_, real = (peak_entries(280, 48, 48, 280, 6, KRYLOV_FLOOR, r) for r in (False, True))
+    assert complex_ < real == peak_entries(280, 48, 48, 280, 6, None)
 
 
 def check_dense_fallback(ops, limit):
@@ -404,13 +426,36 @@ def check_dense_fallback(ops, limit):
 
 
 def test_a_basis_that_runs_out_falls_back_to_dense_eigh(monkeypatch):
-    # 912 voxels and 48 x 48 pairs converge within 336 basis vectors; the
-    # Rayleigh-Ritz step at a limit of 96 does not accept
+    # 912 voxels and 48 x 48 pairs converge within 336 basis vectors; with the
+    # early exit turned off (margin 0), the Rayleigh-Ritz step at a limit of 96
+    # does not accept
     ops = make_ops(h=1 / 6, n_src=48, n_det=48)
     gram = _weighted_gram(ops, math.sqrt(ops.boundary.pair_weight), np.sqrt(ops.grid.weights))
+    block = _krylov_block(ops.n_nodes)
+    monkeypatch.setattr("invborn.inverse._krylov_block", lambda n: block._replace(margin=0))
     orders = eigh_orders(monkeypatch)
     assert _leading_eigenpairs(gram, ops.n_nodes, 96) is None
     assert orders == [96]
+    monkeypatch.undo()
+    check_dense_fallback(ops, 96)
+
+
+def test_a_basis_too_small_for_the_wanted_set_stops_early(monkeypatch):
+    # the same pass with its margin: the first block's count of values above the
+    # floor plus the 180-vector margin exceeds the 96-vector limit, so the pass
+    # stops before any Rayleigh-Ritz step
+    ops = make_ops(h=1 / 6, n_src=48, n_det=48)
+    gram = _weighted_gram(ops, math.sqrt(ops.boundary.pair_weight), np.sqrt(ops.grid.weights))
+    orders, counted, eigvalsh = eigh_orders(monkeypatch), [], np.linalg.eigvalsh
+
+    def traced(a, **kwargs):
+        counted.append(a.shape[0])
+        return eigvalsh(a, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", traced)
+    assert _leading_eigenpairs(gram, ops.n_nodes, 96) is None
+    assert orders == []
+    assert counted == [48, 48]  # the trailing block, here all of T, then the count
     monkeypatch.undo()
     check_dense_fallback(ops, 96)
 
@@ -458,17 +503,18 @@ def check_against_dense_svd(ops, linop, svd):
 
 @pytest.fixture(
     scope="module",
-    params=[("diffuse", 0.25), ("scalar", 0.25), ("diffuse", 1 / 6), ("scalar", 1 / 6)],
+    params=[("diffuse", 0.25), ("scalar", 0.35), ("diffuse", 1 / 6), ("scalar", 1 / 6)],
     ids=["diffuse-eigh", "scalar-eigh", "diffuse-krylov", "scalar-krylov"],
 )
 def reciprocal_problem(request):
-    """24 x 24 pairs, sources and detectors at the same points, on V = 280 (dense
-    eigh) or V = 912 (block Lanczos).  Returns (ops, factorization, dense weighted SVD).
+    """24 x 24 pairs, sources and detectors at the same points, on a grid the route
+    rule sends to dense eigh (V = 280 real, V = 88 complex) or to block Lanczos
+    (V = 912).  Returns (ops, factorization, dense weighted SVD).
     """
     kind, h = request.param
     ops = make_ops(kind=kind, h=h, n_src=24, n_det=24)
     linop = linearized_operator(ops)
-    assert linop.complete == (ops.n_nodes < 384)
+    assert linop.complete == (ops.n_nodes < 912)
     return ops, linop, dense_weighted_svd(linop)
 
 
@@ -522,21 +568,134 @@ def test_reciprocal_gram_is_the_two_product_formula_bit_for_bit(reciprocal_probl
     assert np.array_equal(gram, _weighted_gram(ops, linop.row_scale, linop.col_scale))
 
 
+def boundary_kernels(kind, h, pairs):
+    """Source and detector kernels of pairs x pairs sensors around a ball grid of spacing h."""
+    boundary = build_sphere_boundary(2.0, pairs, pairs)
+    return assemble_boundary(WaveMode(kind, 1.0), build_ball_grid(1.0, h), boundary)
+
+
+def rotated_detector_kernels(kind, h, pairs, angle=0.3):
+    """Boundary kernels with as many detectors as sources, turned ``angle`` about the z axis."""
+    boundary = build_sphere_boundary(2.0, pairs, pairs)
+    c, s = math.cos(angle), math.sin(angle)
+    rotation = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    boundary = dataclasses.replace(boundary, detectors=boundary.detectors @ rotation.T)
+    return assemble(WaveMode(kind, 1.0), build_ball_grid(1.0, h), boundary)
+
+
 @pytest.mark.parametrize("kind", ["diffuse", "scalar"])
 def test_rotated_detectors_take_the_general_pair_sweep(kind):
     # as many detectors as sources, but turned about the z axis: g_vd is not g_sv^T.
-    # V = 280 takes dense eigh.  On V = 912 block Lanczos leaves pinv(phi) 4.3e-9
-    # from the SVD in diffuse mode (dense eigh 3e-11): its residual tolerance
-    # V * eps * theta_0 fixes the retained subspace only to about that tolerance over
-    # sigma_r^2 - sigma_r+1^2, and there sigma_r+1 sits 2.3 % below sigma_r
-    boundary = build_sphere_boundary(2.0, 24, 24)
-    c, s = math.cos(0.3), math.sin(0.3)
-    rotation = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    boundary = dataclasses.replace(boundary, detectors=boundary.detectors @ rotation.T)
-    ops = assemble(WaveMode(kind, 1.0), build_ball_grid(1.0, 0.25), boundary)
+    # V = 280 takes dense eigh in diffuse mode and block Lanczos in scalar mode;
+    # test_subspace_acceptance_at_a_small_ritz_gap covers V = 912, where a pass
+    # accepted on residuals alone left pinv(phi) 4.3e-9 from the SVD
+    ops = rotated_detector_kernels(kind, 0.25, 24)
     assert not _reciprocal(ops)
     linop = linearized_operator(ops)
+    assert linop.complete == (kind == "diffuse")
     check_against_dense_svd(ops, linop, dense_weighted_svd(linop))
+
+
+def test_invert_high_order_geometry_takes_block_lanczos(monkeypatch):
+    # the invert-high-order workload's factorization: V = 280, scalar, 48 x 48 pairs,
+    # tau = 1e-3, which took a dense eigh of all 280 eigenpairs before 8-vector blocks
+    ops = make_ops(kind="scalar", h=1 / 4, n_src=48, n_det=48)
+    orders = eigh_orders(monkeypatch)
+    linop = linearized_operator(ops, tau=1e-3)
+    assert ops.n_nodes == 280 and orders and max(orders) < ops.n_nodes
+    assert regularize(linop, tau=1e-3).rank == 59
+    monkeypatch.undo()
+    check_against_dense_svd(ops, linop, dense_weighted_svd(linop))
+
+
+@pytest.mark.parametrize(
+    "h, pairs, angle",
+    [(1 / 6, 24, 0.3), (0.21, 48, 0.0)],
+    ids=["rotated-912", "sphere-432"],
+)
+def test_subspace_acceptance_at_a_small_ritz_gap(h, pairs, angle, monkeypatch):
+    # diffuse, where the value past the floor sits close to the last one above it.
+    # With residuals alone accepting, rotated detectors (sigma_r+1 2.3 % below
+    # sigma_r) left pinv(phi) 4.3e-9 from a dense SVD, and 16-vector blocks on
+    # 432 nodes 5.2e-9; the Davis-Kahan test takes another block.  The rule now
+    # gives 432 nodes 8-vector blocks
+    ops = rotated_detector_kernels("diffuse", h, pairs, angle)
+    orders = eigh_orders(monkeypatch)
+    linop = linearized_operator(ops)
+    assert max(orders) < ops.n_nodes
+    monkeypatch.undo()
+    check_against_dense_svd(ops, linop, dense_weighted_svd(linop))
+
+
+@pytest.mark.parametrize("pairs", [24, 48])
+@pytest.mark.parametrize("kind", ["diffuse", "scalar"])
+@pytest.mark.parametrize("h", [0.21, 0.2015, 0.1935, 0.187], ids=["432", "480", "552", "624"])
+def test_no_krylov_pass_runs_to_its_limit_in_vain(h, kind, pairs, monkeypatch):
+    # these grids ran a pass out of basis and then took eigh, 12-31 ms wasted:
+    # a pass now accepts with no eigh of order V, or its early exit sends it to
+    # eigh before a Rayleigh-Ritz step at the basis limit
+    ops = boundary_kernels(kind, h, pairs)
+    limit = _krylov_basis_limit(ops.n_nodes, KRYLOV_FLOOR, kind == "diffuse")
+    assert limit
+    orders = eigh_orders(monkeypatch)
+    linearized_operator(ops, tau=KRYLOV_FLOOR)
+    assert ops.n_nodes not in orders or limit not in orders
+
+
+def test_small_diffuse_grid_takes_eigh_without_a_pass(monkeypatch):
+    # diffuse V = 280 with 48 x 48 pairs wants 107 values of a 136-vector basis;
+    # a pass could only end in the early exit, so the rule takes eigh at once
+    ops = boundary_kernels("diffuse", 0.25, 48)
+    orders = eigh_orders(monkeypatch)
+    monkeypatch.setattr("invborn.inverse._leading_eigenpairs", lambda *args: pytest.fail("a pass"))
+    linop = linearized_operator(ops, tau=KRYLOV_FLOOR)
+    assert orders == [ops.n_nodes] == [280]
+    assert linop.complete
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("kind", ["diffuse", "scalar"])
+def test_route_rule_sweep(kind, monkeypatch):
+    """The evidence for the block rule: 1 to 200 sensors a side on V = 280 to 3112.
+
+    Every accepted pass matches dense eigh within TestBlockLanczos's tolerances
+    (eigh itself is within 4e-11 of a dense SVD, which would need up to
+    40000 x 3112 entries here): the retained rank, pinv applied to random data
+    and the projection of a random field.  A pass that falls back after its
+    Rayleigh-Ritz step at the basis limit must not have had its early exit:
+    the count of Ritz values above the floor there, plus the margin, fits the
+    limit, and the count only grows with the basis.
+    """
+    eigh, steps = np.linalg.eigh, []
+
+    def traced(a, *args, **kwargs):
+        steps.append((a.shape[0], eigh(a, *args, **kwargs)))
+        return steps[-1][1]
+
+    monkeypatch.setattr(np.linalg, "eigh", traced)
+    rng = np.random.default_rng(3)
+    tol = 1e-9 if kind == "diffuse" else 1e-8
+    for h in (0.25, 0.21, 0.1935, 1 / 6, 1 / 9):
+        for sensors in (1, 6, 24, 48, 200):
+            ops = boundary_kernels(kind, h, sensors)
+            v = ops.n_nodes
+            limit = _krylov_basis_limit(v, KRYLOV_FLOOR, kind == "diffuse")
+            steps.clear()
+            linop = linearized_operator(ops, tau=KRYLOV_FLOOR)
+            orders = [order for order, _ in steps]
+            if limit in orders and v in orders:  # fell back at the limit
+                theta = steps[orders.index(limit)][1][0]
+                count = int(np.count_nonzero(theta >= KRYLOV_FLOOR**2 * theta.max()))
+                assert count + _krylov_block(v).margin <= limit, (v, sensors)
+            if v in orders:
+                continue
+            kinv, ref = regularize(linop, tau=1e-3), regularize(_factor(ops, 0), tau=1e-3)
+            assert kinv.rank == ref.rank, (v, sensors)
+            phi = rng.standard_normal(sensors**2) + 1j * rng.standard_normal(sensors**2)
+            expected = ref.apply(phi)
+            assert np.abs(kinv.apply(phi) - expected).max() <= tol * np.abs(expected).max()
+            eta = rng.standard_normal(v)
+            assert np.abs(kinv.project(eta) - ref.project(eta)).max() <= 1e-8 * np.abs(eta).max()
 
 
 @pytest.mark.slow
