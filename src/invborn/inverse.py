@@ -116,9 +116,9 @@ def _k_rows(ops: BoundaryKernels, g_sv: np.ndarray, g_dv: np.ndarray) -> np.ndar
 # Smallest sigma / sigma_max that the block Lanczos path resolves.  Its Ritz
 # pairs are accepted at a residual of V * eps * sigma_max^2, which is coarse
 # relative to sigma^2 far below sigma_max: against a dense SVD (V=912, 48 x 48
-# pairs) pinv(phi) deviates by 2.4e-11 at tau = 1e-3 (dense eigh 3.4e-11), but
-# by 1.5e-7 at tau = 1e-4 (dense eigh 4.2e-9).  A truncation reaching below the
-# floor therefore takes dense eigh.
+# pairs) pinv(phi) deviates by 1.2e-11 at tau = 1e-3 (dense eigh 3.4e-11), but
+# a pass accepted on residuals alone deviated by 1.5e-7 at tau = 1e-4 (dense
+# eigh 4.2e-9).  A truncation reaching below the floor therefore takes eigh.
 KRYLOV_FLOOR = 1e-3
 
 
@@ -133,21 +133,18 @@ class _KrylovBlock(NamedTuple):
 # Block Lanczos settings by grid size, smallest V first, from a sweep over both
 # modes, 24 x 24 and 48 x 48 pairs and V = 280 to 912 (k = 1, a = 1).  The
 # margin: a pass accepted once its basis held the count of values above the
-# floor plus 62 (b = 8), 88 (b = 16) or 181 (b = 48) vectors or more.  The
-# block: the wanted sets (91 to 110 values diffuse, 56 to 59 scalar) plus what
-# a pass needs beyond them (up to 192, 240 and 336 vectors in all) fit V / 2
-# from V = 384 (b = 8), 480 (b = 16) and 672 (b = 48); 48-vector blocks start
-# at V = 912, where invert-default's one Rayleigh-Ritz step stays as it was.
-# The gate: a Rayleigh-Ritz step is taken once the Frobenius norm of the block
-# coupling r_2 r_1 of the Lanczos relation falls to this many residual
-# tolerances.  At the block where a step accepted it measured 6.4e4 to 5.2e5
-# (b = 8), 9.5e3 to 1e5 (b = 16) and 360 to 7800 (b = 48), and one block
-# earlier two to ten times that.  A step taken too early costs an eigh of the
-# projected matrix; one taken a block late costs one block more.
+# floor plus 62 (b = 8) or 86 (b = 16) vectors or more.  The block: the wanted
+# sets (91 to 110 values diffuse, 56 to 59 scalar) plus what a pass needs
+# beyond them (up to 192 and 240 vectors in all) fit V / 2 from V = 384 (b = 8)
+# and 480 (b = 16).  The gate: a Rayleigh-Ritz step is taken once the Frobenius
+# norm of the block coupling r_2 r_1 of the Lanczos relation falls to this many
+# residual tolerances.  At the block where a step accepted it measured 6.4e4 to
+# 5.2e5 (b = 8) and 9.5e3 to 1e5 (b = 16), and one block earlier two to ten
+# times that.  A step taken too early costs an eigh of the projected matrix;
+# one taken a block late costs one block more.
 _KRYLOV_BLOCKS = (
     (0, _KrylovBlock(8, 4e5, 60)),
     (480, _KrylovBlock(16, 1e5, 84)),
-    (912, _KrylovBlock(48, 1e4, 180)),
 )
 _KRYLOV_MAX_BASIS = 1008  # vectors: 58 MB at V = 7208
 # Real (diffuse) Gram matrices take eigh below this many nodes.  Their eigh costs
@@ -161,11 +158,13 @@ _KRYLOV_MIN_REAL = 384
 # sine of the angle between its subspace and the exact one is at most this,
 # for a real and a complex Gram matrix, where R is the residual of the Ritz
 # vectors above the floor and delta the Ritz gap at the floor.  Against a
-# dense SVD, pinv deviated by at most 0.09 times the bound (V = 280 to 912,
-# both modes), so the targets hold pinv to about 1e-9 (real) and 1e-8
-# (complex), the accuracy the tests ask of block Lanczos.  Residuals alone
-# accepted rotated detectors (V = 912, 24 x 24 pairs, diffuse) at a bound of
-# 1.7e-6, where pinv deviated 9.9e-9; one block more gave 3.5e-11 and 8e-12.
+# dense SVD, pinv deviated by at most 0.06 times a bound above 1e-9, and by
+# 1.9e-9 (complex) and 8e-11 (real) at most (V = 280 to 912, both modes, 24 x
+# 24 and 48 x 48 pairs, rotated detectors), so the targets hold pinv to about
+# 1e-9 (real) and 1e-8 (complex), the accuracy the tests ask of block Lanczos.
+# Residuals alone accepted detectors turned 0.15 rad (V = 912, 24 x 24 pairs,
+# diffuse) at a bound of 6.3e-7, where pinv deviated 9.7e-9; one block more
+# gave 9.7e-10 and 1.7e-11.
 _KRYLOV_SUBSPACE_TOL = (1e-8, 1e-7)
 
 
