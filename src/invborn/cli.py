@@ -330,7 +330,8 @@ def cmd_invert(config: ExperimentConfig) -> tuple[dict, int]:
         phi = add_noise(phi, config.noise, config.seed)
     result = inverse.inverse_series(kinv, ops, phi, config.order)
     constants = bounds.closed_form_constants(config.wave_mode, config.a, config.omega_radius)
-    diag = inverse.diagnostics(result, kinv, constants, ops, phi, eta_true=eta_true)
+    with np.errstate(over="ignore", invalid="ignore"):  # dump_json names a NaN instead
+        diag = inverse.diagnostics(result, kinv, constants, ops, phi, eta_true=eta_true)
     payload = {
         "config": config.to_dict(),
         "grid_nodes": grid.n_nodes,
@@ -360,8 +361,28 @@ def _jsonable(obj):
     return obj
 
 
+def _non_finite(obj, path: str = ""):
+    """(key path, value) of the first float in a ``_jsonable`` result that JSON cannot hold."""
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return (path, obj) if isinstance(obj, float) and not math.isfinite(obj) else None
+    for key, value in items:
+        found = _non_finite(value, f"{path}.{key}" if path else str(key))
+        if found:
+            return found
+    return None
+
+
 def dump_json(payload: dict) -> str:
-    return json.dumps(_jsonable(payload), indent=2, allow_nan=False) + "\n"
+    data = _jsonable(payload)
+    try:
+        return json.dumps(data, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        path, value = _non_finite(data)
+        raise ValueError(f"the result is not finite: {path} = {value}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -618,6 +639,11 @@ def _write_output(text: str, path: str | None, default_name: str) -> str:
 _KA_SWEEP = {"ka_min": 0.1, "ka_max": 100.0, "ka_points": 60}  # the default radii sweep
 
 
+def _check_positive(flag: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{flag} must be positive, got {value}")
+
+
 def _radii_ka_values(args) -> list:
     """The --ka list, or the geometric sweep set by --ka-min, --ka-max and --ka-points."""
     given = {name: getattr(args, name) for name in _KA_SWEEP if getattr(args, name) is not None}
@@ -626,13 +652,15 @@ def _radii_ka_values(args) -> list:
             flag = "--" + next(iter(given)).replace("_", "-")
             raise ValueError(f"{flag} sets the ka sweep, which --ka replaces; give one of them")
         try:
-            return [float(s) for s in args.ka.split(",")]
+            ka = [float(s) for s in args.ka.split(",")]
         except ValueError:
             raise ValueError(f"--ka must be comma-separated numbers, got {args.ka!r}") from None
+        for value in ka:
+            _check_positive("--ka", value)
+        return ka
     sweep = {**_KA_SWEEP, **given}
     for name, value in sweep.items():
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"--{name.replace('_', '-')} must be positive, got {value}")
+        _check_positive(f"--{name.replace('_', '-')}", value)
     return list(np.geomspace(sweep["ka_min"], sweep["ka_max"], sweep["ka_points"]))
 
 

@@ -116,9 +116,13 @@ def _k_rows(ops: BoundaryKernels, g_sv: np.ndarray, g_dv: np.ndarray) -> np.ndar
 # Smallest sigma / sigma_max that the block Lanczos path resolves.  Its Ritz
 # pairs are accepted at a residual of V * eps * sigma_max^2, which is coarse
 # relative to sigma^2 far below sigma_max: against a dense SVD (V=912, 48 x 48
-# pairs) pinv(phi) deviates by 1.2e-11 at tau = 1e-3 (dense eigh 3.4e-11), but
-# a pass accepted on residuals alone deviated by 1.5e-7 at tau = 1e-4 (dense
-# eigh 4.2e-9).  A truncation reaching below the floor therefore takes eigh.
+# pairs) pinv(phi) deviates by 1.2e-11 at tau = 1e-3 (dense eigh 3.4e-11).
+# With the floor at 1e-4, the pinv matrix at tau = 1e-4 (48 x 48 pairs) deviated
+# from a dense SVD's by 1.7e-9 (diffuse V = 912, past the 1e-9 the tests ask of
+# block Lanczos in diffuse mode), 2.5e-9 (scalar V = 912) and 7.9e-10 (diffuse
+# V = 3112), where dense eigh deviated by 3.0e-9, 9.1e-9 and 4.9e-9; with it at
+# 1e-5, by 1.6e-7 to 2.6e-7 (eigh up to 8.3e-7).  A truncation reaching below
+# the floor therefore takes eigh.
 KRYLOV_FLOOR = 1e-3
 
 
@@ -127,13 +131,14 @@ class _KrylovBlock(NamedTuple):
 
     size: int  # vectors per block
     gate: float  # Ritz gate, in residual tolerances V * eps * theta_0
-    margin: int  # basis vectors an accepted pass holds beyond its wanted values
+    margin: int  # a basis limit no larger takes eigh (_krylov_basis_limit, V < 128)
 
 
 # Block Lanczos settings by grid size, smallest V first, from a sweep over both
 # modes, 24 x 24 and 48 x 48 pairs and V = 280 to 912 (k = 1, a = 1).  The
 # margin: a pass accepted once its basis held the count of values above the
-# floor plus 62 (b = 8) or 86 (b = 16) vectors or more.  The block: the wanted
+# floor plus 62 (b = 8) or 86 (b = 16) vectors or more, so a basis limit no
+# larger than the margin cannot accept.  The block: the wanted
 # sets (91 to 110 values diffuse, 56 to 59 scalar) plus what a pass needs
 # beyond them (up to 192 and 240 vectors in all) fit V / 2 from V = 384 (b = 8)
 # and 480 (b = 16).  The gate: a Rayleigh-Ritz step is taken once the Frobenius
@@ -150,9 +155,11 @@ _KRYLOV_MAX_BASIS = 1008  # vectors: 58 MB at V = 7208
 # Real (diffuse) Gram matrices take eigh below this many nodes.  Their eigh costs
 # about a quarter of a complex one (V = 280: 6.1-6.7 ms against 22-24 ms), and
 # their wanted sets are larger (93 to 106 values at 24 x 24 and 48 x 48 pairs
-# against 58 and 59), so below V = 384 a pass ends in the early exit or at its
-# limit: 7.8-8.6 ms at V = 280 and 19.3 ms at V = 360 against 6.1-11.5 ms for
-# eigh.  At V = 432 it accepts in 13.6 ms against 17.9 ms.
+# against 58 and 59), so below V = 384 a pass runs to its limit and then takes
+# eigh, or accepts no sooner than eigh ends: 11.4-14.2 ms at V = 280 and 24-27
+# ms at V = 360 against 7.6-8.5 and 15.3-16.2 ms for eigh (12.7-13.4 against
+# 12.3-12.8 ms with 24 x 24 pairs, where it accepts).  At V = 432 it accepts in
+# 15.0-15.2 ms against 18.6-19.3 ms.
 _KRYLOV_MIN_REAL = 384
 # A Ritz pair set is accepted once the Davis-Kahan bound ||R|| / delta on the
 # sine of the angle between its subspace and the exact one is at most this,
@@ -211,7 +218,7 @@ def peak_entries(
     pseudoinverse factors, the data solve on the ``support`` nodes, and per
     order a V x D chain matrix and three fields.  Known gap: the block
     Lanczos route leaves out the dense eigh that ``_factor`` falls back to
-    where the basis runs out, stops early or breaks down; at V = 12,160
+    where the basis runs out or breaks down; at V = 12,160
     (``invert --h 0.07``, m = 1008) it counts 1.51 GiB, where the dense route
     is counted at 5.52 GiB.
     """
@@ -282,11 +289,6 @@ def _orthonormal_r(w: np.ndarray) -> np.ndarray:
         return np.linalg.qr(w, mode="r")
 
 
-def _count_above_floor(theta: np.ndarray) -> int:
-    """How many of the eigenvalues ``theta`` lie at or above KRYLOV_FLOOR^2 times the largest."""
-    return int(np.count_nonzero(theta >= KRYLOV_FLOOR**2 * theta.max()))
-
-
 def _leading_eigenpairs(gram: np.ndarray, n: int, limit: int):
     """Eigenpairs of the Gram matrix down to KRYLOV_FLOOR^2 * theta_0 and one past it.
 
@@ -307,27 +309,18 @@ def _leading_eigenpairs(gram: np.ndarray, n: int, limit: int):
     matrix's arithmetic, and every wanted Ritz pair (at most n) has a
     computed residual ||G x - theta x|| <= V * eps * theta_0.
 
-    The pass stops early once c + margin > limit, c the count of Ritz values
-    above the floor: Ritz values rise toward the eigenvalues as the basis
-    grows, so c only grows with it, and the wanted set cannot fit in the
-    basis.  c is counted by eigvalsh of T only where that test could hold.
-    By Cauchy interlacing c rises by at most one per basis vector since it
-    was last counted, and T has at least as many eigenvalues below the floor
-    as its trailing block from row limit - margin - b on has below
-    KRYLOV_FLOOR^2 * theta_hat; either may rule the exit out.  Returns
-    (theta, vectors) descending, or None where the pass stops early, reaches
+    Returns (theta, vectors) descending, or None where the pass reaches
     ``limit`` vectors unaccepted or an orthogonalization breaks down; the
     caller then takes dense eigh.
     """
     v = gram.shape[0]
-    b, gate, margin = _krylov_block(v)
+    b, gate, _ = _krylov_block(v)
     basis = np.empty((v, limit), dtype=gram.dtype, order="F")  # block columns stay contiguous
     proj = np.zeros((limit, limit), dtype=gram.dtype)  # basis^H gram basis, upper triangle
     block = np.random.default_rng(0).standard_normal((v, b))
     block = block @ np.linalg.inv(_orthonormal_r(block))
     tol = v * np.finfo(float).eps
     subspace_tol = _KRYLOV_SUBSPACE_TOL[np.iscomplexobj(gram)]
-    count, counted_at = 0, 0  # the last count of values above the floor, and its basis size
     try:
         for m in range(b, limit + 1, b):
             new = slice(m - b, m)
@@ -345,7 +338,7 @@ def _leading_eigenpairs(gram: np.ndarray, n: int, limit: int):
             if m == limit or np.linalg.norm(coupling) <= gate * tol * proj.diagonal().real.max():
                 theta, y = np.linalg.eigh(proj[:m, :m], UPLO="U")
                 theta, y = theta[::-1], y[:, ::-1]
-                count = _count_above_floor(theta)
+                count = int(np.count_nonzero(theta >= KRYLOV_FLOOR**2 * theta[0]))
                 keep = min(count + 1, n)
                 gap = theta[count - 1] - (theta[count] if count < m else 0.0)
                 resid_above = np.linalg.norm(coupling @ y[-b:, :count])  # ||R||, Davis-Kahan
@@ -354,18 +347,6 @@ def _leading_eigenpairs(gram: np.ndarray, n: int, limit: int):
                     resid = np.linalg.norm(gram @ vecs - vecs * theta[:keep], axis=0)
                     if np.all(resid <= tol * theta[0]):
                         return theta[:keep], vecs
-            elif count + m - counted_at + margin <= limit:
-                continue  # the count cannot have grown enough for the exit
-            else:
-                tail = slice(max(limit - margin - b, 0), m)
-                trailing = np.linalg.eigvalsh(proj[tail, tail], UPLO="U")
-                below = np.count_nonzero(trailing < KRYLOV_FLOOR**2 * proj.diagonal().real.max())
-                if m - below + margin <= limit:
-                    continue  # as many values of T lie below the floor
-                count = _count_above_floor(np.linalg.eigvalsh(proj[:m, :m], UPLO="U"))
-            if count + margin > limit:
-                return None  # the wanted set cannot fit in the basis
-            counted_at = m
     except np.linalg.LinAlgError:  # a block lost rank
         pass
     return None

@@ -95,6 +95,23 @@ def test_dump_json_converts_each_non_json_value():
     ) + "\n"
 
 
+def test_dump_json_names_the_first_value_json_cannot_hold():
+    with pytest.raises(ValueError, match=r"not finite: a\.1\.b = nan"):
+        dump_json({"a": [1.0, {"b": np.float64("nan")}, {"c": math.nan}]})
+
+
+def test_cli_invert_names_a_result_that_overflows_to_nan(tmp_path, capsys):
+    # projecting a phantom of amplitude 1e308 onto the retained subspace overflows,
+    # so its linear residual is NaN: exit 1 naming it, no numpy warning, no output
+    out = tmp_path / "i.json"
+    phantom = json.dumps([{"center": [0, 0, 0], "radius": 1, "amplitude": 1e308}])
+    assert run_cli(tmp_path, "invert", *SMALL_ARGS, "--phantom", phantom, "--output", out) == 1
+    assert "error: the result is not finite: diagnostics.p.2.linear_residual = nan" in (
+        capsys.readouterr().err
+    )
+    assert not out.exists()
+
+
 def test_phantom_sampling():
     grid = build_ball_grid(1.0, 0.25)
     eta = build_phantom(grid, [{"center": [0, 0, 0], "radius": 0.5, "amplitude": 2.0}])
@@ -726,6 +743,14 @@ def test_cli_radii_names_malformed_ka(tmp_path, capsys, ka):
     out = tmp_path / "r.csv"
     assert run_cli(tmp_path, "radii", f"--ka={ka}", "--output", out) == 1
     assert f"--ka must be comma-separated numbers, got {ka!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("ka", ["0", "-1", "nan", "inf"])
+def test_cli_radii_refuses_a_ka_entry_not_positive_and_finite(tmp_path, capsys, ka):
+    out = tmp_path / "r.csv"
+    assert run_cli(tmp_path, "radii", f"--ka=1,{ka}", "--output", out) == 1
+    assert f"--ka must be positive, got {float(ka)}" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -430,13 +430,10 @@ def check_dense_fallback(ops, limit):
 
 
 def test_a_basis_that_runs_out_falls_back_to_dense_eigh(monkeypatch):
-    # 912 voxels and 48 x 48 pairs converge within 240 basis vectors; with the
-    # early exit turned off (margin 0), the Rayleigh-Ritz step at a limit of 96
-    # does not accept
+    # 912 voxels and 48 x 48 pairs converge within 240 basis vectors; the
+    # Rayleigh-Ritz step at a limit of 96 does not accept
     ops = make_ops(h=1 / 6, n_src=48, n_det=48)
     gram = _weighted_gram(ops, math.sqrt(ops.boundary.pair_weight), np.sqrt(ops.grid.weights))
-    block = _krylov_block(ops.n_nodes)
-    monkeypatch.setattr("invborn.inverse._krylov_block", lambda n: block._replace(margin=0))
     orders = eigh_orders(monkeypatch)
     assert _leading_eigenpairs(gram, ops.n_nodes, 96) is None
     assert orders == [96]
@@ -444,24 +441,17 @@ def test_a_basis_that_runs_out_falls_back_to_dense_eigh(monkeypatch):
     check_dense_fallback(ops, 96)
 
 
-def test_a_basis_too_small_for_the_wanted_set_stops_early(monkeypatch):
-    # the same pass with its margin: the first block's count of values above the
-    # floor plus the 84-vector margin exceeds the 96-vector limit, so the pass
-    # stops before any Rayleigh-Ritz step
-    ops = make_ops(h=1 / 6, n_src=48, n_det=48)
-    gram = _weighted_gram(ops, math.sqrt(ops.boundary.pair_weight), np.sqrt(ops.grid.weights))
-    orders, counted, eigvalsh = eigh_orders(monkeypatch), [], np.linalg.eigvalsh
-
-    def traced(a, **kwargs):
-        counted.append(a.shape[0])
-        return eigvalsh(a, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", traced)
-    assert _leading_eigenpairs(gram, ops.n_nodes, 96) is None
-    assert orders == []
-    assert counted == [16, 16]  # the trailing block, here all of T, then the count
+def test_a_wanted_set_too_large_for_the_basis_falls_back_to_dense_eigh(monkeypatch):
+    # scalar V = 160 with 48 x 48 pairs wants 58 values of an 80-vector basis:
+    # the pass runs to its limit without accepting and takes eigh
+    ops = boundary_kernels("scalar", 0.3, 48)
+    orders = eigh_orders(monkeypatch)
+    linop = linearized_operator(ops, tau=KRYLOV_FLOOR)
+    assert orders == [80, 160]
     monkeypatch.undo()
-    check_dense_fallback(ops, 96)
+    dense = _factor(ops, 0)
+    assert np.array_equal(linop.svals, dense.svals)
+    assert np.array_equal(linop.vh, dense.vh)
 
 
 def test_an_orthogonalization_breakdown_falls_back_to_dense_eigh(monkeypatch):
@@ -660,19 +650,17 @@ def test_subspace_acceptance_at_a_small_ritz_gap(h, pairs, angle, monkeypatch):
 @pytest.mark.parametrize("h", [0.21, 0.2015, 0.1935, 0.187], ids=["432", "480", "552", "624"])
 def test_no_krylov_pass_runs_to_its_limit_in_vain(h, kind, pairs, monkeypatch):
     # these grids ran a pass out of basis and then took eigh, 12-31 ms wasted:
-    # a pass now accepts with no eigh of order V, or its early exit sends it to
-    # eigh before a Rayleigh-Ritz step at the basis limit
+    # a pass now accepts, with no eigh of order V
     ops = boundary_kernels(kind, h, pairs)
-    limit = _krylov_basis_limit(ops.n_nodes, KRYLOV_FLOOR, kind == "diffuse")
-    assert limit
+    assert _krylov_basis_limit(ops.n_nodes, KRYLOV_FLOOR, kind == "diffuse")
     orders = eigh_orders(monkeypatch)
     linearized_operator(ops, tau=KRYLOV_FLOOR)
-    assert ops.n_nodes not in orders or limit not in orders
+    assert ops.n_nodes not in orders
 
 
 def test_small_diffuse_grid_takes_eigh_without_a_pass(monkeypatch):
     # diffuse V = 280 with 48 x 48 pairs wants 107 values of a 136-vector basis;
-    # a pass could only end in the early exit, so the rule takes eigh at once
+    # a pass could only run to its limit and fall back, so the rule takes eigh at once
     ops = boundary_kernels("diffuse", 0.25, 48)
     orders = eigh_orders(monkeypatch)
     monkeypatch.setattr("invborn.inverse._leading_eigenpairs", lambda *args: pytest.fail("a pass"))
@@ -690,9 +678,9 @@ def test_route_rule_sweep(kind, monkeypatch):
     (eigh itself is within 4e-11 of a dense SVD, which would need up to
     40000 x 3112 entries here): the retained rank, pinv applied to random data
     and the projection of a random field.  A pass that falls back after its
-    Rayleigh-Ritz step at the basis limit must not have had its early exit:
-    the count of Ritz values above the floor there, plus the margin, fits the
-    limit, and the count only grows with the basis.
+    Rayleigh-Ritz step at the basis limit must have had room for its wanted
+    set: the count of Ritz values above the floor there, plus the margin,
+    fits the limit, so no pass in the sweep runs a basis too small for it.
     """
     eigh, steps = np.linalg.eigh, []
 
