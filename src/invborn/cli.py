@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import bounds, forward, inverse
-from .greens import WaveMode, assemble, assemble_boundary, assemble_volume
+from .greens import _KINDS, WaveMode, assemble, assemble_boundary, assemble_volume
 from .grid import build_ball_grid, build_sphere_boundary, data_norm
 
 __all__ = [
@@ -51,28 +51,25 @@ class ExperimentConfig:
     output: str | None = None
 
     def validate(self):
-        if self.mode not in ("diffuse", "scalar"):
-            raise ValueError(f"mode must be diffuse or scalar, got {self.mode!r}")
-        # a --config file can hold any JSON value; bool is an int subclass but no count
-        for names, kind, what in (
-            (("n_src", "n_det", "order", "rank", "seed"), numbers.Integral, "an integer"),
-            (("k", "a", "omega_radius", "h", "tau", "noise"), numbers.Real, "a number"),
-        ):
-            for name in names:
-                value = getattr(self, name)
-                if value is None and name in ("rank", "seed", "tau"):
-                    continue
-                if isinstance(value, bool) or not isinstance(value, kind):
-                    raise ValueError(f"{name} must be {what}, got {value!r}")
+        if self.mode not in _KINDS:
+            raise ValueError(f"mode must be {' or '.join(_KINDS)}, got {self.mode!r}")
+        # a --config file can hold any JSON value; bool is an int subclass but no count.
+        # Every comparison with NaN is False, so non-finite values must be caught first;
+        # a JSON integer too large for a float is refused here too
+        for name, flag in _CONFIG_FLAGS.items():
+            value, kind = getattr(self, name), flag.get("type")
+            if kind is None or (value is None and name in ("rank", "seed", "tau")):
+                continue
+            number, what = (
+                (numbers.Integral, "an integer") if kind is int else (numbers.Real, "a number")
+            )
+            if isinstance(value, bool) or not isinstance(value, number):
+                raise ValueError(f"{name} must be {what}, got {value!r}")
+            if kind is float:
+                _finite_number(name, value, float)
         # open() takes an int as a file descriptor: {"output": true} would write to stdout
         if self.output is not None and not isinstance(self.output, str):
             raise ValueError(f"output must be a file path, got {self.output!r}")
-        # every comparison with NaN is False, so non-finite values must be caught first;
-        # a JSON integer too large for a float is refused here too
-        for name in ("k", "a", "omega_radius", "h", "tau", "noise"):
-            value = getattr(self, name)
-            if value is not None:
-                _finite_number(name, value, float)
         if self.k <= 0 or self.a <= 0:
             raise ValueError("k and a must be positive")
         k = float(self.k)  # an int k squares exactly, into an int that isfinite cannot take
@@ -585,7 +582,7 @@ def cmd_selftest(inject_fault: str | None = None) -> int:
 
 # the flag of each ExperimentConfig key: --omega-radius sets omega_radius
 _CONFIG_FLAGS = {
-    "mode": {"choices": ["diffuse", "scalar"]},
+    "mode": {"choices": _KINDS},
     "k": {"type": float},
     "a": {"type": float},
     "omega_radius": {"type": float},

@@ -131,36 +131,35 @@ class _KrylovBlock(NamedTuple):
 
     size: int  # vectors per block
     gate: float  # Ritz gate, in residual tolerances V * eps * theta_0
-    margin: int  # a basis limit no larger takes eigh (_krylov_basis_limit, V < 128)
 
 
 # Block Lanczos settings by grid size, smallest V first, from a sweep over both
 # modes, 24 x 24 and 48 x 48 pairs and V = 280 to 912 (k = 1, a = 1).  The
-# margin: a pass accepted once its basis held the count of values above the
-# floor plus 62 (b = 8) or 86 (b = 16) vectors or more, so a basis limit no
-# larger than the margin cannot accept.  The block: the wanted
-# sets (91 to 110 values diffuse, 56 to 59 scalar) plus what a pass needs
-# beyond them (up to 192 and 240 vectors in all) fit V / 2 from V = 384 (b = 8)
-# and 480 (b = 16).  The gate: a Rayleigh-Ritz step is taken once the Frobenius
-# norm of the block coupling r_2 r_1 of the Lanczos relation falls to this many
-# residual tolerances.  At the block where a step accepted it measured 6.4e4 to
-# 5.2e5 (b = 8) and 9.5e3 to 1e5 (b = 16), and one block earlier two to ten
-# times that.  A step taken too early costs an eigh of the projected matrix;
-# one taken a block late costs one block more.
+# block: the wanted sets (91 to 110 values diffuse, 56 to 59 scalar) plus what
+# a pass needs beyond them (up to 192 and 240 vectors in all) fit V / 2 from
+# V = 384 (b = 8) and 480 (b = 16).  The gate: a Rayleigh-Ritz step is taken
+# once the Frobenius norm of the block coupling r_2 r_1 of the Lanczos relation
+# falls to this many residual tolerances.  At the block where a step accepted
+# it measured 6.4e4 to 5.2e5 (b = 8) and 9.5e3 to 1e5 (b = 16), and one block
+# earlier two to ten times that.  A step taken too early costs an eigh of the
+# projected matrix; one taken a block late costs one block more.
 _KRYLOV_BLOCKS = (
-    (0, _KrylovBlock(8, 4e5, 60)),
-    (480, _KrylovBlock(16, 1e5, 84)),
+    (0, _KrylovBlock(8, 4e5)),
+    (480, _KrylovBlock(16, 1e5)),
 )
 _KRYLOV_MAX_BASIS = 1008  # vectors: 58 MB at V = 7208
-# Real (diffuse) Gram matrices take eigh below this many nodes.  Their eigh costs
-# about a quarter of a complex one (V = 280: 6.1-6.7 ms against 22-24 ms), and
-# their wanted sets are larger (93 to 106 values at 24 x 24 and 48 x 48 pairs
-# against 58 and 59), so below V = 384 a pass runs to its limit and then takes
-# eigh, or accepts no sooner than eigh ends: 11.4-14.2 ms at V = 280 and 24-27
-# ms at V = 360 against 7.6-8.5 and 15.3-16.2 ms for eigh (12.7-13.4 against
-# 12.3-12.8 ms with 24 x 24 pairs, where it accepts).  At V = 432 it accepts in
-# 15.0-15.2 ms against 18.6-19.3 ms.
-_KRYLOV_MIN_REAL = 384
+# Grids below this many nodes take eigh, for a real (diffuse) and a complex
+# Gram matrix.  A pass accepted once its basis held the count of values above
+# the floor plus 62 vectors or more (b = 8), so below V = 128, where V / 2
+# holds at most seven blocks of 8, no pass can accept.  A real Gram matrix's
+# eigh costs about a quarter of a complex one (V = 280: 6.1-6.7 ms against
+# 22-24 ms), and its wanted sets are larger (93 to 106 values at 24 x 24 and
+# 48 x 48 pairs against 58 and 59), so below V = 384 a pass runs to its limit
+# and then takes eigh, or accepts no sooner than eigh ends: 11.4-14.2 ms at
+# V = 280 and 24-27 ms at V = 360 against 7.6-8.5 and 15.3-16.2 ms for eigh
+# (12.7-13.4 against 12.3-12.8 ms with 24 x 24 pairs, where it accepts).  At
+# V = 432 it accepts in 15.0-15.2 ms against 18.6-19.3 ms.
+_KRYLOV_MIN_NODES = (384, 128)
 # A Ritz pair set is accepted once the Davis-Kahan bound ||R|| / delta on the
 # sine of the angle between its subspace and the exact one is at most this,
 # for a real and a complex Gram matrix, where R is the residual of the Ritz
@@ -184,16 +183,15 @@ def _krylov_basis_limit(n_nodes: int, tau: float | None = None, real: bool = Fal
     """The route rule: the largest Krylov basis the factorization builds, or 0 for dense eigh.
 
     The basis holds whole blocks of ``_krylov_block(V).size`` vectors, at most
-    min(V / 2, _KRYLOV_MAX_BASIS).  A grid whose limit does not exceed the
-    block's margin takes eigh (V < 128), and so does a real (diffuse) Gram
-    matrix below _KRYLOV_MIN_REAL nodes.  So does a cutoff ``tau`` below
-    KRYLOV_FLOOR, which reaches past what block Lanczos resolves.
+    min(V / 2, _KRYLOV_MAX_BASIS).  A grid below _KRYLOV_MIN_NODES for the Gram
+    matrix's arithmetic (384 nodes real, as in diffuse mode, and 128 complex)
+    takes eigh, and so does a cutoff ``tau`` below KRYLOV_FLOOR, which reaches
+    past what block Lanczos resolves.
     """
-    if (tau is not None and tau < KRYLOV_FLOOR) or (real and n_nodes < _KRYLOV_MIN_REAL):
+    if (tau is not None and tau < KRYLOV_FLOOR) or n_nodes < _KRYLOV_MIN_NODES[not real]:
         return 0
-    b, _, margin = _krylov_block(n_nodes)
-    limit = min(n_nodes // 2, _KRYLOV_MAX_BASIS) // b * b
-    return limit if limit > margin else 0
+    b = _krylov_block(n_nodes).size
+    return min(n_nodes // 2, _KRYLOV_MAX_BASIS) // b * b
 
 
 def peak_entries(
@@ -314,7 +312,7 @@ def _leading_eigenpairs(gram: np.ndarray, n: int, limit: int):
     caller then takes dense eigh.
     """
     v = gram.shape[0]
-    b, gate, _ = _krylov_block(v)
+    b, gate = _krylov_block(v)
     basis = np.empty((v, limit), dtype=gram.dtype, order="F")  # block columns stay contiguous
     proj = np.zeros((limit, limit), dtype=gram.dtype)  # basis^H gram basis, upper triangle
     block = np.random.default_rng(0).standard_normal((v, b))
@@ -454,6 +452,9 @@ class RegularizedInverse:
         Equals pinv applied to the linearized forward map of eta.
         """
         eta = np.asarray(eta, dtype=complex)
+        shape = (self.linop.n_nodes,)
+        if eta.shape != shape:
+            raise ValueError(f"field shape {eta.shape} is not (V,) = {shape}")
         coeff = self._v_r.conj().T @ (self.linop.col_scale * eta)
         return (self._v_r @ coeff) / self.linop.col_scale
 
@@ -509,8 +510,9 @@ def regularize(
     again by dense eigh, and ``linop`` of the result is that factorization;
     ``_krylov_basis_limit`` sends a tau below KRYLOV_FLOOR to eigh at once.
     A truncation that retains a singular value below SVAL_FLOOR * sigma_max,
-    or a spectrum that is not finite, is refused.  One sweep over K, a block of _DET_BLOCK
-    detectors at a time, gives the retained left singular vectors
+    or a spectrum that is empty, zero or not finite, is refused.  One sweep
+    over K, a block of _DET_BLOCK detectors at a time, gives the retained
+    left singular vectors
     U_r = row_scale * K (V_r / col_scale) diag(1 / sigma) and, from the
     matching columns of the pseudoinverse, its absolute row sums, whose max
     is norm_inf; K is never stored whole, and a block of its rows is freed
@@ -522,12 +524,12 @@ def regularize(
     """
     if (rank is None) == (tau is None):
         raise ValueError("give exactly one of rank= or tau=")
-    _check_truncation(tau, rank, min(linop.n_pairs, linop.n_nodes))
     s = linop.svals
     if not np.isfinite(s).all():
         raise ValueError("the singular values of the linearized operator are not finite")
-    if s[0] == 0:
+    if s.size == 0 or s[0] == 0:  # no voxels, or no response
         raise ValueError("operator is identically zero; nothing to invert")
+    _check_truncation(tau, rank, min(linop.n_pairs, linop.n_nodes))
     r = int(rank) if rank is not None else int(np.count_nonzero(s >= tau * s[0]))
     if r >= s.size and not linop.complete:  # the cut reaches past the resolved values
         return regularize(_factor(linop.ops, 0), rank=rank, tau=tau)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -194,6 +195,17 @@ class TestGramAgainstDenseSvd:
             kinv.apply(phi.T)
         assert np.array_equal(kinv.apply(phi), kinv.apply(phi.ravel()))
 
+    def test_project_refuses_a_field_not_of_shape_v(self, kind):
+        # unchecked, a (V, 1) column would broadcast to a V x V array
+        ops, linop = self.problem(kind)
+        kinv = regularize(linop, tau=1e-3)
+        v = ops.n_nodes
+        for shape in ((v, 1), (1, v), (v + 1,)):
+            message = re.escape(f"field shape {shape} is not (V,) = ({v},)")
+            with pytest.raises(ValueError, match=message):
+                kinv.project(np.ones(shape))
+        assert kinv.project(np.ones(v)).shape == (v,)
+
     def test_real_arithmetic_for_diffuse_waves_only(self, kind):
         _, linop = self.problem(kind)
         kinv = regularize(linop, tau=1e-3)
@@ -367,7 +379,7 @@ def test_rank_deficient_sensor_sets_stay_on_the_krylov_path(pairs, resolved, mon
 
 
 def test_small_grids_take_dense_eigh(small_linop):
-    # 56 nodes: a basis of V/2 vectors cannot exceed the 60-vector margin of 8-vector blocks
+    # 56 nodes, below the 128 a complex Gram matrix needs for a pass
     assert _krylov_basis_limit(small_linop.n_nodes) == 0
     assert small_linop.complete
     assert small_linop.svals.size == min(small_linop.n_pairs, small_linop.n_nodes)
@@ -393,7 +405,9 @@ def test_route_rule(n_nodes, tau, limit):
 @pytest.mark.parametrize(
     "n_nodes, real, limit",
     [
-        (127, False, 0),  # 56 vectors of 8 do not exceed the 60-vector margin
+        (0, False, 0),
+        (0, True, 0),
+        (127, False, 0),  # complex Gram matrices take eigh below 128 nodes
         (128, False, 64),
         (280, True, 0),  # real Gram matrices take eigh below 384 nodes
         (383, True, 0),
@@ -402,6 +416,10 @@ def test_route_rule(n_nodes, tau, limit):
         (480, False, 240),  # 15 blocks of 16
         (911, True, 448),  # 28 blocks of 16
         (912, True, 448),
+        (2015, False, 992),  # 62 blocks of 16 within V/2
+        (2015, True, 992),
+        (2016, False, 1008),  # V/2 reaches the 1008-vector cap
+        (2016, True, 1008),
         (3112, True, 1008),
         (7208, False, 1008),  # 63 blocks of 16
     ],
@@ -679,8 +697,10 @@ def test_route_rule_sweep(kind, monkeypatch):
     40000 x 3112 entries here): the retained rank, pinv applied to random data
     and the projection of a random field.  A pass that falls back after its
     Rayleigh-Ritz step at the basis limit must have had room for its wanted
-    set: the count of Ritz values above the floor there, plus the margin,
-    fits the limit, so no pass in the sweep runs a basis too small for it.
+    set: the count of Ritz values above the floor there, plus the headroom a
+    pass needed beyond it when the block rule was measured (60 vectors of 8,
+    84 of 16), fits the limit, so no pass in the sweep runs a basis too small
+    for it.
     """
     eigh, steps = np.linalg.eigh, []
 
@@ -702,7 +722,8 @@ def test_route_rule_sweep(kind, monkeypatch):
             if limit in orders and v in orders:  # fell back at the limit
                 theta = steps[orders.index(limit)][1][0]
                 count = int(np.count_nonzero(theta >= KRYLOV_FLOOR**2 * theta.max()))
-                assert count + _krylov_block(v).margin <= limit, (v, sensors)
+                headroom = 60 if _krylov_block(v).size == 8 else 84
+                assert count + headroom <= limit, (v, sensors)
             if v in orders:
                 continue
             kinv, ref = regularize(linop, tau=1e-3), regularize(_factor(ops, 0), tau=1e-3)
@@ -817,6 +838,16 @@ class TestRegularize:
         linop = dataclasses.replace(small_linop, svals=svals)
         for rule in ({"tau": 1e-3}, {"rank": 3}):
             with pytest.raises(ValueError, match="singular values .* are not finite"):
+                regularize(linop, **rule)
+
+    @pytest.mark.parametrize("kind", ["diffuse", "scalar"])
+    def test_refuses_an_operator_with_no_voxels(self, kind):
+        grid = build_ball_grid(1.0, 0.45).subset([])
+        ops = assemble(WaveMode(kind, 1.0), grid, build_sphere_boundary(2.0, 6, 6))
+        linop = linearized_operator(ops)
+        assert linop.svals.size == 0
+        for rule in ({"tau": 1e-3}, {"rank": 1}):
+            with pytest.raises(ValueError, match="identically zero; nothing to invert"):
                 regularize(linop, **rule)
 
     def test_rejects_empty_or_invalid_truncation(self, small_linop):
