@@ -12,7 +12,7 @@ import json
 import math
 import numbers
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -211,17 +211,22 @@ def _available_memory() -> int | None:
     return None
 
 
-def _check_memory(config: ExperimentConfig, nodes: int, values: int) -> None:
+def _check_memory(config: ExperimentConfig, nodes: int, values: int, held: int = 0) -> None:
     """Refuse a run whose arrays, ``values`` entries at their peak, exceed available memory.
 
     ``nodes`` is the number of volume nodes the kernels span.  Checked before
     any kernel is formed, with ``values`` from ``forward.peak_entries`` or
     ``inverse.peak_entries``.  An entry takes 8 bytes in real (diffuse)
-    arithmetic and 16 in complex (scalar).
+    arithmetic and 16 in complex (scalar).  ``held`` bytes of those arrays
+    exist already, kept from an earlier run (see ``_invert_operators``);
+    MemAvailable does not count them, so they are added to it.
     """
     need = values * (8 if config.mode == "diffuse" else 16)
     available = _available_memory()
-    if available is not None and need > available:
+    if available is None:
+        return
+    available += held
+    if need > available:
         raise ValueError(
             f"the kernels on {nodes} nodes and the series arrays of order {config.order} "
             f"need about {need / 2**30:.3g} GiB, more than the {available / 2**30:.3g} GiB "
@@ -302,12 +307,74 @@ def cmd_forward(config: ExperimentConfig) -> tuple[dict, int]:
     return result, 0 if ok else 2
 
 
-def cmd_invert(config: ExperimentConfig) -> tuple[dict, int]:
-    """Generate data from the phantom by direct solve, invert, and report.
+# The ExperimentConfig keys the data-independent stage of invert reads
+_GEOMETRY_KEYS = ("mode", "k", "a", "omega_radius", "h", "n_src", "n_det", "tau", "rank")
+
+# The last invert geometry's (kinv, ops), under its _geometry_key: at most one entry
+_OPERATORS: dict = {}
+
+
+def _geometry_key(config: ExperimentConfig) -> tuple:
+    """The geometry values, each with its type: a config int k = 1 and a float 1.0 differ."""
+    return tuple((type(v), v) for v in (getattr(config, name) for name in _GEOMETRY_KEYS))
+
+
+def _arrays(obj):
+    """The arrays reachable from ``obj`` through tuples and dataclass fields."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, tuple):
+        for item in obj:
+            yield from _arrays(item)
+    elif is_dataclass(obj):
+        for f in fields(obj):
+            yield from _arrays(getattr(obj, f.name))
+
+
+def _held_bytes(entry) -> int:
+    """Bytes of the buffers behind the arrays of an _OPERATORS entry, each buffer counted once."""
+    buffers = {}
+    for array in _arrays(entry):
+        while isinstance(array.base, np.ndarray):
+            array = array.base
+        buffers[id(array)] = array.nbytes
+    return sum(buffers.values())
+
+
+def _invert_operators(config: ExperimentConfig, grid, boundary):
+    """The data-independent stage of ``cmd_invert``: (kinv, ops) for the geometry of ``config``.
 
     The operator is factored and truncated from the boundary kernels before
     g_vv is assembled, so no V x V volume kernel is alive while the Gram
-    matrix is.  The data solve reads the same support block of g_vv either way.
+    matrix is.  The result is kept in _OPERATORS with its arrays read-only,
+    and a later call with the same ``_geometry_key`` returns it as is; a
+    stage that raises keeps nothing.  ``cmd_invert`` drops the entry of
+    another geometry before it checks memory, so one entry at most is held.
+    """
+    key = _geometry_key(config)
+    if key not in _OPERATORS:
+        kernels = assemble_boundary(config.wave_mode, grid, boundary)
+        kinv = inverse.regularize(
+            inverse.linearized_operator(kernels, tau=config.tau), rank=config.rank, tau=config.tau
+        )
+        entry = kinv, assemble_volume(kernels)
+        for array in _arrays(entry):
+            array.flags.writeable = False
+        _OPERATORS[key] = entry
+    return _OPERATORS[key]
+
+
+def cmd_invert(config: ExperimentConfig) -> tuple[dict, int]:
+    """Generate data from the phantom by direct solve, invert, and report.
+
+    Two stages: ``_invert_operators`` gives the kernels and the truncated
+    pseudoinverse, which depend on the geometry alone and are kept for the
+    next in-process call with the same geometry; the data solve, the series
+    and the diagnostics then run on them.  Every check, the memory check
+    included, runs on every call.  An entry of another geometry is dropped
+    before that check, so two geometries' arrays never coexist and no V x V
+    volume kernel is alive while a Gram matrix is.  The data solve reads the
+    support block of g_vv.
     """
     grid, boundary = _grids(config)
     eta_true = _config_phantom(grid, config)
@@ -316,12 +383,11 @@ def cmd_invert(config: ExperimentConfig) -> tuple[dict, int]:
         grid.n_nodes, config.n_src, config.n_det, np.count_nonzero(eta_true), config.order,
         config.tau, real=config.mode == "diffuse",
     )
-    _check_memory(config, grid.n_nodes, peak)
-    kernels = assemble_boundary(config.wave_mode, grid, boundary)
-    kinv = inverse.regularize(
-        inverse.linearized_operator(kernels, tau=config.tau), rank=config.rank, tau=config.tau
-    )
-    ops = assemble_volume(kernels)
+    key = _geometry_key(config)
+    if key not in _OPERATORS:
+        _OPERATORS.clear()  # before the check, so MemAvailable counts the freed arrays
+    _check_memory(config, grid.n_nodes, peak, _held_bytes(_OPERATORS.get(key)))
+    kinv, ops = _invert_operators(config, grid, boundary)
     phi = forward.solve_direct(ops, eta_true)
     if config.noise > 0:
         phi = add_noise(phi, config.noise, config.seed)

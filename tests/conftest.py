@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from invborn import born_term, linearized_operator
+from invborn import born_term, cli, linearized_operator
 from invborn.bounds import compositions
 from invborn.cli import ExperimentConfig, _setup
 
@@ -37,6 +37,12 @@ def enumerated_inverse_series(kinv, ops, phi, order):
                 acc += born_term(ops, [terms[i - 1] for i in comp])
         terms.append(-kinv.apply(acc))
     return terms
+
+
+@pytest.fixture(autouse=True)
+def cold_invert_operators():
+    """Each test starts with no kept invert stage, so its patched builders and factorizations run."""
+    cli._OPERATORS.clear()
 
 
 @pytest.fixture(scope="session")

@@ -7,12 +7,14 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import invborn
+from invborn import cli, inverse
 from invborn import (
     WaveMode,
     assemble,
@@ -298,6 +300,140 @@ def test_cli_invert_tau_below_the_krylov_floor_factors_once(tmp_path, monkeypatc
     calls.clear()
     assert run_cli(tmp_path, "invert", "--tau", "1e-3", *args) == 2
     assert calls == ["linearized_operator", "_weighted_gram", "_leading_eigenpairs", "regularize"]
+
+
+# a second phantom on the grid of SMALL_ARGS, for runs that reuse a kept invert stage
+OTHER_PHANTOM = '[{"center": [-0.2, 0.1, 0.0], "radius": 0.5, "amplitude": 0.05}]'
+SCALAR_ARGS = ["--mode", "scalar", "--h", "0.25", "--n-src", "6", "--n-det", "6", "--order", "3"]
+
+
+def kept_entry():
+    """The one (kinv, ops) entry the invert stage keeps."""
+    (entry,) = cli._OPERATORS.values()
+    return entry
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        SMALL_ARGS,
+        [*SMALL_ARGS, "--rank", "5", "--noise", "1e-3", "--seed", "3"],
+        [*SCALAR_ARGS, "--tau", "1e-2", "--noise", "1e-3", "--seed", "4"],
+        [*SCALAR_ARGS, "--rank", "8"],
+    ],
+)
+def test_cli_invert_kept_stage_writes_the_bytes_of_a_cold_run(tmp_path, args):
+    # the stage kept from a run on one phantom serves a run on another phantom
+    out = tmp_path / "i.json"
+    assert run_cli(tmp_path, "invert", *args, "--output", out) == 2
+    entry = kept_entry()
+    assert run_cli(tmp_path, "invert", *args, "--phantom", OTHER_PHANTOM, "--output", out) == 2
+    assert kept_entry() is entry
+    kept = out.read_bytes()
+    cli._OPERATORS.clear()
+    assert run_cli(tmp_path, "invert", *args, "--phantom", OTHER_PHANTOM, "--output", out) == 2
+    assert out.read_bytes() == kept
+
+
+def test_cli_invert_alternating_geometries_write_the_same_bytes(tmp_path):
+    runs = {"a": SMALL_ARGS, "b": [*SMALL_ARGS, "--mode", "scalar", "--rank", "5"]}
+    written = {name: [] for name in runs}
+    for name in ("a", "b", "a", "b"):
+        out = tmp_path / f"{name}.json"
+        assert run_cli(tmp_path, "invert", *runs[name], "--output", out) == 2
+        written[name].append(out.read_bytes())
+    assert all(first == again for first, again in written.values())
+
+
+def test_cli_invert_kept_stage_builds_and_factors_nothing(tmp_path, monkeypatch):
+    out = tmp_path / "i.json"
+    assert run_cli(tmp_path, "invert", *SMALL_ARGS, "--output", out) == 2
+    first = out.read_bytes()
+    patch_kernel_builders(monkeypatch, assemble_not_reached)
+    for name in ("linearized_operator", "regularize", "_factor", "_weighted_gram"):
+        monkeypatch.setattr(f"invborn.inverse.{name}", assemble_not_reached)
+    assert run_cli(tmp_path, "invert", *SMALL_ARGS, "--phantom", OTHER_PHANTOM, "--output", out) == 2
+    assert run_cli(tmp_path, "invert", *SMALL_ARGS, "--output", out) == 2
+    assert out.read_bytes() == first
+
+
+def test_cli_invert_new_geometry_frees_the_kept_stage_before_its_gram_matrix(
+    tmp_path, monkeypatch
+):
+    assert run_cli(tmp_path, "invert", *SMALL_ARGS, "--output", tmp_path / "a.json") == 2
+    g_vv = weakref.ref(kept_entry()[1].g_vv)
+    alive, weighted_gram = [], inverse._weighted_gram
+
+    def traced(*args, **kwargs):
+        alive.append(g_vv() is not None)
+        return weighted_gram(*args, **kwargs)
+
+    monkeypatch.setattr(inverse, "_weighted_gram", traced)
+    args = [*SMALL_ARGS, "--tau", "1e-2", "--output", tmp_path / "b.json"]
+    assert run_cli(tmp_path, "invert", *args) == 2
+    assert alive == [False]
+
+
+def test_cli_invert_kept_arrays_refuse_writes(tmp_path):
+    assert run_cli(tmp_path, "invert", *SMALL_ARGS, "--output", tmp_path / "i.json") == 2
+    kinv, ops = entry = kept_entry()
+    linop = kinv.linop
+    named = [ops.g_sv, ops.g_vd, ops.g_vv, linop.svals, linop.vh, linop.col_scale]
+    named += [kinv._v_r, kinv._left, kinv._u_rh, ops.grid.weights]
+    for array in named:
+        with pytest.raises(ValueError, match="read-only"):
+            array.flat[0] = array.flat[0]
+    assert not any(array.flags.writeable for array in cli._arrays(entry))
+
+
+def test_cli_invert_integer_and_float_k_each_match_their_cold_run(tmp_path, monkeypatch):
+    # the geometry key holds each value's type, so k = 1 never serves k = 1.0
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"k": 1}))
+    spellings = {"int": ["--config", config], "float": ["--k", "1.0"]}
+
+    def run(kind):
+        out = tmp_path / f"{kind}.json"
+        assert run_cli(tmp_path, "invert", *SMALL_ARGS, *spellings[kind], "--output", out) == 2
+        return out.read_bytes()
+
+    cold = {}
+    for kind in spellings:
+        cli._OPERATORS.clear()
+        cold[kind] = run(kind)
+    builds, assemble_boundary = [], cli.assemble_boundary
+
+    def counted(*args, **kwargs):
+        builds.append(1)
+        return assemble_boundary(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "assemble_boundary", counted)
+    for kind in ("int", "float", "int"):
+        assert run(kind) == cold[kind]
+    assert len(builds) == 3
+
+
+def test_cli_invert_memory_check_counts_the_kept_stage_as_available(tmp_path, capsys, monkeypatch):
+    # MemAvailable leaves out the arrays a kept stage holds; the fake below drops by
+    # them too.  A hit adds them back, and a miss drops them before its check, so an
+    # input accepted cold is accepted in process; the check still runs on a hit.
+    grid = build_ball_grid(1.0, 0.45)
+    support = np.count_nonzero(build_phantom(grid, DEFAULT_PHANTOM))
+    need = 8 * inverse.peak_entries(grid.n_nodes, 6, 6, support, 3, 1e-3, real=True)
+    budget = [need + 1]
+
+    def available():
+        return budget[0] - sum(map(cli._held_bytes, cli._OPERATORS.values()))
+
+    monkeypatch.setattr("invborn.cli._available_memory", available)
+    out = tmp_path / "i.json"
+    for tau in ("1e-3", "1e-3", "2e-3", "2e-3"):  # cold, hit, miss, hit: one estimate
+        assert run_cli(tmp_path, "invert", *SMALL_ARGS, "--tau", tau, "--output", out) == 2
+    out.unlink()
+    budget[0] = need - 1
+    assert run_cli(tmp_path, "invert", *SMALL_ARGS, "--tau", "2e-3", "--output", out) == 1
+    assert "more than the" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_invert_reports_spectrum(tmp_path):
@@ -1146,11 +1282,11 @@ def test_cli_memory_estimate_bounds_the_traced_peak(tmp_path, monkeypatch, args)
 
     check_memory, seen = cli._check_memory, {}
 
-    def check(config, nodes, values):
+    def check(config, nodes, values, held=0):
         seen["estimate"] = values * (8 if config.mode == "diffuse" else 16)
         seen["before"] = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        return check_memory(config, nodes, values)
+        return check_memory(config, nodes, values, held)
 
     monkeypatch.setattr("invborn.cli._check_memory", check)
     out = tmp_path / "o.json"
