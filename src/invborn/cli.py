@@ -218,7 +218,7 @@ def _check_memory(config: ExperimentConfig, nodes: int, values: int, held: int =
     any kernel is formed, with ``values`` from ``forward.peak_entries`` or
     ``inverse.peak_entries``.  An entry takes 8 bytes in real (diffuse)
     arithmetic and 16 in complex (scalar).  ``held`` bytes of those arrays
-    exist already, kept from an earlier run (see ``_invert_operators``);
+    exist already, kept from an earlier invert run (see ``cmd_invert``);
     MemAvailable does not count them, so they are added to it.
     """
     need = values * (8 if config.mode == "diffuse" else 16)
@@ -286,8 +286,10 @@ def cmd_forward(config: ExperimentConfig) -> tuple[dict, int]:
     """Direct solve, Born summation and the remainder certificate.
 
     The data depends on the kernels only where the phantom is nonzero, so they
-    are assembled on those nodes alone: no V x V kernel is formed.
+    are assembled on those nodes alone: no V x V kernel is formed.  A stage
+    kept by ``cmd_invert`` is dropped first, since forward uses none of it.
     """
+    _KEPT[:] = None, None  # before the check, so MemAvailable counts the freed arrays
     grid, boundary = _grids(config)
     eta = _config_phantom(grid, config)
     support = np.flatnonzero(eta)
@@ -310,8 +312,8 @@ def cmd_forward(config: ExperimentConfig) -> tuple[dict, int]:
 # The ExperimentConfig keys the data-independent stage of invert reads
 _GEOMETRY_KEYS = ("mode", "k", "a", "omega_radius", "h", "n_src", "n_det", "tau", "rank")
 
-# The last invert geometry's (kinv, ops), under its _geometry_key: at most one entry
-_OPERATORS: dict = {}
+# The last invert geometry's [_geometry_key, (kinv, ops)], or [None, None]
+_KEPT = [None, None]
 
 
 def _geometry_key(config: ExperimentConfig) -> tuple:
@@ -332,7 +334,7 @@ def _arrays(obj):
 
 
 def _held_bytes(entry) -> int:
-    """Bytes of the buffers behind the arrays of an _OPERATORS entry, each buffer counted once."""
+    """Bytes of the buffers behind the arrays of a kept (kinv, ops), each buffer counted once."""
     buffers = {}
     for array in _arrays(entry):
         while isinstance(array.base, np.ndarray):
@@ -346,35 +348,27 @@ def _invert_operators(config: ExperimentConfig, grid, boundary):
 
     The operator is factored and truncated from the boundary kernels before
     g_vv is assembled, so no V x V volume kernel is alive while the Gram
-    matrix is.  The result is kept in _OPERATORS with its arrays read-only,
-    and a later call with the same ``_geometry_key`` returns it as is; a
-    stage that raises keeps nothing.  ``cmd_invert`` drops the entry of
-    another geometry before it checks memory, so one entry at most is held.
+    matrix is.
     """
-    key = _geometry_key(config)
-    if key not in _OPERATORS:
-        kernels = assemble_boundary(config.wave_mode, grid, boundary)
-        kinv = inverse.regularize(
-            inverse.linearized_operator(kernels, tau=config.tau), rank=config.rank, tau=config.tau
-        )
-        entry = kinv, assemble_volume(kernels)
-        for array in _arrays(entry):
-            array.flags.writeable = False
-        _OPERATORS[key] = entry
-    return _OPERATORS[key]
+    kernels = assemble_boundary(config.wave_mode, grid, boundary)
+    kinv = inverse.regularize(
+        inverse.linearized_operator(kernels, tau=config.tau), rank=config.rank, tau=config.tau
+    )
+    return kinv, assemble_volume(kernels)
 
 
 def cmd_invert(config: ExperimentConfig) -> tuple[dict, int]:
     """Generate data from the phantom by direct solve, invert, and report.
 
     Two stages: ``_invert_operators`` gives the kernels and the truncated
-    pseudoinverse, which depend on the geometry alone and are kept for the
-    next in-process call with the same geometry; the data solve, the series
-    and the diagnostics then run on them.  Every check, the memory check
-    included, runs on every call.  An entry of another geometry is dropped
-    before that check, so two geometries' arrays never coexist and no V x V
-    volume kernel is alive while a Gram matrix is.  The data solve reads the
-    support block of g_vv.
+    pseudoinverse, which depend on the geometry alone; the data solve, the
+    series and the diagnostics then run on them.  The first stage is kept,
+    read-only, in _KEPT for the next in-process call with the same
+    ``_geometry_key``; a stage that raises keeps nothing.  Every check, the
+    memory check included, runs on every call.  The kept stage of another
+    geometry is dropped before that check, so two geometries' arrays never
+    coexist and no V x V volume kernel is alive while a Gram matrix is.  The
+    data solve reads the support block of g_vv.
     """
     grid, boundary = _grids(config)
     eta_true = _config_phantom(grid, config)
@@ -384,10 +378,15 @@ def cmd_invert(config: ExperimentConfig) -> tuple[dict, int]:
         config.tau, real=config.mode == "diffuse",
     )
     key = _geometry_key(config)
-    if key not in _OPERATORS:
-        _OPERATORS.clear()  # before the check, so MemAvailable counts the freed arrays
-    _check_memory(config, grid.n_nodes, peak, _held_bytes(_OPERATORS.get(key)))
-    kinv, ops = _invert_operators(config, grid, boundary)
+    if _KEPT[0] != key:
+        _KEPT[:] = None, None  # before the check, so MemAvailable counts the freed arrays
+    _check_memory(config, grid.n_nodes, peak, _held_bytes(_KEPT[1]))
+    if _KEPT[1] is None:
+        entry = _invert_operators(config, grid, boundary)
+        for array in _arrays(entry):
+            array.flags.writeable = False
+        _KEPT[:] = key, entry
+    kinv, ops = _KEPT[1]
     phi = forward.solve_direct(ops, eta_true)
     if config.noise > 0:
         phi = add_noise(phi, config.noise, config.seed)

@@ -359,7 +359,8 @@ def _factor(ops: BoundaryKernels, limit: int) -> LinearizedOperator:
     pairs = _leading_eigenpairs(gram, n, limit) if limit else None
     if pairs is None:
         lam, vecs = np.linalg.eigh(gram)
-        pairs = lam[::-1][:n], vecs[:, ::-1][:, :n]
+        # a copy of the n columns kept, so the V x V eigenvector matrix is freed
+        pairs = lam[::-1][:n], vecs[:, lam.size - n :].copy()[:, ::-1]
     del gram
     theta, vecs = pairs
     return LinearizedOperator(

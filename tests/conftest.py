@@ -42,7 +42,7 @@ def enumerated_inverse_series(kinv, ops, phi, order):
 @pytest.fixture(autouse=True)
 def cold_invert_operators():
     """Each test starts with no kept invert stage, so its patched builders and factorizations run."""
-    cli._OPERATORS.clear()
+    cli._KEPT[:] = None, None
 
 
 @pytest.fixture(scope="session")

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import invborn
-from invborn import cli, inverse
+from invborn import cli, forward, inverse
 from invborn import (
     WaveMode,
     assemble,
@@ -308,9 +308,9 @@ SCALAR_ARGS = ["--mode", "scalar", "--h", "0.25", "--n-src", "6", "--n-det", "6"
 
 
 def kept_entry():
-    """The one (kinv, ops) entry the invert stage keeps."""
-    (entry,) = cli._OPERATORS.values()
-    return entry
+    """The (kinv, ops) the invert stage keeps."""
+    assert cli._KEPT[1] is not None
+    return cli._KEPT[1]
 
 
 @pytest.mark.parametrize(
@@ -330,7 +330,7 @@ def test_cli_invert_kept_stage_writes_the_bytes_of_a_cold_run(tmp_path, args):
     assert run_cli(tmp_path, "invert", *args, "--phantom", OTHER_PHANTOM, "--output", out) == 2
     assert kept_entry() is entry
     kept = out.read_bytes()
-    cli._OPERATORS.clear()
+    cli._KEPT[:] = None, None
     assert run_cli(tmp_path, "invert", *args, "--phantom", OTHER_PHANTOM, "--output", out) == 2
     assert out.read_bytes() == kept
 
@@ -399,7 +399,7 @@ def test_cli_invert_integer_and_float_k_each_match_their_cold_run(tmp_path, monk
 
     cold = {}
     for kind in spellings:
-        cli._OPERATORS.clear()
+        cli._KEPT[:] = None, None
         cold[kind] = run(kind)
     builds, assemble_boundary = [], cli.assemble_boundary
 
@@ -423,7 +423,7 @@ def test_cli_invert_memory_check_counts_the_kept_stage_as_available(tmp_path, ca
     budget = [need + 1]
 
     def available():
-        return budget[0] - sum(map(cli._held_bytes, cli._OPERATORS.values()))
+        return budget[0] - cli._held_bytes(cli._KEPT[1])
 
     monkeypatch.setattr("invborn.cli._available_memory", available)
     out = tmp_path / "i.json"
@@ -434,6 +434,23 @@ def test_cli_invert_memory_check_counts_the_kept_stage_as_available(tmp_path, ca
     assert run_cli(tmp_path, "invert", *SMALL_ARGS, "--tau", "2e-3", "--output", out) == 1
     assert "more than the" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_forward_drops_the_kept_invert_stage_before_its_memory_check(tmp_path, monkeypatch):
+    # a forward run after an invert run is accepted by the budget that accepts it cold:
+    # the fake MemAvailable drops by the kept arrays while they are alive
+    grid = build_ball_grid(1.0, 0.45)
+    support = np.count_nonzero(build_phantom(grid, DEFAULT_PHANTOM))
+    need = 8 * forward.peak_entries(support, 6, 6, 3)
+    assert run_cli(tmp_path, "invert", *SMALL_ARGS, "--output", tmp_path / "i.json") == 2
+    assert cli._held_bytes(kept_entry()) > 1
+    monkeypatch.setattr(
+        "invborn.cli._available_memory", lambda: need + 1 - cli._held_bytes(cli._KEPT[1])
+    )
+    out = tmp_path / "f.json"
+    assert run_cli(tmp_path, "forward", *SMALL_ARGS, "--output", out) in (0, 2)
+    assert cli._KEPT == [None, None]
+    assert out.exists()
 
 
 def test_cli_invert_reports_spectrum(tmp_path):

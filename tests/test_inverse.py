@@ -447,6 +447,16 @@ def check_dense_fallback(ops, limit):
     assert np.array_equal(linop.vh, dense.vh)
 
 
+@pytest.mark.parametrize("mode", ["diffuse", "scalar"])
+def test_dense_eigh_keeps_only_the_rows_of_vh_it_returns(mode):
+    # V = 56 and 6 x 6 pairs: vh has 36 rows, and no V x V eigenvector matrix stays behind them
+    ops = boundary_kernels(mode, 0.45, 6)
+    vh = _factor(ops, 0).vh
+    while isinstance(vh.base, np.ndarray):
+        vh = vh.base
+    assert vh.size == 36 * ops.n_nodes < ops.n_nodes**2
+
+
 def test_a_basis_that_runs_out_falls_back_to_dense_eigh(monkeypatch):
     # 912 voxels and 48 x 48 pairs converge within 240 basis vectors; the
     # Rayleigh-Ritz step at a limit of 96 does not accept
