@@ -41,7 +41,7 @@ def enumerated_inverse_series(kinv, ops, phi, order):
 
 @pytest.fixture(autouse=True)
 def cold_invert_operators():
-    """Each test starts with no kept invert stage, so its patched builders and factorizations run."""
+    """Each test starts with no kept invert stage, so the builders it patches run."""
     cli._KEPT[:] = None, None
 
 

@@ -352,7 +352,8 @@ def test_cli_invert_kept_stage_builds_and_factors_nothing(tmp_path, monkeypatch)
     patch_kernel_builders(monkeypatch, assemble_not_reached)
     for name in ("linearized_operator", "regularize", "_factor", "_weighted_gram"):
         monkeypatch.setattr(f"invborn.inverse.{name}", assemble_not_reached)
-    assert run_cli(tmp_path, "invert", *SMALL_ARGS, "--phantom", OTHER_PHANTOM, "--output", out) == 2
+    other = ["--phantom", OTHER_PHANTOM]
+    assert run_cli(tmp_path, "invert", *SMALL_ARGS, *other, "--output", out) == 2
     assert run_cli(tmp_path, "invert", *SMALL_ARGS, "--output", out) == 2
     assert out.read_bytes() == first
 
