@@ -14,8 +14,10 @@ exactly whenever pinv K pinv = pinv (true for truncated SVD).  Every series
 term carries the coefficient -alpha^m, so the 2^(j-1) - 1 compositions of
 order j need not be enumerated: they sum through a linear recurrence over
 (voxel x detector) chain matrices that costs one volume-kernel product per
-order (see ``inverse_series``).  No tensor is ever formed and the order is
-not capped.
+order.  Where sources and detectors coincide, the orders past the middle are
+split into chains already formed, so order N costs ceil((N - 1) / 2) of
+those products (see ``inverse_series``).  No tensor is ever formed and the
+order is not capped.
 """
 
 from __future__ import annotations
@@ -214,7 +216,9 @@ def peak_entries(
     workspace and vectors; dense eigh the Gram matrix, eigh's copy, its 2 V^2 workspace and
     the eigenvectors.  The series: g_vv, the kept rows of vh with the
     pseudoinverse factors, the data solve on the ``support`` nodes, and per
-    order a V x D chain matrix and three fields.  Known gap: the block
+    order a V x D matrix and three fields.  That bounds what
+    ``inverse_series`` holds: K V x D chains and N - K S x V heads, where
+    S = D whenever K < N - 1 (reciprocal kernels).  Known gap: the block
     Lanczos route leaves out the dense eigh that ``_factor`` falls back to
     where the basis runs out or breaks down; at V = 12,160
     (``invert --h 0.07``, m = 1008) it counts 1.51 GiB, where the dense route
@@ -450,14 +454,20 @@ class RegularizedInverse:
     def project(self, eta: np.ndarray) -> np.ndarray:
         """Orthogonal projection (weighted inner product) onto the retained subspace.
 
-        Equals pinv applied to the linearized forward map of eta.
+        Equals pinv applied to the linearized forward map of eta.  A real V_r
+        (diffuse mode) projects the real and imaginary parts as two real
+        columns, so it is never upcast to a complex copy.
         """
         eta = np.asarray(eta, dtype=complex)
         shape = (self.linop.n_nodes,)
         if eta.shape != shape:
             raise ValueError(f"field shape {eta.shape} is not (V,) = {shape}")
-        coeff = self._v_r.conj().T @ (self.linop.col_scale * eta)
-        return (self._v_r @ coeff) / self.linop.col_scale
+        x, v_r = self.linop.col_scale * eta, self._v_r
+        if np.isrealobj(v_r):  # columns: the real and the imaginary part
+            x = (v_r @ (v_r.T @ x.view(float).reshape(-1, 2))).view(complex)[:, 0]
+        else:
+            x = v_r @ (v_r.conj().T @ x)
+        return x / self.linop.col_scale
 
     def projector_matrix(self) -> np.ndarray:
         """Dense retained-subspace projector (for diagnostics and tests)."""
@@ -589,26 +599,64 @@ def inverse_series(
         Y_j   = alpha * eta_j * G_vd + Z_j,
 
     starting from Y_1 = alpha * eta_1 * G_vd; ``*`` scales rows by a volume
-    field.  Order N therefore costs N - 1 products with G_vv in total.  Each
-    eta_j passes through the forward module's dtype rule, so a diffuse run
-    on real data keeps every product real.  The sum defining Z_j is
-    accumulated in ascending i, a fixed order, so reruns are bit-identical.
-    A term that overflows raises ValueError naming its order.
+    field.  Run to order N, this costs N - 1 products with G_vv.
+
+    On reciprocal kernels (``_reciprocal``: G_vd = G_sv^T) only C_1..C_K are
+    formed, K = ceil((N - 1) / 2).  G_vv = G W with G symmetric and W the
+    diagonal weights, so the left chains are transposes of right ones:
+    summed over the compositions of p, G_sv W eta_{i_1} G_vv .. eta_{i_m} G_vv
+    equals (W C_p)^T.  Orders j <= K take the recurrence above; for j > K
+    each composition is split at its first boundary q > K, or, if it has
+    none, at its last boundary, which is then <= K:
+
+        G_sv W Z_j = sum_{q=K+1..j-1} (Lam_q + alpha G_sv W eta_q) C_{j-q} + Lam_j G_vd,
+        Lam_q      = alpha * sum_{p=1..K} (W C_p)^T eta_{q-p}      (q > K),
+
+    with ``(W C_p)^T eta`` scaling columns.  Every composition is counted
+    once, j - q <= K, and the new work is S x V x D products, one per pair
+    (q, j) and one with G_vd per order.  Order N then costs K products with
+    G_vv.  Elsewhere only the recurrence runs.
+
+    Each eta_j passes through the forward module's dtype rule, so a diffuse
+    run on real data keeps every product real.  Every sum is accumulated in
+    a fixed order (ascending i, p and q), so reruns are bit-identical.  A
+    term that overflows raises ValueError naming its order.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
     alpha = ops.mode.alpha
     w = ops.grid.weights
+    aw = alpha * w
+    reciprocal = _reciprocal(ops)
+    k = order // 2  # ceil((order - 1) / 2), the chains formed on reciprocal kernels
+
+    def add_term(data, j):
+        eta_j = _check_factor(ops, kinv.apply(data))
+        terms.append(_finite(eta_j, "the inverse series", j))
+
+    def lam_at(q):  # Lam_q, with alpha W moved onto the fields: C_p^T (aw * eta_{q-p})
+        return sum(chains[p - 1].T * (aw * terms[q - p - 1]) for p in range(1, k + 1))
+
     with np.errstate(over="ignore", invalid="ignore"):  # _finite names the order instead
-        terms = [_finite(_check_factor(ops, kinv.apply(phi)), "the inverse series", 1)]
+        terms = []
+        add_term(phi, 1)
         y = alpha * terms[0][:, None] * ops.g_vd
         chains = []  # chains[n - 1] = C_n
         for j in range(2, order + 1):
             chains.append(ops.g_vv @ y)
+            if reciprocal and len(chains) == k:  # orders k + 1.. are split
+                break
             z = alpha * sum(terms[i][:, None] * chains[j - 2 - i] for i in range(j - 1))
-            eta_j = _check_factor(ops, kinv.apply(ops.g_sv @ (w[:, None] * z)))
-            terms.append(_finite(eta_j, "the inverse series", j))
-            y = alpha * terms[-1][:, None] * ops.g_vd + z
+            add_term(ops.g_sv @ (w[:, None] * z), j)
+            if j < order:
+                y = alpha * terms[-1][:, None] * ops.g_vd + z
+        heads = []  # heads[i] = Lam_q + alpha G_sv W eta_q, q = k + 1 + i
+        for j in range(len(terms) + 1, order + 1):
+            if j > k + 1:
+                heads.append(lam + ops.g_sv * (aw * terms[j - 2]))
+            lam = lam_at(j)
+            pieces = (head @ chains[j - k - 2 - i] for i, head in enumerate(heads))
+            add_term(sum(pieces, lam @ ops.g_vd), j)
     return BornSeries(terms)
 
 

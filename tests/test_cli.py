@@ -103,15 +103,22 @@ def test_dump_json_names_the_first_value_json_cannot_hold():
 
 
 def test_cli_invert_names_a_result_that_overflows_to_nan(tmp_path, capsys):
-    # projecting a phantom of amplitude 1e308 onto the retained subspace overflows,
-    # so its linear residual is NaN: exit 1 naming it, no numpy warning, no output
+    # projecting a phantom of amplitude 1e308 onto the retained subspace overflows.
+    # Scalar mode projects it in complex arithmetic, where 0 * inf makes its linear
+    # residual NaN: exit 1 naming it, no numpy warning, no output
     out = tmp_path / "i.json"
     phantom = json.dumps([{"center": [0, 0, 0], "radius": 1, "amplitude": 1e308}])
-    assert run_cli(tmp_path, "invert", *SMALL_ARGS, "--phantom", phantom, "--output", out) == 1
+    args = [*SMALL_ARGS, "--phantom", phantom, "--output", out]
+    assert run_cli(tmp_path, "invert", "--mode", "scalar", *args) == 1
     assert "error: the result is not finite: diagnostics.p.2.linear_residual = nan" in (
         capsys.readouterr().err
     )
     assert not out.exists()
+    # diffuse mode projects the real and imaginary parts as real columns, so the
+    # residual overflows to inf, which the JSON holds: exit 2, the hypotheses fail
+    assert run_cli(tmp_path, "invert", *args) == 2
+    record = json.loads(out.read_text())["diagnostics"]["p"]
+    assert [record[p]["linear_residual"] for p in ("2", "inf")] == ["inf", "inf"]
 
 
 def test_phantom_sampling():

@@ -65,6 +65,37 @@ def synthetic_constants(mode, scale=1e-6):
     )
 
 
+def nonuniform_problem(kind):
+    """6 x 6 pairs (reciprocal) on the h = 0.45 grid with weights varied node by node."""
+    grid = build_ball_grid(1.0, 0.45)
+    weights = grid.weights * np.random.default_rng(7).uniform(0.5, 1.5, grid.weights.size)
+    grid = Grid(centers=grid.centers, weights=weights, spacing=grid.spacing, radius_a=1.0)
+    ops = assemble(WaveMode(kind, 1.0), grid, build_sphere_boundary(2.0, 6, 6))
+    return ops, linearized_operator(ops)
+
+
+def check_against_enumerated_compositions(ops, linop, orders):
+    """Every term of inverse_series to each of ``orders`` matches the oracle to 1e-12.
+
+    On reciprocal kernels the orders past K = N // 2 are split.
+    """
+    kinv = regularize(linop, tau=1e-3)
+    eta = 0.05 * build_phantom(
+        ops.grid, [{"center": [0.1, 0.2, 0], "radius": 0.5, "amplitude": 1.0}]
+    )
+    phi = solve_direct(ops, eta)
+    ref = enumerated_inverse_series(kinv, ops, phi, max(orders))
+    for order in orders:
+        check_terms_match(inverse_series(kinv, ops, phi, order).terms, ref, order)
+
+
+def check_terms_match(terms, ref, order):
+    """Each term of a series run to ``order`` matches ``ref``'s to 1e-12 relative."""
+    for j, (got, want) in enumerate(zip(terms, ref), 1):
+        dev = np.abs(got - want).max() / np.abs(want).max()
+        assert dev <= 1e-12, f"order {order}, term {j}: rel dev {dev:.3e}"
+
+
 class _CountingMatmul(np.ndarray):
     """Kernel matrix that counts the products taken with it on the left."""
 
@@ -86,6 +117,25 @@ class _RecordingMatmul(np.ndarray):
     def __matmul__(self, other):
         self.operand_dtypes.append(np.asarray(other).dtype)
         return np.asarray(self) @ other
+
+
+class _RecordingProducts(np.ndarray):
+    """Boundary kernel that records the operand dtypes of each product it takes part in.
+
+    Arrays formed from it entrywise (the series' heads Lam_q + alpha G_sv W eta_q)
+    record into the same list, on either side of a product.
+    """
+
+    def __array_finalize__(self, obj):
+        self.products = getattr(obj, "products", None)
+
+    def __matmul__(self, other):
+        self.products.append((self.dtype, np.asarray(other).dtype))
+        return np.asarray(self) @ np.asarray(other)
+
+    def __rmatmul__(self, other):
+        self.products.append((np.asarray(other).dtype, self.dtype))
+        return np.asarray(other) @ np.asarray(self)
 
 
 class TestLinearizedOperator:
@@ -567,6 +617,20 @@ def test_general_pair_sweep_agrees_with_the_reciprocal_one(reciprocal_problem, m
     assert rows == [192, 192, 192]
 
 
+def test_split_series_agrees_with_the_recurrence(reciprocal_problem, monkeypatch):
+    ops, linop, _ = reciprocal_problem
+    kinv = regularize(linop, tau=1e-3)
+    eta = 0.05 * build_phantom(
+        ops.grid, [{"center": [0.2, 0, 0], "radius": 0.4, "amplitude": 1.0}]
+    )
+    phi = solve_direct(ops, eta)
+    orders = (3, 6, 10)
+    split = [inverse_series(kinv, ops, phi, order) for order in orders]
+    monkeypatch.setattr("invborn.inverse._reciprocal", lambda ops: False)
+    for order, res in zip(orders, split):
+        check_terms_match(res.terms, inverse_series(kinv, ops, phi, order).terms, order)
+
+
 def check_general_sweep_agrees(kinv, monkeypatch):
     """The sweep over all S*D pairs gives kinv's U_r and norm_inf to 1e-12 relative."""
     monkeypatch.setattr("invborn.inverse._reciprocal", lambda ops: False)
@@ -977,32 +1041,39 @@ class TestSeriesRecursion:
     @pytest.mark.parametrize("kind", ["diffuse", "scalar"])
     def test_recurrence_matches_enumerated_compositions(self, kind):
         ops, linop = make_problem(kind=kind)
-        kinv = regularize(linop, tau=1e-3)
-        eta = 0.05 * build_phantom(
-            ops.grid, [{"center": [0.1, 0.2, 0], "radius": 0.5, "amplitude": 1.0}]
-        )
-        phi = solve_direct(ops, eta)
-        res = inverse_series(kinv, ops, phi, 8)
-        ref = enumerated_inverse_series(kinv, ops, phi, 8)
-        for j in range(2, 9):
-            got, want = res.terms[j - 1], ref[j - 1]
-            dev = np.abs(got - want).max() / np.abs(want).max()
-            assert dev <= 1e-12, f"order {j}: rel dev {dev:.3e}"
+        assert _reciprocal(ops)
+        check_against_enumerated_compositions(ops, linop, range(3, 11))
 
-    def test_volume_kernel_products_linear_in_order(self, small_ops, small_linop):
+    @pytest.mark.parametrize("kind", ["diffuse", "scalar"])
+    def test_split_orders_match_enumerated_compositions_on_non_uniform_weights(self, kind):
+        # the split relies on g_vv = G W with G symmetric, so W must sit on the right
+        ops, linop = nonuniform_problem(kind)
+        assert _reciprocal(ops)
+        check_against_enumerated_compositions(ops, linop, range(3, 11))
+
+    def test_non_reciprocal_series_matches_enumerated_compositions(self):
+        ops, linop = make_problem(h=0.35, n_src=8, n_det=10)
+        assert not _reciprocal(ops)
+        check_against_enumerated_compositions(ops, linop, [6])
+
+    def test_volume_kernel_products_linear_in_order(self, small_ops, small_linop, monkeypatch):
+        # reciprocal kernels form C_1..C_K with K = ceil((order - 1) / 2), others order - 1
         kinv = regularize(small_linop, tau=1e-2)
         eta = 0.05 * build_phantom(
             small_ops.grid, [{"center": [0, 0, 0.2], "radius": 0.5, "amplitude": 1.0}]
         )
         phi = solve_direct(small_ops, eta)
-        for order in (1, 2, 5, 12):
-            g_vv = small_ops.g_vv.view(_CountingMatmul)
-            g_vv.matmuls = 0
-            counted = dataclasses.replace(small_ops, g_vv=g_vv)
-            res = inverse_series(kinv, counted, phi, order)
-            assert g_vv.matmuls == order - 1
-            plain = inverse_series(kinv, small_ops, phi, order)
-            assert all(np.array_equal(a, b) for a, b in zip(res.terms, plain.terms))
+        for reciprocal in (True, False):
+            if not reciprocal:
+                monkeypatch.setattr("invborn.inverse._reciprocal", lambda ops: False)
+            for order, split in ((1, 0), (2, 1), (5, 2), (12, 6)):
+                g_vv = small_ops.g_vv.view(_CountingMatmul)
+                g_vv.matmuls = 0
+                counted = dataclasses.replace(small_ops, g_vv=g_vv)
+                res = inverse_series(kinv, counted, phi, order)
+                assert g_vv.matmuls == (split if reciprocal else order - 1)
+                plain = inverse_series(kinv, small_ops, phi, order)
+                assert all(np.array_equal(a, b) for a, b in zip(res.terms, plain.terms))
 
     def test_diffuse_kernel_products_stay_real(self, small_ops, small_linop):
         # a complex operand would make numpy upcast a complex copy of the real g_vv
@@ -1016,10 +1087,19 @@ class TestSeriesRecursion:
         phi = solve_direct(small_ops, eta) * (1.0 + 0j)  # complex dtype, zero imaginary part
         g_vv = small_ops.g_vv.view(_RecordingMatmul)
         g_vv.operand_dtypes = []
-        recording = dataclasses.replace(small_ops, g_vv=g_vv)
+        g_sv = small_ops.g_sv.view(_RecordingProducts)
+        g_vd = small_ops.g_vd.view(_RecordingProducts)
+        g_sv.products = g_vd.products = products = []
+        recording = dataclasses.replace(small_ops, g_vv=g_vv, g_sv=g_sv, g_vd=g_vd)
         series = born_series(recording, eta, 5)
+        products.clear()
         res = inverse_series(kinv, recording, phi, 5)
-        assert g_vv.operand_dtypes == [np.dtype(float)] * 8
+        # 4 forward products and K = 2 inverse ones
+        assert g_vv.operand_dtypes == [np.dtype(float)] * 6
+        # the inverse series: C_1 and C_2 (g_vv against Y_n, formed from g_vd), the data
+        # of order 2, and the six sandwiches of the split orders 3 to 5: Lam_j G_vd and
+        # the heads of q = 3, 4 against C_1 and C_2
+        assert products == [(np.dtype(float), np.dtype(float))] * 9
         assert all(np.isrealobj(t) for t in series.terms + res.terms)
         plain = inverse_series(kinv, small_ops, phi, 5)
         assert all(np.array_equal(a, b) for a, b in zip(res.terms, plain.terms))
