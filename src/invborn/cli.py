@@ -364,29 +364,31 @@ def cmd_invert(config: ExperimentConfig) -> tuple[dict, int]:
     pseudoinverse, which depend on the geometry alone; the data solve, the
     series and the diagnostics then run on them.  The first stage is kept,
     read-only, in _KEPT for the next in-process call with the same
-    ``_geometry_key``; a stage that raises keeps nothing.  Every check, the
-    memory check included, runs on every call.  The kept stage of another
-    geometry is dropped before that check, so two geometries' arrays never
-    coexist and no V x V volume kernel is alive while a Gram matrix is.  The
-    data solve reads the support block of g_vv.
+    ``_geometry_key``, which also takes its grid and boundary from it; a
+    stage that raises keeps nothing.  Every check, the memory check
+    included, runs on every call.  The kept stage of another geometry is
+    dropped before that check, so two geometries' arrays never coexist and
+    no V x V volume kernel is alive while a Gram matrix is.  The data solve
+    reads the support block of g_vv.
     """
-    grid, boundary = _grids(config)
+    key = _geometry_key(config)
+    kept = _KEPT[1] if _KEPT[0] == key else None
+    grid, boundary = _grids(config) if kept is None else (kept[1].grid, kept[1].boundary)
     eta_true = _config_phantom(grid, config)
     inverse._check_truncation(None, config.rank, min(config.n_src * config.n_det, grid.n_nodes))
     peak = inverse.peak_entries(
         grid.n_nodes, config.n_src, config.n_det, np.count_nonzero(eta_true), config.order,
         config.tau, real=config.mode == "diffuse",
     )
-    key = _geometry_key(config)
-    if _KEPT[0] != key:
+    if kept is None:
         _KEPT[:] = None, None  # before the check, so MemAvailable counts the freed arrays
     _check_memory(config, grid.n_nodes, peak, _held_bytes(_KEPT[1]))
-    if _KEPT[1] is None:
-        entry = _invert_operators(config, grid, boundary)
-        for array in _arrays(entry):
+    if kept is None:
+        kept = _invert_operators(config, grid, boundary)
+        for array in _arrays(kept):
             array.flags.writeable = False
-        _KEPT[:] = key, entry
-    kinv, ops = _KEPT[1]
+        _KEPT[:] = key, kept
+    kinv, ops = kept
     phi = forward.solve_direct(ops, eta_true)
     if config.noise > 0:
         phi = add_noise(phi, config.noise, config.seed)

@@ -195,20 +195,35 @@ def lp_norm(values: np.ndarray, weights, p: float) -> float:
     sum overflows (|f|^p beyond the float range) is summed again rescaled by
     max |f|, so its norm is finite wherever it is representable.
     """
-    _check_p(p)
     values = np.asarray(values)
-    mags = np.abs(values.ravel())
+    if not math.isinf(p):  # the sup-norm reads no weights
+        weights = np.broadcast_to(np.asarray(weights, dtype=float), values.shape).reshape(1, -1)
+    return _lp_norms(values.reshape(1, -1), weights, p)[0]
+
+
+def _lp_norms(values: np.ndarray, weights, p: float) -> list:
+    """``lp_norm`` of each row of a 2-D ``values``, in one reduction for all rows.
+
+    ``weights`` broadcasts against ``values``.  Each row's norm has the bytes
+    ``lp_norm`` gives for that row alone, the overflow rescale included.
+    """
+    _check_p(p)
+    mags = np.abs(values)
     if math.isinf(p):
-        return float(mags.max(initial=0.0))
-    w = np.broadcast_to(np.asarray(weights, dtype=float), values.shape).ravel()
+        return [float(m) for m in mags.max(axis=1, initial=0.0)]
+    w = np.broadcast_to(np.asarray(weights, dtype=float), mags.shape)
     if not np.all(w > 0):
         raise ValueError("weights must be positive")
     with np.errstate(over="ignore"):
-        total = (w * mags**p).sum()
-    if math.isinf(total) and np.isfinite(mags).all():
-        top = mags.max()
-        return float(top * (w * (mags / top) ** p).sum() ** (1.0 / p))
-    return float(total ** (1.0 / p))
+        totals = (w * mags**p).sum(axis=1)
+    norms = []
+    for total, row, row_w in zip(totals, mags, w):
+        if math.isinf(total) and np.isfinite(row).all():
+            top = row.max()
+            norms.append(float(top * (row_w * (row / top) ** p).sum() ** (1.0 / p)))
+        else:
+            norms.append(float(total ** (1.0 / p)))
+    return norms
 
 
 def field_norm(grid: Grid, values: np.ndarray, p: float) -> float:

@@ -16,8 +16,9 @@ order j need not be enumerated: they sum through a linear recurrence over
 (voxel x detector) chain matrices that costs one volume-kernel product per
 order.  Where sources and detectors coincide, the orders past the middle are
 split into chains already formed, so order N costs ceil((N - 1) / 2) of
-those products (see ``inverse_series``).  No tensor is ever formed and the
-order is not capped.
+those products (see ``inverse_series``), and the pseudoinverse keeps one row
+of U_r per distinct pair.  No tensor is ever formed and the order is not
+capped.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from . import bounds
 from .forward import BornSeries, _check_factor, _finite
 from .forward import born_term  # noqa: F401  bench/run.py traces invborn.inverse.born_term
 from .greens import _ROW_BLOCK, BoundaryKernels, OperatorSet
-from .grid import data_norm, field_norm
+from .grid import _lp_norms, data_norm, field_norm
 
 __all__ = [
     "LinearizedOperator",
@@ -215,22 +216,35 @@ def peak_entries(
     images and residuals, and the projected matrix with eigh's copy,
     workspace and vectors; dense eigh the Gram matrix, eigh's copy, its 2 V^2 workspace and
     the eigenvectors.  The series: g_vv, the kept rows of vh with the
-    pseudoinverse factors, the data solve on the ``support`` nodes, and per
-    order a V x D matrix and three fields.  That bounds what
-    ``inverse_series`` holds: K V x D chains and N - K S x V heads, where
-    S = D whenever K < N - 1 (reciprocal kernels).  Known gap: the block
-    Lanczos route leaves out the dense eigh that ``_factor`` falls back to
-    where the basis runs out or breaks down; at V = 12,160
-    (``invert --h 0.07``, m = 1008) it counts 1.51 GiB, where the dense route
-    is counted at 5.52 GiB.
+    pseudoinverse factors (U_r at most r x S*D), the data solve on the
+    ``support`` nodes, and what ``inverse_series`` allocates
+    (``_series_entries``).  Known gap: the block Lanczos route leaves out
+    the dense eigh that ``_factor`` falls back to where the basis runs out
+    or breaks down; at V = 12,160 (``invert --h 0.07``, m = 1008) it counts
+    1.51 GiB, where the dense route is counted at 5.52 GiB.
     """
     v, pairs = n_nodes, n_src * n_det
     if tau is not None and (m := _krylov_basis_limit(v, tau, real)):
         factor, rows = v * v + 4 * v * m + 5 * m * m, m
     else:
         factor, rows = 5 * v * v, min(pairs, v)
-    series = v * v + rows * (3 * v + pairs) + 3 * support**2 + order * v * (n_det + 3)
+    series = v * v + rows * (3 * v + pairs) + 3 * support**2
+    series += _series_entries(v, n_src, n_det, order)
     return (n_src + n_det) * v + max(factor, series)
+
+
+def _series_entries(n_nodes: int, n_src: int, n_det: int, order: int) -> int:
+    """A bound on the entries ``inverse_series`` allocates, beyond its inputs.
+
+    Per order a V x D matrix, an S x D one and three fields, and five V x D
+    temporaries.  With K the chains formed (N // 2 or N - 1), the series
+    holds at most N - 1 V x D chains and, besides them, the last Y and Z,
+    Lam_j, a head and its scaled kernel; N - K - 1 S x D accumulators, a
+    wide product of at most N - K - 2 S x D blocks and one order's data with
+    its fold, 2 (N - K) - 1 <= N in all; and the terms with their stacked
+    coefficients.
+    """
+    return order * (n_nodes * (n_det + 3) + n_src * n_det) + 5 * n_nodes * n_det
 
 
 def _reciprocal(ops: BoundaryKernels) -> bool:
@@ -405,20 +419,43 @@ def linearized_operator(ops: BoundaryKernels, tau: float | None = None) -> Linea
 _DET_BLOCK = 8
 
 
+def _distinct_pairs(n: int) -> np.ndarray:
+    """Flat indices into n x n data of the distinct pairs (s, d), s <= d, ordered by d and then s.
+
+    That is the row order of a folded U_r (see ``RegularizedInverse``).
+    """
+    d, s = np.tril_indices(n)
+    return s * n + d
+
+
+def _pair_rows(n: int) -> np.ndarray:
+    """The row of a folded U_r for each of n x n pairs (s, d), row-major.
+
+    The pair (s, d) sits at row max * (max + 1) / 2 + min of its two indices.
+    """
+    i = np.arange(n)
+    hi, lo = np.maximum.outer(i, i), np.minimum.outer(i, i)
+    return (hi * (hi + 1) // 2 + lo).ravel()
+
+
 @dataclass(frozen=True)
 class RegularizedInverse:
     """Truncated-SVD pseudoinverse of the linearized operator, held as two factors.
 
     pinv = left @ u_rh with left = V_r diag(row_scale / sigma) / col_scale
-    (V x r) and u_rh = U_r^H (r x S*D), so ``apply`` costs (S*D + V) * r.
-    ``matrix`` forms the dense V x (S*D) pseudoinverse on first access (for
-    tests and the selftest); it is real in diffuse mode.  norm2 =
-    1/sigma_min of the retained triplets is the weighted-L2 operator norm;
-    norm_inf is the max absolute row sum of the pseudoinverse (the exact
-    discrete sup-norm), summed by ``regularize`` over the detector blocks of
-    its sweep over K.  On reciprocal kernels (``_reciprocal``) that sweep
-    covers the distinct pairs and u_rh holds each row of U_r for both (s, d)
-    and (d, s), so its shape is r x S*D either way.
+    (V x r) and u_rh = U_r^H, so ``apply`` costs (S*D + V) * r.  On
+    reciprocal kernels (``_reciprocal``, checked once per geometry, by
+    ``regularize``) U_r's rows for (s, d) and (d, s) are equal, so u_rh holds
+    only the S(S+1)/2 distinct pairs s <= d, ordered by d and then s, and
+    ``_pairs`` holds their flat indices into S x S data: ``apply`` folds the
+    data to phi[s, d] + phi[d, s] for s < d and phi[s, s], which is exact for
+    any data, symmetric or not, and reads half of U_r.  Elsewhere ``_pairs``
+    is None and u_rh is r x S*D.  ``matrix`` forms the
+    dense V x (S*D) pseudoinverse on first access (for tests and the
+    selftest); it is real in diffuse mode.  norm2 = 1/sigma_min of the
+    retained triplets is the weighted-L2 operator norm; norm_inf is the max
+    absolute row sum of the pseudoinverse (the exact discrete sup-norm),
+    summed by ``regularize`` over the detector blocks of its sweep over K.
     """
 
     linop: LinearizedOperator
@@ -429,10 +466,14 @@ class RegularizedInverse:
     _v_r: np.ndarray = field(repr=False)
     _left: np.ndarray = field(repr=False)
     _u_rh: np.ndarray = field(repr=False)
+    _pairs: np.ndarray | None = field(repr=False)  # the distinct pairs' flat data indices
 
     @functools.cached_property
     def matrix(self) -> np.ndarray:
-        return self._left @ self._u_rh
+        u_rh = self._u_rh
+        if self._pairs is not None:
+            u_rh = u_rh[:, _pair_rows(self.linop.ops.n_src)]
+        return self._left @ u_rh
 
     def norm(self, p: float) -> float:
         if p == 2:
@@ -443,13 +484,23 @@ class RegularizedInverse:
 
     def apply(self, phi: np.ndarray) -> np.ndarray:
         """Volume field from data of shape (S, D) or (S*D,); always complex."""
+        return self._apply(phi).astype(complex, copy=False)
+
+    def _apply(self, phi: np.ndarray) -> np.ndarray:
+        """``apply`` in the arithmetic of the data and the factors: real for real diffuse data."""
         phi = np.asarray(phi)
-        shapes = ((self.linop.ops.n_src, self.linop.ops.n_det), (self.linop.n_pairs,))
+        n_src, n_det = self.linop.ops.n_src, self.linop.ops.n_det
+        shapes = ((n_src, n_det), (n_src * n_det,))
         if phi.shape not in shapes:
             raise ValueError(
                 f"data shape {phi.shape} is neither (S, D) = {shapes[0]} nor (S*D,) = {shapes[1]}"
             )
-        return (self._left @ (self._u_rh @ phi.ravel())).astype(complex, copy=False)
+        if self._pairs is not None:  # fold onto the distinct pairs, in the row order of u_rh
+            phi = phi.reshape(shapes[0])
+            fold = phi + phi.T
+            fold.flat[:: n_src + 1] = phi.diagonal()
+            phi = np.take(fold, self._pairs)
+        return self._left @ (self._u_rh @ phi.ravel())
 
     def project(self, eta: np.ndarray) -> np.ndarray:
         """Orthogonal projection (weighted inner product) onto the retained subspace.
@@ -529,9 +580,9 @@ def regularize(
     is norm_inf; K is never stored whole, and a block of its rows is freed
     before the pseudoinverse columns are formed.  On reciprocal kernels
     (``_reciprocal``) K's rows for (s, d) and (d, s) are equal, so a block
-    takes only the sources s below its last detector, about S(S+1)/2 pairs
-    in all: the rows with s < start are mirrored into U_r and counted twice
-    in the row sums, and the block's own square of pairs is formed whole.
+    takes only the sources s below its last detector, and U_r keeps only
+    the distinct pairs s <= d of it, S(S+1)/2 rows in all (see
+    ``RegularizedInverse``); a pair s < d is counted twice in the row sums.
     """
     if (rank is None) == (tau is None):
         raise ValueError("give exactly one of rank= or tau=")
@@ -559,20 +610,27 @@ def regularize(
     left = scaled_v * gain
     g_dv = np.ascontiguousarray(ops.g_vd.T)  # contiguous detector rows build blocks faster
     reciprocal = _reciprocal(ops)
-    u_r = np.empty((ops.n_src, ops.n_det, r), dtype=np.result_type(ops.g_sv, ops.g_vd, v_r))
+    dtype = np.result_type(ops.g_sv, ops.g_vd, v_r)
+    if reciprocal:  # the distinct pairs (s, d), s <= d, ordered by d and then s
+        u_r = np.empty((ops.n_src * (ops.n_src + 1) // 2, r), dtype=dtype)
+    else:
+        u_r = np.empty((ops.n_src, ops.n_det, r), dtype=dtype)
     row_sums = np.zeros(v)  # absolute row sums of the pseudoinverse
     for start in range(0, ops.n_det, _DET_BLOCK):
         stop = min(start + _DET_BLOCK, ops.n_det)
         n_s = stop if reciprocal else ops.n_src  # reciprocal: the pairs with s < stop
         # K's rows are a temporary, freed before the pseudoinverse columns are formed
         block = (_k_rows(ops, ops.g_sv[:n_s], g_dv[start:stop]).reshape(-1, v) @ scaled_v) * gain
-        pairs = block.reshape(n_s, -1, r)  # rows of U_r
-        count = np.ones((n_s, stop - start))
-        if reciprocal:  # a pair (s, d) with s < start <= d stands for (d, s) too
-            u_r[start:stop, :start] = pairs[:start].transpose(1, 0, 2)
-            count[:start] = 2.0
-        u_r[:n_s, start:stop] = pairs
-        row_sums += np.abs(left @ block.conj().T) @ count.ravel()  # columns of the pseudoinverse
+        if reciprocal:  # rows of U_r for s <= d, d-major; (s, d) with s < d stands for (d, s) too
+            s_idx, d_idx = np.arange(n_s), np.arange(start, stop)[:, None]
+            distinct = s_idx <= d_idx
+            block = block.reshape(n_s, -1, r).transpose(1, 0, 2)[distinct]
+            count = np.where(s_idx < d_idx, 2.0, 1.0)[distinct]
+            u_r[start * (start + 1) // 2 : stop * (stop + 1) // 2] = block
+        else:
+            count = np.ones(block.shape[0])
+            u_r[:, start:stop] = block.reshape(n_s, -1, r)
+        row_sums += np.abs(left @ block.conj().T) @ count  # columns of the pseudoinverse
     return RegularizedInverse(
         linop=linop,
         rank=r,
@@ -581,7 +639,8 @@ def regularize(
         norm_inf=float(row_sums.max()),
         _v_r=v_r,
         _left=left,
-        _u_rh=u_r.reshape(-1, r).conj().T,
+        _u_rh=np.conjugate(u_r.reshape(-1, r).T, order="C"),
+        _pairs=_distinct_pairs(ops.n_src) if reciprocal else None,
     )
 
 
@@ -601,62 +660,76 @@ def inverse_series(
     starting from Y_1 = alpha * eta_1 * G_vd; ``*`` scales rows by a volume
     field.  Run to order N, this costs N - 1 products with G_vv.
 
-    On reciprocal kernels (``_reciprocal``: G_vd = G_sv^T) only C_1..C_K are
-    formed, K = ceil((N - 1) / 2).  G_vv = G W with G symmetric and W the
-    diagonal weights, so the left chains are transposes of right ones:
-    summed over the compositions of p, G_sv W eta_{i_1} G_vv .. eta_{i_m} G_vv
-    equals (W C_p)^T.  Orders j <= K take the recurrence above; for j > K
-    each composition is split at its first boundary q > K, or, if it has
-    none, at its last boundary, which is then <= K:
+    On reciprocal kernels (G_vd = G_sv^T, where ``kinv`` holds U_r folded) only
+    C_1..C_K are formed, K = ceil((N - 1) / 2).  G_vv = G W with G symmetric
+    and W the diagonal weights, so the left chains are transposes of right
+    ones: summed over the compositions of p, G_sv W eta_{i_1} G_vv .. eta_{i_m}
+    G_vv equals (W C_p)^T.  Orders j <= K take the recurrence above; for
+    j > K each composition is split at its first boundary q > K, or, if it
+    has none, at its last boundary, which is then <= K:
 
-        G_sv W Z_j = sum_{q=K+1..j-1} (Lam_q + alpha G_sv W eta_q) C_{j-q} + Lam_j G_vd,
-        Lam_q      = alpha * sum_{p=1..K} (W C_p)^T eta_{q-p}      (q > K),
+        G_sv W Z_j = sum_{q=K+1..j-1} H_q C_{j-q} + Lam_j G_vd,
+        Lam_q^T    = sum_{p=1..K} (alpha W eta_{q-p}) * C_p,
+        H_q^T      = Lam_q^T + (alpha W eta_q) * G_vd          (q > K),
 
-    with ``(W C_p)^T eta`` scaling columns.  Every composition is counted
-    once, j - q <= K, and the new work is S x V x D products, one per pair
-    (q, j) and one with G_vd per order.  Order N then costs K products with
-    G_vv.  Elsewhere only the recurrence runs.
+    using G_sv^T = G_vd.  Every composition is counted once, and j - q <= K.
+    Order N then costs K products with G_vv.  The chains are held in one
+    V x K x D block, so each Z_j and Lam_q^T is one batched contraction over
+    it.  Each head H_q, formed once eta_q is known, meets every chain it will
+    need in one wide product H_q [C_1 | .. | C_{N-q}], whose S x D blocks are
+    added to the data of orders q + 1..N; these N - K - 1 accumulators are
+    all the split stores besides the chains.  Its new work is one S x V x D
+    product with G_vd per order and N - K - 1 wide ones.  Elsewhere only the
+    recurrence runs.
 
-    Each eta_j passes through the forward module's dtype rule, so a diffuse
-    run on real data keeps every product real.  Every sum is accumulated in
-    a fixed order (ascending i, p and q), so reruns are bit-identical.  A
-    term that overflows raises ValueError naming its order.
+    Each eta_j passes through the forward module's dtype rule, and
+    ``kinv`` returns it in its own arithmetic, so a diffuse run on real data
+    keeps every product real.  Every sum is accumulated in a fixed order, so
+    reruns are bit-identical.  A term that overflows raises ValueError naming
+    its order.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
     alpha = ops.mode.alpha
     w = ops.grid.weights
-    aw = alpha * w
-    reciprocal = _reciprocal(ops)
-    k = order // 2  # ceil((order - 1) / 2), the chains formed on reciprocal kernels
+    aw = (alpha * w)[:, None]
+    reciprocal = kinv._pairs is not None  # U_r is folded on reciprocal kernels alone
+    k = order // 2 if reciprocal else order - 1  # the chains C_1..C_k formed
 
     def add_term(data, j):
-        eta_j = _check_factor(ops, kinv.apply(data))
+        eta_j = _check_factor(ops, kinv._apply(data))
         terms.append(_finite(eta_j, "the inverse series", j))
 
-    def lam_at(q):  # Lam_q, with alpha W moved onto the fields: C_p^T (aw * eta_{q-p})
-        return sum(chains[p - 1].T * (aw * terms[q - p - 1]) for p in range(1, k + 1))
+    def contract(scale, j, n):  # sum_{p=1..n} (scale * eta_{j-p}) * C_p, batched over the voxels
+        coef = scale * np.stack(terms[j - n - 1 : j - 1][::-1], axis=1)
+        return np.matmul(coef[:, None], chains[:, :n])[:, 0]
 
     with np.errstate(over="ignore", invalid="ignore"):  # _finite names the order instead
         terms = []
         add_term(phi, 1)
         y = alpha * terms[0][:, None] * ops.g_vd
-        chains = []  # chains[n - 1] = C_n
-        for j in range(2, order + 1):
-            chains.append(ops.g_vv @ y)
-            if reciprocal and len(chains) == k:  # orders k + 1.. are split
+        chains = np.empty((ops.n_nodes, k, ops.n_det), np.result_type(ops.g_vv, y))
+        for j in range(2, k + 2):
+            chains[:, j - 2] = ops.g_vv @ y  # C_{j-1}
+            if reciprocal and j > k:  # orders k + 1.. are split
                 break
-            z = alpha * sum(terms[i][:, None] * chains[j - 2 - i] for i in range(j - 1))
+            z = contract(alpha, j, j - 1)
             add_term(ops.g_sv @ (w[:, None] * z), j)
-            if j < order:
+            if j <= k:
                 y = alpha * terms[-1][:, None] * ops.g_vd + z
-        heads = []  # heads[i] = Lam_q + alpha G_sv W eta_q, q = k + 1 + i
+        # acc[:, i] sums the head products of order k + 2 + i
+        acc = np.zeros((ops.n_src, max(order - k - 1, 0), ops.n_det), chains.dtype)
         for j in range(len(terms) + 1, order + 1):
+            lam = contract(aw, j, k)
+            data = lam.T @ ops.g_vd
             if j > k + 1:
-                heads.append(lam + ops.g_sv * (aw * terms[j - 2]))
-            lam = lam_at(j)
-            pieces = (head @ chains[j - k - 2 - i] for i, head in enumerate(heads))
-            add_term(sum(pieces, lam @ ops.g_vd), j)
+                data += acc[:, j - k - 2]
+            add_term(data, j)
+            if j < order:
+                head = lam + aw * terms[-1][:, None] * ops.g_vd  # H_j^T
+                wide = head.T @ chains[:, : order - j].reshape(ops.n_nodes, -1)
+                acc[:, j - k - 1 :] += wide.reshape(ops.n_src, order - j, ops.n_det)
+                del head, wide  # before the next head is formed
     return BornSeries(terms)
 
 
@@ -671,24 +744,30 @@ def diagnostics(
     """Hypothesis values, certified bounds where computable, measured errors.
 
     Violated hypotheses are reported, never raised; bound entries are None
-    whenever their inequality region is left.
+    whenever their inequality region is left.  The field norms of each p come
+    from one reduction over the stacked fields: the terms, then, given
+    eta_true, eta_true - S_n for each partial sum, eta_true, eta_true - P eta
+    and P eta, with P the retained-subspace projection.
     """
-    truth = None
+    fields = list(result.terms)
     if eta_true is not None:
         eta_true = np.asarray(eta_true, dtype=complex)
-        truth = (eta_true, kinv.project(eta_true))
+        proj = kinv.project(eta_true)
+        fields += [*(eta_true - np.array(result.partial_sums)), eta_true, eta_true - proj, proj]
+    stack = np.array(fields)
     record = {"order": result.order, "rank": kinv.rank, "p": {}}
     for p, label in bounds.P_NORMS:
-        record["p"][label] = _per_p(result, kinv, constants, ops, phi, p, truth)
+        norms = _lp_norms(stack, ops.grid.weights, p)
+        record["p"][label] = _per_p(result, kinv, constants, ops, phi, p, norms)
     return record
 
 
-def _per_p(result, kinv, constants, ops, phi, p, truth):
-    """One diagnostics record; truth is None or (eta_true, its projection)."""
-    grid = ops.grid
+def _per_p(result, kinv, constants, ops, phi, p, norms):
+    """One diagnostics record from the field norms ``diagnostics`` stacked."""
     tb = bounds.CertifiedBounds.from_constants(constants, p, kinv.norm(p))
     phi_norm = data_norm(ops.boundary, phi, p)
-    term_norms = [field_norm(grid, t, p) for t in result.terms]
+    n = result.order
+    term_norms = norms[:n]
     eta1_norm = term_norms[0]
     rec = {
         "mu_p": tb.mu_p,
@@ -704,20 +783,16 @@ def _per_p(result, kinv, constants, ops, phi, p, truth):
         "term_norms": term_norms,
         # observed ||eta_j|| / ||eta_{j-1}||, None after a zero term
         "term_ratios": [b / a if a > 0 else None for a, b in zip(term_norms, term_norms[1:])],
-        **tb.tail_report(result.order, phi_norm),
+        **tb.tail_report(n, phi_norm),
     }
-    if truth is not None:
-        eta_true, proj = truth
-        eta_true_norm = field_norm(grid, eta_true, p)
-        linres = field_norm(grid, eta_true - proj, p)
-        state_bound = max(eta_true_norm, field_norm(grid, proj, p))
+    if len(norms) > n:  # eta_true was given
+        eta_true_norm, linres, proj_norm = norms[2 * n :]
+        state_bound = max(eta_true_norm, proj_norm)
         rec["eta_true_norm"] = eta_true_norm
         rec["linear_residual"] = linres
         rec["state_bound"] = state_bound
-        rec["measured_error"] = [
-            field_norm(grid, eta_true - s_n, p) for s_n in result.partial_sums
-        ]
-        rec.update(tb.error_report(result.order, phi_norm, linres, state_bound))
+        rec["measured_error"] = norms[n : 2 * n]
+        rec.update(tb.error_report(n, phi_norm, linres, state_bound))
     rec["hypothesis_violations"] = tb.violations(phi_norm)
     return rec
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from invborn import build_ball_grid, build_sphere_boundary, data_norm, field_norm, lp_norm
-from invborn.grid import BoundaryArray, Grid
+from invborn.grid import BoundaryArray, Grid, _lp_norms
 
 INF = math.inf
 BALL_VOLUME = 4.0 * math.pi / 3.0
@@ -225,6 +225,39 @@ def test_lp_norm_of_finite_field_near_float_max_is_finite(p):
 def test_lp_norm_of_non_finite_field_stays_non_finite():
     assert lp_norm(np.array([1.0, np.inf]), 1.0, 2) == INF
     assert math.isnan(lp_norm(np.array([1.0, np.nan]), 1.0, 2))
+
+
+def one_field_lp_norm(values, weights, p):
+    """The norm of one field, summed on its own: the reference for the row norms."""
+    mags = np.abs(np.ravel(values))
+    if math.isinf(p):
+        return float(mags.max(initial=0.0))
+    w = np.broadcast_to(np.asarray(weights, dtype=float), mags.shape)
+    with np.errstate(over="ignore"):
+        total = (w * mags**p).sum()
+    if math.isinf(total) and np.isfinite(mags).all():
+        top = mags.max()
+        return float(top * (w * (mags / top) ** p).sum() ** (1.0 / p))
+    return float(total ** (1.0 / p))
+
+
+@pytest.mark.parametrize("p", [2, 3.5, INF])
+def test_row_norms_have_the_bytes_of_one_field_at_a_time(p):
+    # one reduction over stacked fields, as the inverse diagnostics take it, changes
+    # no byte of any norm, the overflow rescale and non-finite fields included
+    rng = np.random.default_rng(5)
+    w = rng.uniform(0.1, 2.0, 57)
+    f = rng.normal(size=(3, 57)) + 1j * rng.normal(size=(3, 57))
+    rows = np.concatenate([f, 1e200 * f[:1], np.zeros((1, 57)), f[:1] * np.inf])
+    with np.errstate(invalid="ignore"):
+        want = [one_field_lp_norm(row, w, p) for row in rows]
+        got = _lp_norms(rows, w, p)
+        single = [lp_norm(row, w, p) for row in rows]
+    assert math.isfinite(want[3]) and not math.isfinite(want[5])
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(single, want, equal_nan=True)
+    want = [one_field_lp_norm(row, w, p) for row in rows.real]
+    assert np.array_equal(_lp_norms(rows.real, w, p), want, equal_nan=True)
 
 
 def test_lp_norm_rejects_p_below_two():
