@@ -18,7 +18,7 @@ import numpy as np
 
 from . import bounds, forward, inverse
 from .greens import _KINDS, WaveMode, assemble, assemble_boundary, assemble_volume
-from .grid import build_ball_grid, build_sphere_boundary, data_norm
+from .grid import _lattice_indices, build_ball_grid, build_sphere_boundary, data_norm
 
 __all__ = [
     "ExperimentConfig",
@@ -189,6 +189,15 @@ def _config_phantom(grid, config: ExperimentConfig) -> np.ndarray:
 
 
 def _grids(config: ExperimentConfig):
+    """The grid and sensors, refused before they are built where they exceed available memory.
+
+    They peak at 88 bytes per node of the lattice ``build_ball_grid`` sieves and
+    at most 72 per sensor (tracemalloc): 12 and 10 floats bound them.
+    """
+    imin, imax = _lattice_indices(config.a, config.h)
+    side, sensors = float(imax - imin + 1), config.n_src + config.n_det
+    need = 8 * (12 * side * side * side + 10 * sensors)  # inf past the float range
+    _check_bytes(f"the grid's lattice of {side:.6g}^3 nodes and {sensors} sensors", need)
     grid = build_ball_grid(config.a, config.h)
     boundary = build_sphere_boundary(config.omega_radius, config.n_src, config.n_det)
     return grid, boundary
@@ -212,25 +221,25 @@ def _available_memory() -> int | None:
 
 
 def _check_memory(config: ExperimentConfig, nodes: int, values: int, held: int = 0) -> None:
-    """Refuse a run whose arrays, ``values`` entries at their peak, exceed available memory.
+    """Refuse kernels on ``nodes`` nodes whose ``values`` entries at their peak exceed memory.
 
-    ``nodes`` is the number of volume nodes the kernels span.  Checked before
-    any kernel is formed, with ``values`` from ``forward.peak_entries`` or
-    ``inverse.peak_entries``.  An entry takes 8 bytes in real (diffuse)
-    arithmetic and 16 in complex (scalar).  ``held`` bytes of those arrays
-    exist already, kept from an earlier invert run (see ``cmd_invert``);
-    MemAvailable does not count them, so they are added to it.
+    Checked before any kernel is formed, with ``values`` from ``peak_entries``
+    of ``forward`` or ``inverse``; an entry takes 8 bytes in real (diffuse)
+    arithmetic and 16 in complex (scalar).  ``held`` bytes of those arrays,
+    kept from an earlier invert run (``cmd_invert``), exist already and count
+    as available, since MemAvailable leaves them out.
     """
-    need = values * (8 if config.mode == "diffuse" else 16)
+    what = f"the kernels on {nodes} nodes and the series arrays of order {config.order}"
+    _check_bytes(what, values * (8 if config.mode == "diffuse" else 16), held)
+
+
+def _check_bytes(what: str, need: float, held: int = 0) -> None:
+    """Refuse ``need`` bytes of arrays, named by ``what``, past MemAvailable plus ``held``."""
     available = _available_memory()
-    if available is None:
-        return
-    available += held
-    if need > available:
+    if available is not None and need > available + held:
         raise ValueError(
-            f"the kernels on {nodes} nodes and the series arrays of order {config.order} "
-            f"need about {need / 2**30:.3g} GiB, more than the {available / 2**30:.3g} GiB "
-            "of available memory"
+            f"{what} need about {need / 2**30:.3g} GiB, more than the "
+            f"{(available + held) / 2**30:.3g} GiB of available memory"
         )
 
 
@@ -289,7 +298,7 @@ def cmd_forward(config: ExperimentConfig) -> tuple[dict, int]:
     are assembled on those nodes alone: no V x V kernel is formed.  A stage
     kept by ``cmd_invert`` is dropped first, since forward uses none of it.
     """
-    _KEPT[:] = None, None  # before the check, so MemAvailable counts the freed arrays
+    _KEPT[:] = None, None  # before the checks, so MemAvailable counts the freed arrays
     grid, boundary = _grids(config)
     eta = _config_phantom(grid, config)
     support = np.flatnonzero(eta)
@@ -367,21 +376,22 @@ def cmd_invert(config: ExperimentConfig) -> tuple[dict, int]:
     ``_geometry_key``, which also takes its grid and boundary from it; a
     stage that raises keeps nothing.  Every check, the memory check
     included, runs on every call.  The kept stage of another geometry is
-    dropped before that check, so two geometries' arrays never coexist and
-    no V x V volume kernel is alive while a Gram matrix is.  The data solve
-    reads the support block of g_vv.
+    dropped before anything is built, so two geometries' arrays never
+    coexist and no V x V volume kernel is alive while a Gram matrix is.  The
+    data solve reads the support block of g_vv.
     """
     key = _geometry_key(config)
     kept = _KEPT[1] if _KEPT[0] == key else None
+    if kept is None:
+        _KEPT[:] = None, None  # before the checks, so MemAvailable counts the freed arrays
     grid, boundary = _grids(config) if kept is None else (kept[1].grid, kept[1].boundary)
     eta_true = _config_phantom(grid, config)
+    # min(S*D, V) bounds K's rank from above; regularize checks min(P, V) once kernels exist
     inverse._check_truncation(None, config.rank, min(config.n_src * config.n_det, grid.n_nodes))
     peak = inverse.peak_entries(
         grid.n_nodes, config.n_src, config.n_det, np.count_nonzero(eta_true), config.order,
         config.tau, real=config.mode == "diffuse",
     )
-    if kept is None:
-        _KEPT[:] = None, None  # before the check, so MemAvailable counts the freed arrays
     _check_memory(config, grid.n_nodes, peak, _held_bytes(_KEPT[1]))
     if kept is None:
         kept = _invert_operators(config, grid, boundary)

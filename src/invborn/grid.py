@@ -124,12 +124,7 @@ def build_ball_grid(a: float, h: float) -> Grid:
     axis (no node at the origin, none exactly on |x| = a for generic h),
     keeping those with |x| <= a.  Each node carries weight h^3.
     """
-    if a <= 0:
-        raise ValueError(f"ball radius must be positive, got {a}")
-    if not 0 < h <= 2 * a:
-        raise ValueError(f"spacing must satisfy 0 < h <= 2a, got h={h}, a={a}")
-    imax = int(math.floor(a / h - 0.5))
-    imin = int(math.ceil(-a / h - 0.5))
+    imin, imax = _lattice_indices(a, h)
     coords = (np.arange(imin, imax + 1) + 0.5) * h
     x, y, z = np.meshgrid(coords, coords, coords, indexing="ij")
     centers = np.column_stack([x.ravel(), y.ravel(), z.ravel()])
@@ -139,6 +134,15 @@ def build_ball_grid(a: float, h: float) -> Grid:
         raise ValueError(f"no lattice node with spacing h={h} falls inside the ball of radius {a}")
     weights = np.full(centers.shape[0], h**3)
     return Grid(centers=centers, weights=weights, spacing=float(h), radius_a=float(a))
+
+
+def _lattice_indices(a: float, h: float) -> tuple[int, int]:
+    """(imin, imax): the lattice of ``build_ball_grid`` has nodes (i + 1/2) h, imin <= i <= imax."""
+    if a <= 0:
+        raise ValueError(f"ball radius must be positive, got {a}")
+    if not 0 < h <= 2 * a:
+        raise ValueError(f"spacing must satisfy 0 < h <= 2a, got h={h}, a={a}")
+    return int(math.ceil(-a / h - 0.5)), int(math.floor(a / h - 0.5))
 
 
 def fibonacci_sphere(n: int, radius: float) -> np.ndarray:

@@ -17,8 +17,8 @@ order j need not be enumerated: they sum through a linear recurrence over
 order.  Where sources and detectors coincide, the orders past the middle are
 split into chains already formed, so order N costs ceil((N - 1) / 2) of
 those products (see ``inverse_series``), and the pseudoinverse keeps one row
-of U_r per distinct pair.  No tensor is ever formed and the order is not
-capped.
+of U_r per distinct pair (``_pair_rows``).  No tensor is ever formed and the
+order is not capped.
 """
 
 from __future__ import annotations
@@ -60,13 +60,14 @@ class LinearizedOperator:
     A^H A rather than from an SVD of the (S*D) x V matrix: the columns of K
     are Khatri-Rao products of source and detector kernel columns, so A^H A
     is the Hadamard product of the source and detector Gram matrices.
-    ``svals`` holds the values the factorization resolved on the route
+    ``_rows``, computed once per geometry, maps each pair to one of P rows
+    of U_r (``_pair_rows``), so K's rank is at most min(P, V).  ``svals``
+    holds the values the factorization resolved on the route
     ``_krylov_basis_limit`` picked; ``complete`` tells whether that is all
-    min(S*D, V).  K is not stored: ``regularize`` applies it to the retained
+    min(P, V).  K is not stored: ``regularize`` applies it to the retained
     right singular vectors a detector block at a time, and ``matrix`` forms
-    it on first access (for tests and the selftest).
-    Diffuse kernels are real, so in diffuse mode ``matrix``, ``svals`` and
-    ``vh`` are real arrays.
+    it on first access (for tests and the selftest).  Diffuse kernels are
+    real, so in diffuse mode ``matrix``, ``svals`` and ``vh`` are real arrays.
     """
 
     ops: BoundaryKernels
@@ -74,6 +75,7 @@ class LinearizedOperator:
     vh: np.ndarray
     row_scale: float
     col_scale: np.ndarray
+    _rows: np.ndarray = field(repr=False)
 
     @property
     def n_pairs(self) -> int:
@@ -85,8 +87,8 @@ class LinearizedOperator:
 
     @property
     def complete(self) -> bool:
-        """Whether ``svals`` holds the whole spectrum, min(S*D, V) values."""
-        return self.svals.size == min(self.n_pairs, self.n_nodes)
+        """Whether ``svals`` holds the whole spectrum, min(P, V) values."""
+        return self.svals.size == _rank_bound(self._rows, self.n_nodes)
 
     @functools.cached_property
     def energy(self) -> float:
@@ -218,10 +220,11 @@ def peak_entries(
     the eigenvectors.  The series: g_vv, the kept rows of vh with the
     pseudoinverse factors (U_r at most r x S*D), the data solve on the
     ``support`` nodes, and what ``inverse_series`` allocates
-    (``_series_entries``).  Known gap: the block Lanczos route leaves out
-    the dense eigh that ``_factor`` falls back to where the basis runs out
-    or breaks down; at V = 12,160 (``invert --h 0.07``, m = 1008) it counts
-    1.51 GiB, where the dense route is counted at 5.52 GiB.
+    (``_series_entries``).  With no kernel yet to tell the distinct pairs,
+    min(S*D, V) stands for K's rank bound.  Known gap: the block Lanczos
+    route leaves out the dense eigh that ``_factor`` falls back to where the
+    basis runs out or breaks down; at V = 12,160 (``invert --h 0.07``,
+    m = 1008) it counts 1.51 GiB, where the dense route is counted at 5.52 GiB.
     """
     v, pairs = n_nodes, n_src * n_det
     if tau is not None and (m := _krylov_basis_limit(v, tau, real)):
@@ -252,18 +255,43 @@ def _reciprocal(ops: BoundaryKernels) -> bool:
 
     Sources and detectors at the same points give this bit for bit, since the
     Green's function is reciprocal: build_sphere_boundary with n_src == n_det.
-    K's rows for (s, d) and (d, s) are then equal.
     """
     return np.array_equal(ops.g_vd, ops.g_sv.T)
 
 
-def _weighted_gram(ops: BoundaryKernels, row_scale: float, col_scale: np.ndarray) -> np.ndarray:
+def _pair_rows(ops: BoundaryKernels) -> np.ndarray:
+    """The pair map: the row of U_r for each (source, detector) pair, an S x D array.
+
+    On reciprocal kernels (``_reciprocal``, tested here alone) (s, d) and (d, s)
+    share row max * (max + 1) / 2 + min, P = S(S+1)/2 rows in all; elsewhere
+    (s, d) has row d * S + s, P = S * D.  Rows are ordered by d, then s.
+    """
+    s, d = np.ogrid[: ops.n_src, : ops.n_det]
+    if _reciprocal(ops):
+        hi, lo = np.maximum(s, d), np.minimum(s, d)
+        return hi * (hi + 1) // 2 + lo
+    return d * ops.n_src + s
+
+
+def _rank_bound(rows: np.ndarray, n_nodes: int) -> int:
+    """K's rank bound min(P, V), P the rows of U_r in the pair map ``rows``."""
+    return min(int(rows.max()) + 1, n_nodes)
+
+
+def _folded(rows: np.ndarray) -> bool:
+    """Whether the pair map shares rows of U_r: on reciprocal kernels of two or more pairs."""
+    return int(rows.max()) + 1 < rows.size
+
+
+def _weighted_gram(
+    ops: BoundaryKernels, rows: np.ndarray, row_scale: float, col_scale: np.ndarray
+) -> np.ndarray:
     """A^H A = c^2 * (G_sv^H G_sv) o (conj(G_vd) G_vd^T) o (col_scale col_scale^T).
 
     c = -alpha * row_scale and ``o`` is the entrywise product.  The detector
     Gram matrix and the weights are multiplied in by row blocks, so the
-    result is the only V x V array formed.  On reciprocal kernels
-    (``_reciprocal``) the detector Gram matrix is the source one, which is
+    result is the only V x V array formed.  Where the pair map ``rows``
+    folds (``_folded``) the detector Gram matrix is the source one, which is
     then squared entrywise instead of formed again; the result is the same
     bit for bit.
     """
@@ -276,11 +304,11 @@ def _weighted_gram(ops: BoundaryKernels, row_scale: float, col_scale: np.ndarray
             f" overflows at k={mode.k:g}"
         ) from None
     gram = ops.g_sv.conj().T @ ops.g_sv
-    reciprocal = _reciprocal(ops)
+    reciprocal = _folded(rows)
     for start in range(0, ops.n_nodes, _ROW_BLOCK):
-        rows = slice(start, start + _ROW_BLOCK)
-        gram[rows] *= gram[rows] if reciprocal else ops.g_vd[rows].conj() @ ops.g_vd.T
-        gram[rows] *= scale * np.outer(col_scale[rows], col_scale)
+        block = slice(start, start + _ROW_BLOCK)
+        gram[block] *= gram[block] if reciprocal else ops.g_vd[block].conj() @ ops.g_vd.T
+        gram[block] *= scale * np.outer(col_scale[block], col_scale)
     return gram
 
 
@@ -368,12 +396,12 @@ def _leading_eigenpairs(gram: np.ndarray, n: int, limit: int):
     return None
 
 
-def _factor(ops: BoundaryKernels, limit: int) -> LinearizedOperator:
-    """Block Lanczos within ``limit`` basis vectors, else (and at limit 0) dense eigh."""
+def _factor(ops: BoundaryKernels, limit: int, rows: np.ndarray) -> LinearizedOperator:
+    """Block Lanczos within ``limit`` basis vectors, else (and at 0) eigh; ``rows``: pair map."""
     row_scale = math.sqrt(ops.boundary.pair_weight)
     col_scale = np.sqrt(ops.grid.weights)
-    gram = _weighted_gram(ops, row_scale, col_scale)
-    n = min(ops.n_src * ops.n_det, ops.n_nodes)  # the SVD of an (S*D) x V matrix has n triplets
+    gram = _weighted_gram(ops, rows, row_scale, col_scale)
+    n = _rank_bound(rows, ops.n_nodes)  # K has at most n nonzero singular values
     pairs = _leading_eigenpairs(gram, n, limit) if limit else None
     if pairs is None:
         lam, vecs = np.linalg.eigh(gram)
@@ -387,6 +415,7 @@ def _factor(ops: BoundaryKernels, limit: int) -> LinearizedOperator:
         vh=vecs.conj().T,
         row_scale=row_scale,
         col_scale=col_scale,
+        _rows=rows,
     )
 
 
@@ -410,7 +439,7 @@ def linearized_operator(ops: BoundaryKernels, tau: float | None = None) -> Linea
     scalar mode is complex.
     """
     real = ops.mode.kind == "diffuse"
-    return _factor(ops, _krylov_basis_limit(ops.n_nodes, tau, real))
+    return _factor(ops, _krylov_basis_limit(ops.n_nodes, tau, real), _pair_rows(ops))
 
 
 # Detectors per pass of regularize's sweep over K: a block of K's rows, and
@@ -419,61 +448,41 @@ def linearized_operator(ops: BoundaryKernels, tau: float | None = None) -> Linea
 _DET_BLOCK = 8
 
 
-def _distinct_pairs(n: int) -> np.ndarray:
-    """Flat indices into n x n data of the distinct pairs (s, d), s <= d, ordered by d and then s.
-
-    That is the row order of a folded U_r (see ``RegularizedInverse``).
-    """
-    d, s = np.tril_indices(n)
-    return s * n + d
-
-
-def _pair_rows(n: int) -> np.ndarray:
-    """The row of a folded U_r for each of n x n pairs (s, d), row-major.
-
-    The pair (s, d) sits at row max * (max + 1) / 2 + min of its two indices.
-    """
-    i = np.arange(n)
-    hi, lo = np.maximum.outer(i, i), np.minimum.outer(i, i)
-    return (hi * (hi + 1) // 2 + lo).ravel()
-
-
 @dataclass(frozen=True)
 class RegularizedInverse:
     """Truncated-SVD pseudoinverse of the linearized operator, held as two factors.
 
     pinv = left @ u_rh with left = V_r diag(row_scale / sigma) / col_scale
-    (V x r) and u_rh = U_r^H, so ``apply`` costs (S*D + V) * r.  On
-    reciprocal kernels (``_reciprocal``, checked once per geometry, by
-    ``regularize``) U_r's rows for (s, d) and (d, s) are equal, so u_rh holds
-    only the S(S+1)/2 distinct pairs s <= d, ordered by d and then s, and
-    ``_pairs`` holds their flat indices into S x S data: ``apply`` folds the
-    data to phi[s, d] + phi[d, s] for s < d and phi[s, s], which is exact for
-    any data, symmetric or not, and reads half of U_r.  Elsewhere ``_pairs``
-    is None and u_rh is r x S*D.  ``matrix`` forms the
-    dense V x (S*D) pseudoinverse on first access (for tests and the
-    selftest); it is real in diffuse mode.  norm2 = 1/sigma_min of the
-    retained triplets is the weighted-L2 operator norm; norm_inf is the max
-    absolute row sum of the pseudoinverse (the exact discrete sup-norm),
-    summed by ``regularize`` over the detector blocks of its sweep over K.
+    (V x r) and u_rh = U_r^H, r x P, a column for each row of the pair map
+    ``linop._rows`` (``_pair_rows``).  ``apply`` folds the data onto those
+    rows, summing the pairs that share one (phi[s, d] + phi[d, s] on
+    reciprocal kernels), which is exact for any data, symmetric or not, and
+    costs (P + V) * r.  ``matrix`` forms the dense V x (S*D) pseudoinverse
+    on first access (for tests and the selftest); it is real in diffuse
+    mode.  norm2 = 1/sigma_min, read from ``linop.svals``, is the
+    weighted-L2 operator norm; norm_inf is the max absolute row sum of the
+    pseudoinverse (the exact discrete sup-norm), summed by ``regularize``
+    over the detector blocks of its sweep over K.
     """
 
     linop: LinearizedOperator
     rank: int
-    sigma_min: float
-    norm2: float
     norm_inf: float
     _v_r: np.ndarray = field(repr=False)
     _left: np.ndarray = field(repr=False)
     _u_rh: np.ndarray = field(repr=False)
-    _pairs: np.ndarray | None = field(repr=False)  # the distinct pairs' flat data indices
+
+    @property
+    def sigma_min(self) -> float:
+        return float(self.linop.svals[self.rank - 1])
+
+    @property
+    def norm2(self) -> float:
+        return float(1.0 / self.linop.svals[self.rank - 1])
 
     @functools.cached_property
     def matrix(self) -> np.ndarray:
-        u_rh = self._u_rh
-        if self._pairs is not None:
-            u_rh = u_rh[:, _pair_rows(self.linop.ops.n_src)]
-        return self._left @ u_rh
+        return self._left @ self._u_rh[:, self.linop._rows.ravel()]
 
     def norm(self, p: float) -> float:
         if p == 2:
@@ -488,19 +497,15 @@ class RegularizedInverse:
 
     def _apply(self, phi: np.ndarray) -> np.ndarray:
         """``apply`` in the arithmetic of the data and the factors: real for real diffuse data."""
-        phi = np.asarray(phi)
-        n_src, n_det = self.linop.ops.n_src, self.linop.ops.n_det
-        shapes = ((n_src, n_det), (n_src * n_det,))
+        phi, rows = np.asarray(phi), self.linop._rows
+        shapes = (rows.shape, (rows.size,))
         if phi.shape not in shapes:
             raise ValueError(
                 f"data shape {phi.shape} is neither (S, D) = {shapes[0]} nor (S*D,) = {shapes[1]}"
             )
-        if self._pairs is not None:  # fold onto the distinct pairs, in the row order of u_rh
-            phi = phi.reshape(shapes[0])
-            fold = phi + phi.T
-            fold.flat[:: n_src + 1] = phi.diagonal()
-            phi = np.take(fold, self._pairs)
-        return self._left @ (self._u_rh @ phi.ravel())
+        fold = np.zeros(self._u_rh.shape[1], phi.dtype)
+        np.add.at(fold, rows.ravel(), phi.ravel())  # each pair onto its row of U_r
+        return self._left @ (self._u_rh @ fold)
 
     def project(self, eta: np.ndarray) -> np.ndarray:
         """Orthogonal projection (weighted inner product) onto the retained subspace.
@@ -554,7 +559,7 @@ SVAL_FLOOR = 1e-5
 
 
 def _check_truncation(tau: float | None, rank: int | None = None, n: int = 0) -> None:
-    """Refuse a tau outside (0, 1] or a rank outside [1, n], n = min(S*D, V)."""
+    """Refuse a tau outside (0, 1] or a rank outside [1, n], n a bound on K's rank."""
     if tau is not None and not 0 < tau <= 1:
         raise ValueError(f"tau must be in (0, 1], got {tau}")
     if rank is not None and not 1 <= rank <= n:
@@ -578,11 +583,11 @@ def regularize(
     U_r = row_scale * K (V_r / col_scale) diag(1 / sigma) and, from the
     matching columns of the pseudoinverse, its absolute row sums, whose max
     is norm_inf; K is never stored whole, and a block of its rows is freed
-    before the pseudoinverse columns are formed.  On reciprocal kernels
-    (``_reciprocal``) K's rows for (s, d) and (d, s) are equal, so a block
-    takes only the sources s below its last detector, and U_r keeps only
-    the distinct pairs s <= d of it, S(S+1)/2 rows in all (see
-    ``RegularizedInverse``); a pair s < d is counted twice in the row sums.
+    before the pseudoinverse columns are formed.  U_r has the P rows of the
+    pair map ``linop._rows``, which bounds the rank by min(P, V).  A row is
+    computed by the first of its pairs in row-major order (s <= d on
+    reciprocal kernels), so a block takes only the sources up to the last
+    such pair, and counts in the row sums once per pair that shares it.
     """
     if (rank is None) == (tau is None):
         raise ValueError("give exactly one of rank= or tau=")
@@ -591,10 +596,10 @@ def regularize(
         raise ValueError("the singular values of the linearized operator are not finite")
     if s.size == 0 or s[0] == 0:  # no voxels, or no response
         raise ValueError("operator is identically zero; nothing to invert")
-    _check_truncation(tau, rank, min(linop.n_pairs, linop.n_nodes))
+    _check_truncation(tau, rank, _rank_bound(linop._rows, linop.n_nodes))
     r = int(rank) if rank is not None else int(np.count_nonzero(s >= tau * s[0]))
     if r >= s.size and not linop.complete:  # the cut reaches past the resolved values
-        return regularize(_factor(linop.ops, 0), rank=rank, tau=tau)
+        return regularize(_factor(linop.ops, 0, linop._rows), rank=rank, tau=tau)
     rule = f"rank={r}" if rank is not None else f"tau={tau:g} (rank {r})"
     s_r = s[:r]
     if s_r[-1] < SVAL_FLOOR * s[0]:
@@ -603,44 +608,33 @@ def regularize(
             f"{SVAL_FLOOR:g}, where the Gram factorization is inaccurate; use a larger tau "
             "or a smaller rank"
         )
-    ops, v = linop.ops, linop.n_nodes
+    ops, v, rows = linop.ops, linop.n_nodes, linop._rows
     v_r = linop.vh[:r].conj().T
     gain = (linop.row_scale / s_r)[None, :]
     scaled_v = v_r / linop.col_scale[:, None]
     left = scaled_v * gain
     g_dv = np.ascontiguousarray(ops.g_vd.T)  # contiguous detector rows build blocks faster
-    reciprocal = _reciprocal(ops)
-    dtype = np.result_type(ops.g_sv, ops.g_vd, v_r)
-    if reciprocal:  # the distinct pairs (s, d), s <= d, ordered by d and then s
-        u_r = np.empty((ops.n_src * (ops.n_src + 1) // 2, r), dtype=dtype)
-    else:
-        u_r = np.empty((ops.n_src, ops.n_det, r), dtype=dtype)
+    # the pair that computes each row of U_r, and the pairs that share it
+    src, det = np.divmod(np.unique(rows, return_index=True)[1], ops.n_det)
+    count = np.bincount(rows.ravel()).astype(float)
+    u_r = np.empty((count.size, r), dtype=np.result_type(ops.g_sv, ops.g_vd, v_r))
     row_sums = np.zeros(v)  # absolute row sums of the pseudoinverse
     for start in range(0, ops.n_det, _DET_BLOCK):
         stop = min(start + _DET_BLOCK, ops.n_det)
-        n_s = stop if reciprocal else ops.n_src  # reciprocal: the pairs with s < stop
+        at = np.flatnonzero((det >= start) & (det < stop))  # the rows this block computes
+        n_s = src[at].max() + 1
         # K's rows are a temporary, freed before the pseudoinverse columns are formed
         block = (_k_rows(ops, ops.g_sv[:n_s], g_dv[start:stop]).reshape(-1, v) @ scaled_v) * gain
-        if reciprocal:  # rows of U_r for s <= d, d-major; (s, d) with s < d stands for (d, s) too
-            s_idx, d_idx = np.arange(n_s), np.arange(start, stop)[:, None]
-            distinct = s_idx <= d_idx
-            block = block.reshape(n_s, -1, r).transpose(1, 0, 2)[distinct]
-            count = np.where(s_idx < d_idx, 2.0, 1.0)[distinct]
-            u_r[start * (start + 1) // 2 : stop * (stop + 1) // 2] = block
-        else:
-            count = np.ones(block.shape[0])
-            u_r[:, start:stop] = block.reshape(n_s, -1, r)
-        row_sums += np.abs(left @ block.conj().T) @ count  # columns of the pseudoinverse
+        block = block[src[at] * (stop - start) + det[at] - start]
+        u_r[at] = block
+        row_sums += np.abs(left @ block.conj().T) @ count[at]  # columns of the pseudoinverse
     return RegularizedInverse(
         linop=linop,
         rank=r,
-        sigma_min=float(s_r[-1]),
-        norm2=float(1.0 / s_r[-1]),
         norm_inf=float(row_sums.max()),
         _v_r=v_r,
         _left=left,
-        _u_rh=np.conjugate(u_r.reshape(-1, r).T, order="C"),
-        _pairs=_distinct_pairs(ops.n_src) if reciprocal else None,
+        _u_rh=np.conjugate(u_r.T, order="C"),
     )
 
 
@@ -660,7 +654,7 @@ def inverse_series(
     starting from Y_1 = alpha * eta_1 * G_vd; ``*`` scales rows by a volume
     field.  Run to order N, this costs N - 1 products with G_vv.
 
-    On reciprocal kernels (G_vd = G_sv^T, where ``kinv`` holds U_r folded) only
+    On reciprocal kernels (G_vd = G_sv^T, where the pair map folds) only
     C_1..C_K are formed, K = ceil((N - 1) / 2).  G_vv = G W with G symmetric
     and W the diagonal weights, so the left chains are transposes of right
     ones: summed over the compositions of p, G_sv W eta_{i_1} G_vv .. eta_{i_m}
@@ -693,7 +687,7 @@ def inverse_series(
     alpha = ops.mode.alpha
     w = ops.grid.weights
     aw = (alpha * w)[:, None]
-    reciprocal = kinv._pairs is not None  # U_r is folded on reciprocal kernels alone
+    reciprocal = _folded(kinv.linop._rows)
     k = order // 2 if reciprocal else order - 1  # the chains C_1..C_k formed
 
     def add_term(data, j):

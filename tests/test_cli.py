@@ -327,6 +327,7 @@ def kept_entry():
         [*SMALL_ARGS, "--rank", "5", "--noise", "1e-3", "--seed", "3"],
         [*SCALAR_ARGS, "--tau", "1e-2", "--noise", "1e-3", "--seed", "4"],
         [*SCALAR_ARGS, "--rank", "8"],
+        ["--h", "0.45", "--n-src", "5", "--n-det", "7", "--order", "3"],  # not reciprocal
     ],
 )
 def test_cli_invert_kept_stage_writes_the_bytes_of_a_cold_run(tmp_path, args):
@@ -484,7 +485,9 @@ def test_cli_forward_drops_the_kept_invert_stage_before_its_memory_check(tmp_pat
     # the fake MemAvailable drops by the kept arrays while they are alive
     grid = build_ball_grid(1.0, 0.45)
     support = np.count_nonzero(build_phantom(grid, DEFAULT_PHANTOM))
-    need = 8 * forward.peak_entries(support, 6, 6, 3)
+    # the larger of the two checks a cold run passes: the grid's 4^3 lattice nodes and
+    # 12 sensors at 12 and 10 floats each (cli._grids), and the kernels
+    need = max(8 * forward.peak_entries(support, 6, 6, 3), 8 * (12 * 4**3 + 10 * 12))
     assert run_cli(tmp_path, "invert", *SMALL_ARGS, "--output", tmp_path / "i.json") == 2
     assert cli._held_bytes(kept_entry()) > 1
     monkeypatch.setattr(
@@ -1301,6 +1304,11 @@ def test_cli_refuses_truncation_out_of_range_before_assembly(
             ["--k", "400", "--h", "0.45", "--n-src", "6", "--n-det", "6"],
             "operator is identically zero; nothing to invert",
         ),
+        # 6 x 6 reciprocal pairs: K's rank is at most their 21 distinct pairs, not 36
+        (
+            ["--h", "0.45", "--n-src", "6", "--n-det", "6", "--rank", "22"],
+            "rank must be in [1, 21], got 22",
+        ),
     ],
 )
 def test_cli_invert_refusals_exit_one_and_write_no_file(tmp_path, capsys, args, message):
@@ -1312,6 +1320,35 @@ def test_cli_invert_refusals_exit_one_and_write_no_file(tmp_path, capsys, args, 
     assert run_cli(tmp_path, "invert", *args, "--output", tmp_path / "i.json") == 1
     assert f"error: {message}\n" in capsys.readouterr().err
     assert sorted(path.name for path in tmp_path.iterdir()) == written
+
+
+def test_cli_invert_tiny_tau_keeps_the_distinct_pairs(tmp_path):
+    # 6 x 6 reciprocal pairs: the factorization holds the 21 values of the distinct
+    # pairs, all above SVAL_FLOOR, and none of the 15 at rounding level past them
+    out = tmp_path / "i.json"
+    assert run_cli(tmp_path, "invert", *SMALL_ARGS, "--tau", "1e-9", "--output", out) == 2
+    assert json.loads(out.read_text())["retained_rank"] == 21
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["invert", "--h", "0.004"],  # a lattice of 500^3 nodes: 11.2 GiB
+        ["forward", "--n-src", "100000000"],  # 8 GB of sensors
+    ],
+)
+def test_cli_refuses_a_grid_too_large_before_building_it(tmp_path, capsys, monkeypatch, args):
+    def not_reached(*args, **kwargs):
+        raise AssertionError("built past the memory check")
+
+    monkeypatch.setattr("invborn.cli._available_memory", lambda: 2**30)
+    monkeypatch.setattr("invborn.cli.build_ball_grid", not_reached)
+    monkeypatch.setattr("invborn.cli.build_sphere_boundary", not_reached)
+    out = tmp_path / "o.json"
+    assert run_cli(tmp_path, *args, "--output", out) == 1
+    err = capsys.readouterr().err
+    assert "error: the grid's lattice of" in err and "more than the 1 GiB" in err
+    assert not out.exists()
 
 
 MEMORY_BALL = '[{"center": [0.2, 0, 0], "radius": 0.4, "amplitude": 0.3}]'

@@ -36,6 +36,7 @@ from invborn.inverse import (
     _krylov_block,
     _leading_eigenpairs,
     _pair_rows,
+    _rank_bound,
     _reciprocal,
     _series_entries,
     _weighted_gram,
@@ -74,6 +75,18 @@ def nonuniform_problem(kind):
     grid = Grid(centers=grid.centers, weights=weights, spacing=grid.spacing, radius_a=1.0)
     ops = assemble(WaveMode(kind, 1.0), grid, build_sphere_boundary(2.0, 6, 6))
     return ops, linearized_operator(ops)
+
+
+def general_layout(linop):
+    """``linop`` with the pair map of non-reciprocal kernels: U_r row d * S + s for each pair."""
+    s, d = np.ogrid[: linop.ops.n_src, : linop.ops.n_det]
+    return dataclasses.replace(linop, _rows=d * linop.ops.n_src + s)
+
+
+def weighted_gram(ops):
+    """The weighted Gram matrix ``_factor`` forms for ``ops``."""
+    rows = _pair_rows(ops)
+    return _weighted_gram(ops, rows, math.sqrt(ops.boundary.pair_weight), np.sqrt(ops.grid.weights))
 
 
 def check_against_enumerated_compositions(ops, linop, orders):
@@ -237,7 +250,8 @@ class TestGramAgainstDenseSvd:
         kinv = regularize(linop, rank=20)
         scaled_v = linop.vh[:20].conj().T / linop.col_scale[:, None]
         ref = (linop.row_scale / linop.svals[:20] * (linop.matrix @ scaled_v)).conj().T
-        assert np.abs(kinv._u_rh - ref).max() <= 1e-14 * np.abs(ref).max()
+        u_rh = kinv._u_rh[:, linop._rows.ravel()]  # U_r^H's columns in the pairs' row-major order
+        assert np.abs(u_rh - ref).max() <= 1e-14 * np.abs(ref).max()
 
     def test_apply_refuses_transposed_data(self, kind):
         ops, linop = self.problem(kind)
@@ -330,7 +344,7 @@ def krylov_problem(request):
     """
     ops = make_ops(kind=request.param, h=1 / 6, n_src=24, n_det=24)
     linop = linearized_operator(ops)
-    return ops, linop, _factor(ops, 0), dense_weighted_svd(linop)
+    return ops, linop, _factor(ops, 0, _pair_rows(ops)), dense_weighted_svd(linop)
 
 
 class TestBlockLanczos:
@@ -410,9 +424,9 @@ def eigh_orders(monkeypatch):
 
 def check_returned_ritz_pairs(ops, monkeypatch):
     """Check the Ritz pairs block Lanczos returns for ops; return its eigh orders."""
-    gram = _weighted_gram(ops, math.sqrt(ops.boundary.pair_weight), np.sqrt(ops.grid.weights))
+    gram = weighted_gram(ops)
     orders = eigh_orders(monkeypatch)
-    n = min(ops.n_src * ops.n_det, ops.n_nodes)
+    n = _rank_bound(_pair_rows(ops), ops.n_nodes)
     theta, vecs = _leading_eigenpairs(gram, n, _krylov_basis_limit(ops.n_nodes))
     # measured 2.4e-15; the residuals 0.007 to 0.096 of the tolerance
     assert np.abs(vecs.conj().T @ vecs - np.eye(theta.size)).max() <= 1e-13
@@ -435,20 +449,21 @@ def test_bench_geometry_takes_at_most_two_rayleigh_ritz_steps(kind, monkeypatch)
     assert len(check_returned_ritz_pairs(ops, monkeypatch)) <= 2
 
 
-@pytest.mark.parametrize("pairs, resolved", [(2, 4), (4, 11), (6, 22)])
+@pytest.mark.parametrize("pairs, resolved", [(2, 3), (4, 10), (6, 21)])
 def test_rank_deficient_sensor_sets_stay_on_the_krylov_path(pairs, resolved, monkeypatch):
     # the Gram rank, the 3, 10 and 21 distinct pairs of these reciprocal sensor
     # sets, is below two 16-vector blocks, so the first or second block's own
     # Gram matrix is singular; without its Householder fallback, Cholesky-QR
-    # sends each of these sensor sets to dense eigh
+    # sends each of these sensor sets to dense eigh.  The rank bound min(P, V)
+    # is all a pass resolves, so the spectrum it returns is complete
     ops = make_ops(h=1 / 6, n_src=pairs, n_det=pairs)
     orders = eigh_orders(monkeypatch)
     linop = linearized_operator(ops)
     assert max(orders) < ops.n_nodes
-    assert linop.svals.size == resolved
-    assert linop.complete == (resolved == pairs * pairs)
+    assert linop.svals.size == resolved == pairs * (pairs + 1) // 2
+    assert linop.complete
     monkeypatch.undo()
-    dense = _factor(ops, 0)
+    dense = _factor(ops, 0, _pair_rows(ops))
     # the values above the floor; the one past it sits at rounding level
     count = int(np.count_nonzero(dense.svals >= KRYLOV_FLOOR * dense.svals[0]))
     assert np.all(np.abs(linop.svals[:count] - dense.svals[:count]) <= 1e-12 * dense.svals[0])
@@ -459,10 +474,11 @@ def test_rank_deficient_sensor_sets_stay_on_the_krylov_path(pairs, resolved, mon
 
 
 def test_small_grids_take_dense_eigh(small_linop):
-    # 56 nodes, below the 128 a complex Gram matrix needs for a pass
+    # 56 nodes, below the 128 a complex Gram matrix needs for a pass; the 6 x 6
+    # reciprocal pairs bound the rank by their 21 distinct pairs, not by 36
     assert _krylov_basis_limit(small_linop.n_nodes) == 0
     assert small_linop.complete
-    assert small_linop.svals.size == min(small_linop.n_pairs, small_linop.n_nodes)
+    assert small_linop.svals.size == _rank_bound(small_linop._rows, small_linop.n_nodes) == 21
 
 
 @pytest.mark.parametrize(
@@ -521,7 +537,7 @@ def test_peak_entries_counts_the_route_of_the_rule():
 
 def check_dense_fallback(ops, limit):
     """_factor within a basis of ``limit`` vectors gives dense eigh's factorization bit for bit."""
-    linop, dense = _factor(ops, limit), _factor(ops, 0)
+    linop, dense = _factor(ops, limit, _pair_rows(ops)), _factor(ops, 0, _pair_rows(ops))
     assert linop.complete and dense.complete
     assert np.array_equal(linop.svals, dense.svals)
     assert np.array_equal(linop.vh, dense.vh)
@@ -529,19 +545,20 @@ def check_dense_fallback(ops, limit):
 
 @pytest.mark.parametrize("mode", ["diffuse", "scalar"])
 def test_dense_eigh_keeps_only_the_rows_of_vh_it_returns(mode):
-    # V = 56 and 6 x 6 pairs: vh has 36 rows, and no V x V eigenvector matrix stays behind them
+    # V = 56 and 6 x 6 pairs: vh has a row for each of the 21 distinct pairs, and no
+    # V x V eigenvector matrix stays behind them
     ops = boundary_kernels(mode, 0.45, 6)
-    vh = _factor(ops, 0).vh
+    vh = _factor(ops, 0, _pair_rows(ops)).vh
     while isinstance(vh.base, np.ndarray):
         vh = vh.base
-    assert vh.size == 36 * ops.n_nodes < ops.n_nodes**2
+    assert vh.size == 21 * ops.n_nodes < ops.n_nodes**2
 
 
 def test_a_basis_that_runs_out_falls_back_to_dense_eigh(monkeypatch):
     # 912 voxels and 48 x 48 pairs converge within 240 basis vectors; the
     # Rayleigh-Ritz step at a limit of 96 does not accept
     ops = make_ops(h=1 / 6, n_src=48, n_det=48)
-    gram = _weighted_gram(ops, math.sqrt(ops.boundary.pair_weight), np.sqrt(ops.grid.weights))
+    gram = weighted_gram(ops)
     orders = eigh_orders(monkeypatch)
     assert _leading_eigenpairs(gram, ops.n_nodes, 96) is None
     assert orders == [96]
@@ -557,7 +574,7 @@ def test_a_wanted_set_too_large_for_the_basis_falls_back_to_dense_eigh(monkeypat
     linop = linearized_operator(ops, tau=KRYLOV_FLOOR)
     assert orders == [80, 160]
     monkeypatch.undo()
-    dense = _factor(ops, 0)
+    dense = _factor(ops, 0, _pair_rows(ops))
     assert np.array_equal(linop.svals, dense.svals)
     assert np.array_equal(linop.vh, dense.vh)
 
@@ -569,7 +586,7 @@ def test_an_orthogonalization_breakdown_falls_back_to_dense_eigh(monkeypatch):
     ops = make_ops(k=400, h=1 / 6)
     limit = _krylov_basis_limit(ops.n_nodes)
     assert limit
-    gram = _weighted_gram(ops, math.sqrt(ops.boundary.pair_weight), np.sqrt(ops.grid.weights))
+    gram = weighted_gram(ops)
     assert not gram.any()
     orders = eigh_orders(monkeypatch)
     assert _leading_eigenpairs(gram, ops.n_src * ops.n_det, limit) is None
@@ -622,6 +639,35 @@ def reciprocal_problem(request):
     return ops, linop, dense_weighted_svd(linop)
 
 
+@pytest.mark.parametrize(
+    "kind, h, n_src, n_det, rule",
+    [
+        ("diffuse", 0.45, 6, 6, {"tau": 1e-3}),  # reciprocal, dense eigh
+        ("scalar", 0.35, 8, 10, {"tau": 1e-3}),  # not reciprocal
+        ("diffuse", 1 / 6, 24, 24, {"rank": 100}),  # block Lanczos, then eigh again
+    ],
+)
+def test_one_reciprocity_test_per_geometry(kind, h, n_src, n_det, rule, monkeypatch):
+    import invborn.inverse as inverse_module
+
+    ops, calls, reciprocal = make_ops(kind=kind, h=h, n_src=n_src, n_det=n_det), [], _reciprocal
+
+    def counted(ops):
+        calls.append(1)
+        return reciprocal(ops)
+
+    monkeypatch.setattr(inverse_module, "_reciprocal", counted)
+    linop = linearized_operator(ops)
+    kinv = regularize(linop, **rule)
+    assert (kinv.linop is linop) == ("tau" in rule)
+    eta = 0.05 * build_phantom(
+        ops.grid, [{"center": [0.2, 0, 0], "radius": 0.4, "amplitude": 1.0}]
+    )
+    inverse_series(kinv, ops, solve_direct(ops, eta), 5)
+    kinv.matrix
+    assert len(calls) == 1
+
+
 def test_reciprocal_pairs_match_dense_svd(reciprocal_problem):
     ops, linop, svd = reciprocal_problem
     assert _reciprocal(ops)
@@ -643,7 +689,7 @@ def test_general_pair_sweep_agrees_with_the_reciprocal_one(reciprocal_problem, m
     # detector blocks of 8: the sources s < 8, 16 and 24, against 24 for every block
     assert rows == [64, 128, 192]
     rows.clear()
-    check_general_sweep_agrees(kinv, monkeypatch)
+    check_general_sweep_agrees(kinv)
     assert rows == [192, 192, 192]
 
 
@@ -652,7 +698,7 @@ def test_split_series_agrees_with_the_recurrence(reciprocal_problem):
     # general sweep differs by rounding, which 40 orders amplify to 2.2e-11 (measured)
     ops, linop, _ = reciprocal_problem
     kinv = regularize(linop, tau=1e-3)
-    unfolded = dataclasses.replace(kinv, _u_rh=unfolded_u_rh(kinv), _pairs=None)
+    unfolded = dataclasses.replace(kinv, linop=general_layout(linop), _u_rh=unfolded_u_rh(kinv))
     eta = 0.05 * build_phantom(
         ops.grid, [{"center": [0.2, 0, 0], "radius": 0.4, "amplitude": 1.0}]
     )
@@ -663,16 +709,15 @@ def test_split_series_agrees_with_the_recurrence(reciprocal_problem):
 
 
 def unfolded_u_rh(kinv):
-    """kinv's U_r^H with a column for every (s, d) pair, row-major."""
-    return kinv._u_rh[:, _pair_rows(kinv.linop.ops.n_src)]
+    """kinv's U_r^H with a column for every (s, d) pair, in the order of ``general_layout``."""
+    return kinv._u_rh[:, kinv.linop._rows.T.ravel()]
 
 
-def check_general_sweep_agrees(kinv, monkeypatch):
+def check_general_sweep_agrees(kinv):
     """The sweep over all S*D pairs gives kinv's U_r and norm_inf to 1e-12 relative."""
     n = kinv.linop.ops.n_src
     assert kinv._u_rh.shape == (kinv.rank, n * (n + 1) // 2)  # the distinct pairs alone
-    monkeypatch.setattr("invborn.inverse._reciprocal", lambda ops: False)
-    general = regularize(kinv.linop, tau=1e-3)
+    general = regularize(general_layout(kinv.linop), tau=1e-3)
     assert kinv.rank == general.rank
     ref = general._u_rh
     assert np.abs(unfolded_u_rh(kinv) - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -684,7 +729,7 @@ def test_folded_apply_matches_the_matrix_on_non_symmetric_data(kind):
     # the fold phi[s, d] + phi[d, s] is exact for any data, symmetric or not
     ops, linop = make_problem(kind=kind, h=0.35, n_src=10, n_det=10)
     kinv = regularize(linop, tau=1e-3)
-    assert kinv._pairs is not None and kinv._u_rh.shape[1] == 55
+    assert kinv._u_rh.shape[1] == 55  # the distinct pairs alone
     rng = np.random.default_rng(11)
     data = rng.normal(size=(10, 10))
     if kind == "scalar":
@@ -696,18 +741,18 @@ def test_folded_apply_matches_the_matrix_on_non_symmetric_data(kind):
 
 
 @pytest.mark.parametrize("pairs", [1, 10])
-def test_general_pair_sweep_agrees_on_partial_detector_blocks(pairs, monkeypatch):
+def test_general_pair_sweep_agrees_on_partial_detector_blocks(pairs):
     # 10 x 10 pairs: a block of 8 detectors and one of 2; 1 x 1: a single pair
     ops, linop = make_problem(kind="scalar", h=0.35, n_src=pairs, n_det=pairs)
     assert _reciprocal(ops)
-    check_general_sweep_agrees(regularize(linop, tau=1e-3), monkeypatch)
+    check_general_sweep_agrees(regularize(linop, tau=1e-3))
 
 
-def test_reciprocal_gram_is_the_two_product_formula_bit_for_bit(reciprocal_problem, monkeypatch):
+def test_reciprocal_gram_is_the_two_product_formula_bit_for_bit(reciprocal_problem):
     ops, linop, _ = reciprocal_problem
-    gram = _weighted_gram(ops, linop.row_scale, linop.col_scale)
-    monkeypatch.setattr("invborn.inverse._reciprocal", lambda ops: False)
-    assert np.array_equal(gram, _weighted_gram(ops, linop.row_scale, linop.col_scale))
+    gram = _weighted_gram(ops, linop._rows, linop.row_scale, linop.col_scale)
+    rows = general_layout(linop)._rows
+    assert np.array_equal(gram, _weighted_gram(ops, rows, linop.row_scale, linop.col_scale))
 
 
 def boundary_kernels(kind, h, pairs):
@@ -854,7 +899,8 @@ def test_route_rule_sweep(kind, monkeypatch):
                 assert count + headroom <= limit, (v, sensors)
             if v in orders:
                 continue
-            kinv, ref = regularize(linop, tau=1e-3), regularize(_factor(ops, 0), tau=1e-3)
+            kinv = regularize(linop, tau=1e-3)
+            ref = regularize(_factor(ops, 0, linop._rows), tau=1e-3)
             assert kinv.rank == ref.rank, (v, sensors)
             phi = rng.standard_normal(sensors**2) + 1j * rng.standard_normal(sensors**2)
             expected = ref.apply(phi)
@@ -1110,7 +1156,7 @@ class TestSeriesRecursion:
         assert not _reciprocal(ops)
         check_against_enumerated_compositions(ops, linop, [6])
 
-    def test_volume_kernel_products_linear_in_order(self, small_ops, small_linop, monkeypatch):
+    def test_volume_kernel_products_linear_in_order(self, small_ops, small_linop):
         # reciprocal kernels form C_1..C_K with K = ceil((order - 1) / 2), others order - 1
         kinv = regularize(small_linop, tau=1e-2)
         eta = 0.05 * build_phantom(
@@ -1118,9 +1164,8 @@ class TestSeriesRecursion:
         )
         phi = solve_direct(small_ops, eta)
         for reciprocal in (True, False):
-            if not reciprocal:  # the series reads the check regularize made
-                monkeypatch.setattr("invborn.inverse._reciprocal", lambda ops: False)
-                kinv = regularize(small_linop, tau=1e-2)
+            if not reciprocal:  # the series reads the pair map of the factorization
+                kinv = regularize(general_layout(small_linop), tau=1e-2)
             for order, split in ((1, 0), (2, 1), (5, 2), (12, 6)):
                 g_vv = small_ops.g_vv.view(_CountingMatmul)
                 g_vv.matmuls = 0
