@@ -305,7 +305,9 @@ def cmd_forward(config: ExperimentConfig) -> tuple[dict, int]:
     n = support.size
     _check_memory(config, n, forward.peak_entries(n, config.n_src, config.n_det, config.order))
     ops = assemble(config.wave_mode, grid.subset(support), boundary)
-    eta = eta[support]
+    # a support that the sign flips map onto itself is assembled mirror-blocked: take
+    # its dense kernel once here, not once in the solve and again in the certificate
+    ops, eta = forward._on_support(ops, eta[support])
     phi = forward.solve_direct(ops, eta)
     certificate = forward.residual_certificate(ops, eta, config.order, phi=phi)
     result = {
@@ -356,8 +358,9 @@ def _invert_operators(config: ExperimentConfig, grid, boundary):
     """The data-independent stage of ``cmd_invert``: (kinv, ops) for the geometry of ``config``.
 
     The operator is factored and truncated from the boundary kernels before
-    g_vv is assembled, so no V x V volume kernel is alive while the Gram
-    matrix is.
+    the volume kernel is assembled, so the two are never alive together.  On
+    the ball grid the volume kernel is held as its V^2 / 8 parity blocks
+    (``mirror.MirrorVolume``), through which the series takes its products.
     """
     kernels = assemble_boundary(config.wave_mode, grid, boundary)
     kinv = inverse.regularize(
@@ -377,8 +380,9 @@ def cmd_invert(config: ExperimentConfig) -> tuple[dict, int]:
     stage that raises keeps nothing.  Every check, the memory check
     included, runs on every call.  The kept stage of another geometry is
     dropped before anything is built, so two geometries' arrays never
-    coexist and no V x V volume kernel is alive while a Gram matrix is.  The
-    data solve reads the support block of g_vv.
+    coexist and no volume kernel is alive while a Gram matrix is.  The data
+    solve assembles the kernel of the phantom's support (``forward._on_support``),
+    so no V x V volume kernel is formed.
     """
     key = _geometry_key(config)
     kept = _KEPT[1] if _KEPT[0] == key else None

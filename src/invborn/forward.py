@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from . import bounds
-from .greens import OperatorSet
+from .greens import DenseVolume, OperatorSet, _dense_kernel
 from .grid import data_norm, field_norm
 
 __all__ = [
@@ -42,31 +42,30 @@ def _check_factor(ops: OperatorSet, f) -> np.ndarray:
     f = np.asarray(f)
     if f.shape != (ops.n_nodes,):
         raise ValueError(f"factor shape {f.shape} does not match grid ({ops.n_nodes},)")
-    real_kernels = not any(np.iscomplexobj(g) for g in (ops.g_vv, ops.g_sv, ops.g_vd))
+    real_kernels = np.result_type(ops.volume.dtype, ops.g_sv, ops.g_vd).kind != "c"
     if real_kernels and not (np.iscomplexobj(f) and f.imag.any()):
         return np.ascontiguousarray(f.real, dtype=float)
     return f.astype(complex, copy=False)
 
 
 def _on_support(ops: OperatorSet, eta) -> tuple[OperatorSet, np.ndarray]:
-    """The operator set and eta restricted to the nodes where eta is nonzero.
+    """The operator set and eta restricted to the nodes where eta is nonzero, with a dense g_vv.
 
     The data needs the total field only where eta is nonzero, and there it solves
     the closed system u_S = u_i,S + alpha G_SS diag(eta_S) u_S; every series term
     is a chain eta G eta G ... that restricts the same way.  So the restriction
-    is exact.  ``ops`` comes back unchanged when eta vanishes nowhere.
+    is exact.  A dense kernel gives its support block; a mirror-blocked one has
+    none to slice, so the support's kernel is assembled, with the same bits.
+    ``ops`` comes back unchanged when it is dense and eta vanishes nowhere.
     """
     eta = _check_factor(ops, eta)
     s = np.flatnonzero(eta)
-    if s.size == ops.n_nodes:
+    dense = isinstance(ops.volume, DenseVolume)
+    if dense and s.size == ops.n_nodes:
         return ops, eta
-    sub = replace(
-        ops,
-        grid=ops.grid.subset(s),
-        g_vv=ops.g_vv[np.ix_(s, s)],
-        g_sv=ops.g_sv[:, s],
-        g_vd=ops.g_vd[s],
-    )
+    grid = ops.grid.subset(s)
+    g_vv = ops.volume.matrix[np.ix_(s, s)] if dense else _dense_kernel(ops.mode, grid)
+    sub = replace(ops, grid=grid, volume=DenseVolume(g_vv), g_sv=ops.g_sv[:, s], g_vd=ops.g_vd[s])
     return sub, eta[s]
 
 

@@ -11,22 +11,33 @@ so diffuse problems run in real arithmetic downstream.  The singular diagonal
 of the volume-volume kernel is replaced by the analytic integral of G over a
 ball of the same volume as the voxel, which removes the 1/r singularity at
 O(h) quadrature consistency.
+
+On a grid that the 8 sign flips of (x, y, z) map onto itself, as every
+``build_ball_grid`` grid, the volume-volume kernel is held as 8 parity blocks
+of (V/8)^2 entries (``mirror.MirrorVolume``), and any other grid holds the
+dense V x V array (``DenseVolume``).
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .grid import BoundaryArray, Grid
 
+if TYPE_CHECKING:
+    from .mirror import MirrorVolume
+
 __all__ = [
     "WaveMode",
     "BoundaryKernels",
     "OperatorSet",
+    "DenseVolume",
     "greens_kernel",
     "kernel_modulus",
     "self_cell_integral",
@@ -183,15 +194,52 @@ class BoundaryKernels:
         return self.boundary.n_det
 
 
+def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """out = a @ b, a real ``a`` meeting a complex ``b`` as float pairs, never as a complex copy."""
+    if np.isrealobj(a) and np.iscomplexobj(b):
+        b, out = b.view(float), out.view(float)
+    np.matmul(a, b, out=out)
+
+
+class DenseVolume(NamedTuple):
+    """The volume-volume kernel as one V x V array."""
+
+    matrix: np.ndarray
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.matrix.dtype
+
+    def workspace(self, n_cols: int, dtype) -> None:
+        """What ``matmul`` reuses across calls: nothing."""
+        return None
+
+    def matmul(self, y: np.ndarray, out: np.ndarray, work=None) -> None:
+        """out = g_vv @ y for a V x D block y."""
+        _matmul(self.matrix, y, out)
+
+
 @dataclass(frozen=True)
 class OperatorSet(BoundaryKernels):
     """The boundary kernels together with the volume-volume kernel.
 
     g_vv[i, j] = G(|x_i - x_j|) * w_j off the diagonal, the self-cell integral
     on it, so that (g_vv @ f)[i] approximates the volume integral of G f.
+    ``volume`` holds it, as a ``mirror.MirrorVolume`` on a mirror-symmetric
+    grid and as a DenseVolume elsewhere; its ``matmul`` is the product the
+    inverse series takes.  ``g_vv`` is the dense array, assembled from the
+    grid on first read where ``volume`` is mirror-blocked (for ``born_term``,
+    the selftest and tests; the forward solve and series take
+    ``forward._on_support``'s support kernel).
     """
 
-    g_vv: np.ndarray
+    volume: DenseVolume | MirrorVolume
+
+    @functools.cached_property
+    def g_vv(self) -> np.ndarray:
+        if isinstance(self.volume, DenseVolume):
+            return self.volume.matrix
+        return _dense_kernel(self.mode, self.grid)
 
 
 def _pairwise_dist(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -234,9 +282,9 @@ def lattice_row_sums(grid: Grid, kernels) -> list:
     return sums
 
 
-# Rows of g_vv evaluated per pass: the distance and kernel temporaries of a
-# block stay at a few MB instead of several V x V arrays, and the cache-sized
-# passes run faster than one pass over the whole matrix.
+# Rows of g_vv (or of the parity blocks) evaluated per pass: the distance and
+# kernel temporaries of a block stay at a few MB instead of several V x V
+# arrays, and the cache-sized passes run faster than one pass over the matrix.
 _ROW_BLOCK = 128
 
 
@@ -251,16 +299,22 @@ def assemble_boundary(mode: WaveMode, grid: Grid, boundary: BoundaryArray) -> Bo
     return BoundaryKernels(mode=mode, grid=grid, boundary=boundary, g_sv=g_sv, g_vd=g_vd)
 
 
-def assemble_volume(kernels: BoundaryKernels) -> OperatorSet:
-    """Add the V x V volume-volume kernel to the boundary kernels.
+def _self_cells(mode: WaveMode, weights: np.ndarray) -> np.ndarray:
+    """The self-cell integral at each weight, in the kernel's dtype: one per distinct weight."""
+    distinct, which = np.unique(weights, return_inverse=True)
+    diag = np.array([self_cell_integral(mode, w) for w in distinct])[which]
+    return diag.real if mode.kind == "diffuse" else diag
 
-    The kernel is a float64 array in diffuse mode (the diagonal is the real
-    self-cell integral) and complex in scalar mode.  Distances are exactly
-    symmetric (``_pairwise_dist``), so each pair of nodes is evaluated once:
-    a row block against the nodes from its first row on fills its rows and,
+
+def _dense_kernel(mode: WaveMode, grid: Grid) -> np.ndarray:
+    """The V x V volume-volume kernel g_vv.
+
+    A float64 array in diffuse mode (the diagonal is the real self-cell
+    integral) and complex in scalar mode.  Distances are exactly symmetric
+    (``_pairwise_dist``), so each pair of nodes is evaluated once: a row
+    block against the nodes from its first row on fills its rows and,
     transposed, its columns, each scaled by its column weights.
     """
-    mode, grid = kernels.mode, kernels.grid
     x, n = grid.centers, grid.n_nodes
     g_vv = np.empty((n, n), dtype=np.result_type(mode.kappa))
     for start in range(0, n, _ROW_BLOCK):
@@ -271,17 +325,32 @@ def assemble_volume(kernels: BoundaryKernels) -> OperatorSet:
         g = greens_kernel(mode, r)
         np.multiply(g, grid.weights[start:], out=g_vv[start:stop, start:])
         np.multiply(g.T, grid.weights[start:stop], out=g_vv[start:, start:stop])
-    # one self-cell integral per distinct weight: a uniform lattice has one
-    weights, which = np.unique(grid.weights, return_inverse=True)
-    diag = np.array([self_cell_integral(mode, w) for w in weights])[which]
-    np.fill_diagonal(g_vv, diag.real if mode.kind == "diffuse" else diag)
+    np.fill_diagonal(g_vv, _self_cells(mode, grid.weights))
+    return g_vv
+
+
+def assemble_volume(kernels: BoundaryKernels) -> OperatorSet:
+    """Add the volume-volume kernel to the boundary kernels, in the form the grid allows.
+
+    Its 8 parity blocks (``mirror.MirrorVolume``, V^2 / 8 entries and kernel
+    evaluations) on a mirror-symmetric grid, every ``build_ball_grid`` grid
+    among them; the V x V array (``DenseVolume``, V^2 / 2 evaluations)
+    elsewhere.  Real (float64) in diffuse mode, complex in scalar mode.
+    """
+    # imported on first use, so that importing the package does not compile it
+    from .mirror import mirror_volume
+
+    mode, grid = kernels.mode, kernels.grid
+    volume = mirror_volume(mode, grid)
+    if volume is None:
+        volume = DenseVolume(_dense_kernel(mode, grid))
     return OperatorSet(
         mode=mode,
         grid=grid,
         boundary=kernels.boundary,
         g_sv=kernels.g_sv,
         g_vd=kernels.g_vd,
-        g_vv=g_vv,
+        volume=volume,
     )
 
 

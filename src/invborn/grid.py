@@ -142,6 +142,8 @@ def _lattice_indices(a: float, h: float) -> tuple[int, int]:
         raise ValueError(f"ball radius must be positive, got {a}")
     if not 0 < h <= 2 * a:
         raise ValueError(f"spacing must satisfy 0 < h <= 2a, got h={h}, a={a}")
+    if not math.isfinite(a / h):
+        raise ValueError(f"a/h overflows at a={a:g}, h={h:g}: the lattice has no finite size")
     return int(math.ceil(-a / h - 0.5)), int(math.floor(a / h - 0.5))
 
 

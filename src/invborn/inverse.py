@@ -217,11 +217,13 @@ def peak_entries(
     rule's limit, holds the Gram matrix, the basis, the Ritz vectors, their
     images and residuals, and the projected matrix with eigh's copy,
     workspace and vectors; dense eigh the Gram matrix, eigh's copy, its 2 V^2 workspace and
-    the eigenvectors.  The series: g_vv, the kept rows of vh with the
+    the eigenvectors.  The series: the volume kernel's V^2 / 8 parity blocks
+    (a ball grid's ``mirror.MirrorVolume``), the kept rows of vh with the
     pseudoinverse factors (U_r at most r x S*D), the data solve on the
-    ``support`` nodes, and what ``inverse_series`` allocates
-    (``_series_entries``).  With no kernel yet to tell the distinct pairs,
-    min(S*D, V) stands for K's rank bound.  Known gap: the block Lanczos
+    ``support`` nodes (the support's kernel, the solved matrix and LAPACK's
+    copy), and what ``inverse_series`` allocates (``_series_entries``).
+    With no kernel yet to tell the distinct pairs, min(S*D, V) stands for
+    K's rank bound.  Known gap: the block Lanczos
     route leaves out the dense eigh that ``_factor`` falls back to where the
     basis runs out or breaks down; at V = 12,160 (``invert --h 0.07``,
     m = 1008) it counts 1.51 GiB, where the dense route is counted at 5.52 GiB.
@@ -231,7 +233,7 @@ def peak_entries(
         factor, rows = v * v + 4 * v * m + 5 * m * m, m
     else:
         factor, rows = 5 * v * v, min(pairs, v)
-    series = v * v + rows * (3 * v + pairs) + 3 * support**2
+    series = v * v // 8 + rows * (3 * v + pairs) + 3 * support**2
     series += _series_entries(v, n_src, n_det, order)
     return (n_src + n_det) * v + max(factor, series)
 
@@ -241,11 +243,13 @@ def _series_entries(n_nodes: int, n_src: int, n_det: int, order: int) -> int:
 
     Per order a V x D matrix, an S x D one and three fields, and five V x D
     temporaries.  With K the chains formed (N // 2 or N - 1), the series
-    holds at most N - 1 V x D chains and, besides them, the last Y and Z,
-    Lam_j, a head and its scaled kernel; N - K - 1 S x D accumulators, a
-    wide product of at most N - K - 2 S x D blocks and one order's data with
-    its fold, 2 (N - K) - 1 <= N in all; and the terms with their stacked
-    coefficients.
+    holds at most N - 1 V x D chains and, besides them, six V x D arrays:
+    while the chains are formed the last Y and Z, the next Y with its
+    scaled kernel and the volume product's two buffers (``workspace``),
+    and after them the last Y and Z, Lam_j, a head and its scaled kernel;
+    N - K - 1 S x D accumulators, a wide product of at most N - K - 2 S x D
+    blocks and one order's data with its fold, 2 (N - K) - 1 <= N in all;
+    and the terms with their stacked coefficients.
     """
     return order * (n_nodes * (n_det + 3) + n_src * n_det) + 5 * n_nodes * n_det
 
@@ -652,7 +656,9 @@ def inverse_series(
         Y_j   = alpha * eta_j * G_vd + Z_j,
 
     starting from Y_1 = alpha * eta_1 * G_vd; ``*`` scales rows by a volume
-    field.  Run to order N, this costs N - 1 products with G_vv.
+    field.  Run to order N, this costs N - 1 products with G_vv, each taken
+    by ``ops.volume.matmul`` straight into the chain block: V^2 D / 8 on the
+    parity blocks of a ball grid (``mirror.MirrorVolume``), V^2 D elsewhere.
 
     On reciprocal kernels (G_vd = G_sv^T, where the pair map folds) only
     C_1..C_K are formed, K = ceil((N - 1) / 2).  G_vv = G W with G symmetric
@@ -702,15 +708,17 @@ def inverse_series(
         terms = []
         add_term(phi, 1)
         y = alpha * terms[0][:, None] * ops.g_vd
-        chains = np.empty((ops.n_nodes, k, ops.n_det), np.result_type(ops.g_vv, y))
+        chains = np.empty((ops.n_nodes, k, ops.n_det), np.result_type(ops.volume.dtype, y))
+        work = ops.volume.workspace(ops.n_det, chains.dtype) if k else None
         for j in range(2, k + 2):
-            chains[:, j - 2] = ops.g_vv @ y  # C_{j-1}
+            ops.volume.matmul(y, chains[:, j - 2], work)  # C_{j-1}
             if reciprocal and j > k:  # orders k + 1.. are split
                 break
             z = contract(alpha, j, j - 1)
             add_term(ops.g_sv @ (w[:, None] * z), j)
             if j <= k:
                 y = alpha * terms[-1][:, None] * ops.g_vd + z
+        del work
         # acc[:, i] sums the head products of order k + 2 + i
         acc = np.zeros((ops.n_src, max(order - k - 1, 0), ops.n_det), chains.dtype)
         for j in range(len(terms) + 1, order + 1):

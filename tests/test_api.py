@@ -31,7 +31,7 @@ from invborn import (
 from invborn.bounds import forward_remainder_bounds
 from invborn.greens import kernel_modulus, self_cell_l1, self_cell_l2
 
-MODULES = ["bounds", "cli", "forward", "greens", "grid", "inverse"]
+MODULES = ["bounds", "cli", "forward", "greens", "grid", "inverse", "mirror"]
 
 PUBLIC_NAMES = {
     "BornSeries",

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import invborn
-from invborn import cli, forward, inverse
+from invborn import cli, forward, greens, inverse, mirror
 from invborn import (
     WaveMode,
     assemble,
@@ -405,11 +405,11 @@ def test_cli_invert_new_geometry_frees_the_kept_stage_before_its_gram_matrix(
     tmp_path, monkeypatch
 ):
     assert run_cli(tmp_path, "invert", *SMALL_ARGS, "--output", tmp_path / "a.json") == 2
-    g_vv = weakref.ref(kept_entry()[1].g_vv)
+    blocks = weakref.ref(kept_entry()[1].volume.blocks)
     alive, weighted_gram = [], inverse._weighted_gram
 
     def traced(*args, **kwargs):
-        alive.append(g_vv() is not None)
+        alive.append(blocks() is not None)
         return weighted_gram(*args, **kwargs)
 
     monkeypatch.setattr(inverse, "_weighted_gram", traced)
@@ -418,12 +418,55 @@ def test_cli_invert_new_geometry_frees_the_kept_stage_before_its_gram_matrix(
     assert alive == [False]
 
 
+@pytest.mark.parametrize(
+    "args", [[], ["--mode", "scalar", "--h", "0.25", "--order", "10"]], ids=["default", "scalar"]
+)
+def test_cli_invert_forms_no_dense_volume_kernel(tmp_path, monkeypatch, args):
+    # the series multiplies the parity blocks and the data solve assembles the
+    # phantom's support; a dense kernel on all V nodes would be formed by _dense_kernel
+    h = float(args[args.index("--h") + 1]) if "--h" in args else 1 / 6
+    n_nodes, dense_kernel = build_ball_grid(1.0, h).n_nodes, greens._dense_kernel
+
+    def guarded(mode, grid):
+        if grid.n_nodes == n_nodes:
+            raise AssertionError(f"a {n_nodes} x {n_nodes} volume kernel was formed")
+        return dense_kernel(mode, grid)
+
+    for module in (greens, forward):
+        monkeypatch.setattr(module, "_dense_kernel", guarded)
+    out = tmp_path / "i.json"
+    assert run_cli(tmp_path, "invert", *args, "--output", out) == 2
+    ops = cli._KEPT[1][1]
+    assert isinstance(ops.volume, mirror.MirrorVolume) and "g_vv" not in vars(ops)
+    assert run_cli(tmp_path, "invert", *args, "--output", out) == 2  # a kept-stage hit
+
+
+def test_cli_forward_assembles_a_symmetric_support_densely_once(tmp_path, monkeypatch):
+    # a ball phantom centred at the origin has a mirror-symmetric support, which
+    # assemble blocks; the solve and the certificate share one dense support kernel
+    sizes, dense_kernel = [], greens._dense_kernel
+
+    def counted(mode, grid):
+        sizes.append(grid.n_nodes)
+        return dense_kernel(mode, grid)
+
+    for module in (greens, forward):
+        monkeypatch.setattr(module, "_dense_kernel", counted)
+    phantom = '[{"center": [0, 0, 0], "radius": 0.5, "amplitude": 0.1}]'
+    out = tmp_path / "f.json"
+    assert run_cli(tmp_path, "forward", "--phantom", phantom, "--output", out) == 0
+    grid = build_ball_grid(1.0, 1 / 6)
+    support = grid.subset(np.flatnonzero(build_phantom(grid, json.loads(phantom))))
+    assert mirror.mirror_orbits(support) is not None
+    assert sizes == [support.n_nodes]
+
+
 def test_cli_invert_kept_arrays_refuse_writes(tmp_path):
     assert run_cli(tmp_path, "invert", *SMALL_ARGS, "--output", tmp_path / "i.json") == 2
     kinv, ops = entry = kept_entry()
     linop = kinv.linop
-    named = [ops.g_sv, ops.g_vd, ops.g_vv, linop.svals, linop.vh, linop.col_scale]
-    named += [kinv._v_r, kinv._left, kinv._u_rh, ops.grid.weights]
+    named = [ops.g_sv, ops.g_vd, ops.volume.blocks, ops.volume.orbits, ops.grid.weights]
+    named += [linop.svals, linop.vh, linop.col_scale, kinv._v_r, kinv._left, kinv._u_rh]
     for array in named:
         with pytest.raises(ValueError, match="read-only"):
             array.flat[0] = array.flat[0]
@@ -1214,9 +1257,10 @@ def test_cli_refuses_grid_whose_kernels_exceed_memory(tmp_path, capsys, monkeypa
 
 def test_cli_invert_memory_check_counts_the_dense_eigh_peak(tmp_path, capsys, monkeypatch):
     # V = 912: a tau below KRYLOV_FLOOR takes dense eigh, and the check counts that
-    # path's peak (7.3 V^2 entries here: eigh's arrays, then all V singular vectors
-    # beside g_vv); a count of 3 V^2 for every path (22.9 MB) let it through.  The
-    # default tau takes block Lanczos, counted at 4.4 V^2, which fits.
+    # path's peak (6.4 V^2 entries here: eigh's arrays, then all V singular vectors
+    # beside the volume kernel's parity blocks); a count of 3 V^2 for every path
+    # (22.9 MB) let it through.  The default tau takes block Lanczos, counted at
+    # 4.3 V^2, which fits.
     monkeypatch.setattr("invborn.cli._available_memory", lambda: 32 * 2**20)
     out = tmp_path / "o.json"
     assert run_cli(tmp_path, "invert", "--output", out) == 2
@@ -1225,7 +1269,7 @@ def test_cli_invert_memory_check_counts_the_dense_eigh_peak(tmp_path, capsys, mo
     assert run_cli(tmp_path, "invert", "--tau", "1e-4", "--output", out) == 1
     err = capsys.readouterr().err
     assert (
-        "error: the kernels on 912 nodes and the series arrays of order 6 need about 0.045 "
+        "error: the kernels on 912 nodes and the series arrays of order 6 need about 0.0396 "
         "GiB, more than the 0.0312 GiB of available memory"
     ) in err
     assert not out.exists()
@@ -1348,6 +1392,24 @@ def test_cli_refuses_a_grid_too_large_before_building_it(tmp_path, capsys, monke
     assert run_cli(tmp_path, *args, "--output", out) == 1
     err = capsys.readouterr().err
     assert "error: the grid's lattice of" in err and "more than the 1 GiB" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["invert", "forward"])
+def test_cli_refuses_a_spacing_whose_lattice_overflows_before_building_it(
+    tmp_path, capsys, monkeypatch, command
+):
+    # a/h = inf: the lattice index bounds would be ceil(-inf), an OverflowError
+    def not_reached(*args, **kwargs):
+        raise AssertionError("built past the lattice check")
+
+    monkeypatch.setattr("invborn.cli.build_ball_grid", not_reached)
+    monkeypatch.setattr("invborn.cli.build_sphere_boundary", not_reached)
+    out = tmp_path / "o.json"
+    assert run_cli(tmp_path, command, "--h", "5e-324", "--output", out) == 1
+    err = capsys.readouterr().err
+    assert "error: a/h overflows at a=1, h=4.94066e-324: the lattice has no finite size" in err
+    assert "Traceback" not in err
     assert not out.exists()
 
 

@@ -19,7 +19,7 @@ from invborn import (
     solve_direct,
 )
 from invborn.cli import build_phantom
-from invborn.greens import greens_kernel, self_cell_integral
+from invborn.greens import DenseVolume, greens_kernel, self_cell_integral
 from invborn.grid import Grid
 
 from conftest import full_system_data, make_ops
@@ -268,7 +268,7 @@ def complex_cast(ops):
     """The same operator set with its kernels stored complex: the complex-arithmetic oracle."""
     return dataclasses.replace(
         ops,
-        g_vv=ops.g_vv.astype(complex),
+        volume=DenseVolume(ops.g_vv.astype(complex)),
         g_sv=ops.g_sv.astype(complex),
         g_vd=ops.g_vd.astype(complex),
     )

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,8 +14,11 @@ from invborn import (
     mu_closed_form,
     self_cell_integral,
 )
+from invborn.forward import _on_support
 from invborn.greens import (
     _ROW_BLOCK,
+    DenseVolume,
+    _dense_kernel,
     _pairwise_dist,
     kernel_modulus,
     lattice_row_sums,
@@ -22,6 +26,7 @@ from invborn.greens import (
     self_cell_l2,
 )
 from invborn.grid import BoundaryArray, Grid
+from invborn.mirror import _HADAMARD, MirrorVolume, _hadamard, mirror_orbits
 
 INF = math.inf
 
@@ -441,3 +446,141 @@ def test_lattice_row_sums_match_dense_sums_on_a_subset(h):
         np.fill_diagonal(dense, 0.0)
         ref = dense @ w
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+# sign pattern g negates coordinate c where bit c of g is set
+SIGNS = 1.0 - 2.0 * ((np.arange(8)[:, None] >> np.arange(3)) & 1)
+
+
+def check_orbits(grid, orbits):
+    """The orbit table partitions the nodes, each orbit the 8 exact mirror images of its first."""
+    assert orbits.shape == (8, grid.n_nodes // 8)
+    assert np.array_equal(np.sort(orbits.ravel()), np.arange(grid.n_nodes))
+    reps = grid.centers[orbits[0]]
+    assert np.all(reps > 0)
+    for g in range(8):
+        assert np.array_equal(grid.centers[orbits[g]], reps * SIGNS[g])
+        assert np.array_equal(grid.weights[orbits[g]], grid.weights[orbits[0]])
+
+
+def test_hadamard_matrix_is_the_sign_pattern_characters():
+    shared = np.arange(8)[:, None] & np.arange(8)[None, :]
+    parity = sum((shared >> c) & 1 for c in range(3))
+    assert np.array_equal(_HADAMARD, (-1.0) ** parity)
+    assert np.array_equal(_HADAMARD @ _HADAMARD, 8 * np.eye(8))
+
+
+@pytest.mark.parametrize("a", [1.0, 0.37, 2.5])
+@pytest.mark.parametrize("ratio", [1.15, 1.0, 0.7, 0.45, 0.33, 0.2917, 0.25, 1 / 6, 0.1])
+def test_every_ball_grid_is_mirror_blocked(a, ratio):
+    # h = 1.15 a is near the largest spacing with a node, 2 a / sqrt(3): 8 nodes; at
+    # h = 2 a there is none (test_ball_grid_too_coarse_is_an_error)
+    grid = build_ball_grid(a, ratio * a)
+    check_orbits(grid, mirror_orbits(grid))
+    ops = assemble(WaveMode.diffuse(1.0), grid, build_sphere_boundary(3.0 * a, 2, 2))
+    assert isinstance(ops.volume, MirrorVolume)
+    assert ops.volume.blocks.shape == (8, grid.n_nodes // 8, grid.n_nodes // 8)
+
+
+def symmetric_grid_on_the_planes(h=0.5):
+    """16 nodes closed under the sign flips: 8 corners and 8 nodes on coordinate planes."""
+    corners = SIGNS * h / 2
+    planes = [(x, y, 0.0) for x in (-h, h) for y in (-h, h)]
+    planes += [(0.0, y, z) for y in (-h, h) for z in (-h, h)]
+    centers = np.vstack([corners, planes])
+    return Grid(centers=centers, weights=np.full(16, h**3), spacing=h, radius_a=1.0)
+
+
+def fallback_grids():
+    grid = build_ball_grid(1.0, 0.25)  # V = 280
+    nudged = grid.centers.copy()
+    nudged[17, 1] = np.nextafter(nudged[17, 1], 1.0)  # one ulp off its mirror images
+    weights = grid.weights * np.random.default_rng(3).uniform(0.5, 2.0, grid.n_nodes)
+    far = grid.centers[:, 0] > -0.25  # a half-space: its mirror images in x are missing
+    return {
+        "nudged": Grid(centers=nudged, weights=grid.weights, spacing=0.25, radius_a=1.0),
+        "non-uniform-weights": Grid(
+            centers=grid.centers, weights=weights, spacing=0.25, radius_a=1.0
+        ),
+        "asymmetric-subset": grid.subset(np.flatnonzero(far)[:200]),
+        "on-a-coordinate-plane": symmetric_grid_on_the_planes(),
+    }
+
+
+@pytest.mark.parametrize("name", list(fallback_grids()))
+def test_grids_off_the_mirror_symmetry_take_the_dense_kernel(name):
+    grid = fallback_grids()[name]
+    assert grid.n_nodes % 8 == 0  # not refused for its node count alone
+    assert mirror_orbits(grid) is None
+    ops = assemble(WaveMode.scalar(1.3), grid, build_sphere_boundary(2.0, 3, 3))
+    assert isinstance(ops.volume, DenseVolume)
+    assert ops.g_vv is ops.volume.matrix
+
+
+def test_a_symmetric_subset_is_mirror_blocked():
+    grid = build_ball_grid(1.0, 1 / 6)
+    sub = grid.subset(np.linalg.norm(grid.centers, axis=1) <= 0.5)
+    check_orbits(sub, mirror_orbits(sub))
+
+
+@pytest.mark.parametrize("kind", ["diffuse", "scalar"])
+@pytest.mark.parametrize("h", [0.45, 0.25, 1 / 6])  # V = 56, 280 and 912
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_blocked_product_matches_the_dense_kernel(kind, h, field):
+    grid = build_ball_grid(1.0, h)
+    ops = assemble(WaveMode(kind, 1.3), grid, build_sphere_boundary(2.0, 3, 3))
+    rng = np.random.default_rng(11)
+    y = rng.standard_normal((grid.n_nodes, 48))
+    if field == "complex":
+        y = y + 1j * rng.standard_normal(y.shape)
+    dtype = np.result_type(ops.volume.dtype, y)
+    chains = np.zeros((grid.n_nodes, 3, 48), dtype)
+    ops.volume.matmul(y, chains[:, 1], ops.volume.workspace(48, dtype))
+    ref = ops.g_vv @ y
+    assert np.abs(chains[:, 1] - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert not chains[:, [0, 2]].any()  # a strided output is written in place
+
+
+def test_real_blocks_take_a_complex_field_as_float_pairs():
+    # numpy would multiply a real kernel into complex data through a complex copy of it
+    grid = build_ball_grid(1.0, 1 / 6)
+    volume = assemble(WaveMode.diffuse(1.3), grid, build_sphere_boundary(2.0, 3, 3)).volume
+    rng = np.random.default_rng(2)
+    y = rng.standard_normal((grid.n_nodes, 48)) + 1j * rng.standard_normal((grid.n_nodes, 48))
+    out, work = np.empty_like(y), volume.workspace(48, y.dtype)
+    tracemalloc.start()
+    try:
+        volume.matmul(y, out, work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < volume.blocks.nbytes / 2
+    ref = _dense_kernel(WaveMode.diffuse(1.3), grid) @ y
+    assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("kind", ["diffuse", "scalar"])
+@pytest.mark.parametrize("h", [1 / 6, 0.125])  # m = 114 and 272: one and three row blocks
+def test_assembled_blocks_are_the_transformed_dense_kernel_bit_for_bit(kind, h):
+    grid = build_ball_grid(1.0, h)
+    mode = WaveMode(kind, 1.3)
+    volume = assemble(mode, grid, build_sphere_boundary(2.0, 3, 3)).volume
+    orbits = volume.orbits
+    dense = _dense_kernel(mode, grid)
+    gathered = np.stack([dense[np.ix_(orbits[0], orbits[g])] for g in range(8)])
+    assert np.array_equal(volume.blocks, _hadamard(gathered))
+
+
+@pytest.mark.parametrize("kind", ["diffuse", "scalar"])
+def test_support_kernel_of_a_mirror_blocked_set_is_its_dense_block(kind):
+    grid = build_ball_grid(1.0, 1 / 6)
+    ops = assemble(WaveMode(kind, 1.3), grid, build_sphere_boundary(2.0, 5, 4))
+    eta = np.where(np.linalg.norm(grid.centers - [0.3, 0.1, 0.0], axis=1) <= 0.75, 0.1, 0.0)
+    s = np.flatnonzero(eta)
+    sub, _ = _on_support(ops, eta)
+    assert s.size > 2 * _ROW_BLOCK
+    assert isinstance(sub.volume, DenseVolume)
+    assert "g_vv" not in vars(ops)  # formed below, after the support's own assembly
+    assert np.array_equal(sub.g_vv, ops.g_vv[np.ix_(s, s)])
+    full, _ = _on_support(ops, np.full(grid.n_nodes, 0.1))
+    assert isinstance(full.volume, DenseVolume) and np.array_equal(full.g_vv, ops.g_vv)

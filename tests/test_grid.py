@@ -109,6 +109,12 @@ def test_ball_grid_rejects_a_non_positive_radius():
         build_ball_grid(0, 0.25)
 
 
+@pytest.mark.parametrize("a, h", [(1.0, 5e-324), (1e300, 1e-10)])
+def test_ball_grid_refuses_a_radius_of_infinitely_many_spacings(a, h):
+    with pytest.raises(ValueError, match="a/h overflows at .*: the lattice has no finite size"):
+        build_ball_grid(a, h)
+
+
 def test_sphere_boundary_single_point():
     b = build_sphere_boundary(2.0, 1, 1)
     assert b.n_src == b.n_det == 1

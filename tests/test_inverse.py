@@ -27,7 +27,7 @@ from invborn import (
 )
 from invborn.cli import ExperimentConfig, _grids, build_phantom, validate_absorption
 from invborn.grid import Grid, build_ball_grid
-from invborn.greens import assemble_boundary
+from invborn.greens import DenseVolume, assemble_boundary
 from invborn.inverse import (
     KRYLOV_FLOOR,
     SVAL_FLOOR,
@@ -42,6 +42,7 @@ from invborn.inverse import (
     _weighted_gram,
     peak_entries,
 )
+from invborn.mirror import MirrorVolume
 
 from conftest import enumerated_inverse_series, make_ops
 
@@ -111,12 +112,16 @@ def check_terms_match(terms, ref, order):
         assert dev <= 1e-12, f"order {order}, term {j}: rel dev {dev:.3e}"
 
 
-class _CountingMatmul(np.ndarray):
-    """Kernel matrix that counts the products taken with it on the left."""
+def recording_volume(ops):
+    """``ops`` with a volume kernel that records the dtype of each block it multiplies; the list."""
+    volume, operand_dtypes = ops.volume, []
 
-    def __matmul__(self, other):
-        self.matmuls += 1
-        return np.asarray(self) @ other
+    class Recording(type(volume)):
+        def matmul(self, y, out, work=None):
+            operand_dtypes.append(y.dtype)
+            return super().matmul(y, out, work)
+
+    return dataclasses.replace(ops, volume=Recording(*volume)), operand_dtypes
 
 
 class _RecordingMatmul(np.ndarray):
@@ -330,7 +335,7 @@ def test_series_allocates_within_its_memory_estimate(kind, h, n_src, n_det, orde
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # measured: 0.46, 0.70, 0.58, 0.64, 0.74 and 0.82 of the estimate
+    # measured: 0.56, 0.76, 0.58, 0.66, 0.89 and 0.82 of the estimate
     assert peak <= ops.g_sv.itemsize * _series_entries(ops.n_nodes, n_src, n_det, order)
 
 
@@ -695,7 +700,11 @@ def test_general_pair_sweep_agrees_with_the_reciprocal_one(reciprocal_problem, m
 
 def test_split_series_agrees_with_the_recurrence(reciprocal_problem):
     # the recurrence runs on the same pseudoinverse with U_r unfolded; one from the
-    # general sweep differs by rounding, which 40 orders amplify to 2.2e-11 (measured)
+    # general sweep differs by rounding, which 40 orders amplify to 2.2e-11 (measured).
+    # The mirror-blocked product rounds each entry against the largest of its orbit,
+    # which 40 orders amplify to 1.6e-12 and 1.3e-12 here (diffuse V = 280 and 912,
+    # where the dense product gives 6.0e-13 and 4.5e-13), so order 40 runs on the
+    # dense form of the kernel alone
     ops, linop, _ = reciprocal_problem
     kinv = regularize(linop, tau=1e-3)
     unfolded = dataclasses.replace(kinv, linop=general_layout(linop), _u_rh=unfolded_u_rh(kinv))
@@ -703,9 +712,12 @@ def test_split_series_agrees_with_the_recurrence(reciprocal_problem):
         ops.grid, [{"center": [0.2, 0, 0], "radius": 0.4, "amplitude": 1.0}]
     )
     phi = solve_direct(ops, eta)
-    for order in (3, 6, 10, 16, 40):
-        split = inverse_series(kinv, ops, phi, order).terms
-        check_terms_match(split, inverse_series(unfolded, ops, phi, order).terms, order)
+    assert isinstance(ops.volume, MirrorVolume)
+    dense = dataclasses.replace(ops, volume=DenseVolume(ops.g_vv))
+    for form, orders in ((ops, (3, 6, 10, 16)), (dense, (3, 6, 10, 16, 40))):
+        for order in orders:
+            split = inverse_series(kinv, form, phi, order).terms
+            check_terms_match(split, inverse_series(unfolded, form, phi, order).terms, order)
 
 
 def unfolded_u_rh(kinv):
@@ -1167,16 +1179,14 @@ class TestSeriesRecursion:
             if not reciprocal:  # the series reads the pair map of the factorization
                 kinv = regularize(general_layout(small_linop), tau=1e-2)
             for order, split in ((1, 0), (2, 1), (5, 2), (12, 6)):
-                g_vv = small_ops.g_vv.view(_CountingMatmul)
-                g_vv.matmuls = 0
-                counted = dataclasses.replace(small_ops, g_vv=g_vv)
+                counted, products = recording_volume(small_ops)
                 res = inverse_series(kinv, counted, phi, order)
-                assert g_vv.matmuls == (split if reciprocal else order - 1)
+                assert len(products) == (split if reciprocal else order - 1)
                 plain = inverse_series(kinv, small_ops, phi, order)
                 assert all(np.array_equal(a, b) for a, b in zip(res.terms, plain.terms))
 
     def test_diffuse_kernel_products_stay_real(self, small_ops, small_linop):
-        # a complex operand would make numpy upcast a complex copy of the real g_vv
+        # a complex operand would make numpy upcast a complex copy of a real kernel
         kinv = regularize(small_linop, tau=1e-2)
         eta = validate_absorption(
             0.05 * build_phantom(
@@ -1185,21 +1195,25 @@ class TestSeriesRecursion:
             small_ops.mode,
         )
         phi = solve_direct(small_ops, eta) * (1.0 + 0j)  # complex dtype, zero imaginary part
+        # the forward series takes the support block of a dense kernel, the inverse
+        # series the products of the mirror-blocked one
         g_vv = small_ops.g_vv.view(_RecordingMatmul)
         g_vv.operand_dtypes = []
         g_sv = small_ops.g_sv.view(_RecordingProducts)
         g_vd = small_ops.g_vd.view(_RecordingProducts)
         g_sv.products = g_vd.products = products = []
-        recording = dataclasses.replace(small_ops, g_vv=g_vv, g_sv=g_sv, g_vd=g_vd)
-        series = born_series(recording, eta, 5)
+        kernels = dict(g_sv=g_sv, g_vd=g_vd)
+        dense = dataclasses.replace(small_ops, volume=DenseVolume(g_vv), **kernels)
+        series = born_series(dense, eta, 5)
+        assert g_vv.operand_dtypes == [np.dtype(float)] * 4
         products.clear()
+        recording, volume_operands = recording_volume(dataclasses.replace(small_ops, **kernels))
+        assert isinstance(recording.volume, MirrorVolume)
         res = inverse_series(kinv, recording, phi, 5)
-        # 4 forward products and K = 2 inverse ones
-        assert g_vv.operand_dtypes == [np.dtype(float)] * 6
-        # the inverse series: C_1 and C_2 (g_vv against Y_n, formed from g_vd), the data
-        # of order 2, Lam_j G_vd for the split orders 3 to 5, and one wide product per
-        # head: H_3 [C_1 | C_2] and H_4 C_1
-        assert products == [(np.dtype(float), np.dtype(float))] * 8
+        assert volume_operands == [np.dtype(float)] * 2  # C_1 and C_2: K = 2
+        # with g_sv and g_vd: the data of order 2, Lam_j G_vd for the split orders 3
+        # to 5, and one wide product per head: H_3 [C_1 | C_2] and H_4 C_1
+        assert products == [(np.dtype(float), np.dtype(float))] * 6
         assert all(np.isrealobj(t) for t in series.terms + res.terms)
         plain = inverse_series(kinv, small_ops, phi, 5)
         assert all(np.array_equal(a, b) for a, b in zip(res.terms, plain.terms))

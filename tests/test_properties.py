@@ -31,6 +31,7 @@ from invborn import (
     solve_direct,
 )
 from invborn.cli import RADII_COLUMNS, build_phantom, main, validate_absorption
+from invborn.greens import DenseVolume
 
 from conftest import enumerated_inverse_series, full_system_data
 
@@ -77,7 +78,7 @@ def test_real_direct_solve_matches_complex_oracle_and_certificate(problem):
     ops, eta = problem
     oracle = dataclasses.replace(
         ops,
-        g_vv=ops.g_vv.astype(complex),
+        volume=DenseVolume(ops.g_vv.astype(complex)),
         g_sv=ops.g_sv.astype(complex),
         g_vd=ops.g_vd.astype(complex),
     )
